@@ -1,11 +1,12 @@
 """Whitehead graphs and the simplicity decision.
 
 A conjugacy class is simple when it lies in a proper free factor.
-Whitehead's algorithm decides this: shorten greedily with Whitehead
-automorphisms, then close the minimal level set under length-preserving
-moves; the class is simple exactly when some minimal representative
-omits a generator.  The Whitehead graph shows the obstruction: a
-connected graph without cut points certifies non-simplicity.
+The decision shortens greedily with Whitehead automorphisms, each move
+scored from the Whitehead graph.  The class is simple when the greedy
+minimum omits a generator; otherwise the minimum's Whitehead graph is
+connected without cut vertices, which certifies non-simplicity.
+reduce_to_minimal also closes the minimal level set under
+length-preserving moves, to count the minimal forms printed below.
 """
 
 from outerspace import (FreeGroup, whitehead_graph, connectivity_report,

@@ -219,9 +219,9 @@ def cmd_simple(args):
         print("note: rank 2 accepted; the factor graph itself degenerates "
               "at rank 2", file=sys.stderr)
     try:
-        verdict = whitehead.is_simple(cw, orbit_cap=args.orbit_cap)
-    except whitehead.OrbitCapExceeded:
-        print("indeterminate: orbit cap exceeded")
+        verdict = whitehead.is_simple(cw)
+    except whitehead.SimplicityCertificateError as exc:
+        print(f"indeterminate: {exc}")
         return 1
     print("simple" if verdict else "not simple")
     return 0
@@ -353,39 +353,6 @@ SUITES = {
 }
 
 
-class ExperimentConfig:
-    """Bundled experiment parameters; same config and seed give
-    bit-identical reports at any worker count."""
-
-    def __init__(self, suite, seed, instances, rank=3, workers=1, twist=3,
-                 word_length=6, K=6, bound=6, orbit_cap=100_000,
-                 out_prefix=None):
-        for name, value in (("instances", instances), ("rank", rank),
-                            ("workers", workers), ("twist", twist),
-                            ("word_length", word_length), ("K", K),
-                            ("bound", bound), ("orbit_cap", orbit_cap)):
-            if value <= 0:
-                raise UsageError(f"{name} must be positive")
-        self.suite = suite
-        self.seed = seed
-        self.instances = instances
-        self.rank = rank
-        self.workers = workers
-        self.twist = twist
-        self.word_length = word_length
-        self.K = K
-        self.bound = bound
-        self.orbit_cap = orbit_cap
-        self.out_prefix = out_prefix
-
-    def run(self):
-        return run_experiment(self.suite, self.seed, self.instances,
-                              rank=self.rank, workers=self.workers,
-                              twist=self.twist, word_length=self.word_length,
-                              K=self.K, bound=self.bound,
-                              out_prefix=self.out_prefix)
-
-
 def run_experiment(suite, seed, instances, rank=3, workers=1, twist=3,
                    word_length=6, K=6, bound=6, out_prefix=None):
     """Run a suite over seeded instances; deterministic for fixed seed."""
@@ -491,7 +458,6 @@ def build_parser():
 
     s = add_parser("simple")
     s.add_argument("word")
-    s.add_argument("--orbit-cap", type=int, default=100_000)
     s.set_defaults(func=cmd_simple)
 
     r = add_parser("reduce")
@@ -536,6 +502,9 @@ def main(argv=None):
         return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return 2
+    except factor_complex.SeedExceedsBound as exc:
+        print(f"usage error: {exc}; raise --bound", file=sys.stderr)
         return 2
 
 

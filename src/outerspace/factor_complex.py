@@ -110,6 +110,14 @@ class FactorBall:
         return best
 
 
+class SeedExceedsBound(ValueError):
+    def __init__(self, edges, bound):
+        super().__init__(f"a seed factor has {edges} edges, more than the "
+                         f"complexity bound {bound}")
+        self.edges = edges
+        self.bound = bound
+
+
 def build_ball(group, seeds=(), bound=6, aut_product_length=3,
                vertex_cap=4000):
     """Enumerate small-core factors: sub-bases of the standard basis, their
@@ -117,7 +125,7 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
     ball = FactorBall(bound=bound)
     for h in seeds:
         if h.edge_count() > bound:
-            raise ValueError("seed exceeds the complexity bound")
+            raise SeedExceedsBound(h.edge_count(), bound)
         ball.add(h)
     n = group.rank
     base_factors = []

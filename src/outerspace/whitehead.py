@@ -9,13 +9,23 @@ by a special letter v and a cut set Y with v in Y, v^-1 not in Y:
 
 for letters x not in {v, v^-1}, and v -> v.
 
+Every move's length change is read off the Whitehead graph (see
+``length_changes``), so a greedy descent rewrites the word once per
+step.  By Whitehead's theorem the greedy chain ends at minimal length
+in the Aut-orbit.
+
 A conjugacy class is simple when it is contained in a proper free
-factor.  The decision runs Whitehead's algorithm: greedy strict
-shortening, then breadth-first closure of the minimal level set under
-length-preserving moves; the class is simple exactly when some minimal
-representative omits a generator.  Connectivity data of the Whitehead
-graph is reported alongside (a connected, cut-point-free graph at
-minimal length certifies non-simplicity).
+factor.  The decision runs the greedy descent to its minimum m: if m
+omits a generator the class is simple; otherwise the Whitehead graph
+of m must be two-connected, which certifies non-simplicity by
+Whitehead's cut-vertex lemma (a class in a proper free factor has a
+disconnected graph or one with a cut vertex).  At a greedy minimum with
+full support a cut vertex, or a component not closed under inversion,
+would give a strictly shortening move, so a failed certificate is a
+defect, raised as SimplicityCertificateError.  No level set is closed.
+
+``reduce_to_minimal`` adds the breadth-first closure of the minimal
+level set under length-preserving moves, to list its representatives.
 """
 
 from __future__ import annotations
@@ -28,8 +38,28 @@ from .words import Word, CyclicWord, Automorphism, letter_str, letter_key
 
 class OrbitCapExceeded(RuntimeError):
     def __init__(self, partial):
-        super().__init__("orbit cap exceeded; simplicity undetermined")
+        super().__init__("orbit cap exceeded; minimal level set incomplete")
         self.partial = partial
+
+
+class SimplicityCertificateError(RuntimeError):
+    """A greedy minimum with full support whose Whitehead graph is not
+    two-connected: non-simplicity is not certified."""
+
+    def __init__(self, word, descent, report):
+        super().__init__(f"greedy minimum {descent[-1]} of {word} has full "
+                         f"support but its Whitehead graph is {report}")
+        self.word = word
+        self.descent = descent
+        self.report = report
+
+
+def _letter_bits(letters):
+    """Bit set of signed letters: a, a^-1, b, b^-1, ... -> bits 0, 1, 2, 3, ..."""
+    bits = 0
+    for x in letters:
+        bits |= 1 << (2 * abs(x) - (2 if x > 0 else 1))
+    return bits
 
 
 class WhiteheadGraph:
@@ -130,7 +160,8 @@ def whitehead_graph(cw):
 class WhiteheadAutomorphism:
     """Type-II Whitehead automorphism (special letter v, cut set Y)."""
 
-    __slots__ = ("group", "special", "cut", "_aut")
+    __slots__ = ("group", "special", "cut", "_aut", "_inverse_cut_bits",
+                 "_inverse_special_bit")
 
     def __init__(self, group, special, cut):
         cut = frozenset(cut)
@@ -143,6 +174,8 @@ class WhiteheadAutomorphism:
         self.special = special
         self.cut = cut
         self._aut = None
+        self._inverse_cut_bits = _letter_bits(-x for x in cut)
+        self._inverse_special_bit = _letter_bits((-special,))
 
     def automorphism(self):
         if self._aut is not None:
@@ -220,87 +253,121 @@ class MinimizationResult:
         return bool(self.omitting)
 
 
+def length_changes(W, moves):
+    """|tau(w)| - |w| for each move tau, read off the Whitehead graph W of w.
+
+    With an edge {x^-1, y} per cyclically adjacent pair xy, the move
+    (v, Y) changes the length by cap(Y^-1) - deg(v^-1), where
+    Y^-1 = {y^-1 : y in Y} and cap counts the edges with exactly one end
+    in Y^-1.
+    """
+    edges = [(_letter_bits(e), m) for e, m in W.edges.items()]
+
+    def cap(bits):
+        return sum(m for ends, m in edges if 0 != ends & bits != ends)
+
+    degree = {1 << i: cap(1 << i) for i in range(2 * W.group.rank)}
+    return [cap(tau._inverse_cut_bits) - degree[tau._inverse_special_bit]
+            for tau in moves]
+
+
+def greedy_descent(cw):
+    """Greedy strict shortening: the chain from cw down to minimal length.
+
+    Each step scores every type-II move from the Whitehead graph and
+    applies only the one that shortens most, the first in
+    all_type_ii_automorphisms order on ties.  The rewritten word's
+    length is checked against the score, so the chain strictly shortens.
+    """
+    moves = all_type_ii_automorphisms(cw.group)
+    chain = [cw]
+    if cw.is_trivial() or not moves:
+        return chain
+    while True:
+        changes = length_changes(WhiteheadGraph(chain[-1]), moves)
+        best = min(changes)
+        if best >= 0:
+            return chain
+        tau = moves[changes.index(best)]
+        img = apply_whitehead(tau, chain[-1])
+        if len(img) != len(chain[-1]) + best:
+            raise RuntimeError(f"{tau} takes {chain[-1]} to {img}, not a "
+                               f"length change of {best}")
+        chain.append(img)
+
+
 def reduce_to_minimal(cw, orbit_cap=100_000):
     """Greedy Whitehead descent, then closure of the minimal level set.
 
-    Greedy: while some type-II automorphism strictly shortens the class,
-    apply the best one (ties by (special letter, cut set) order).  At
-    the bottom, breadth-first closure under length-preserving moves up
-    to orbit_cap states.
+    The greedy chain is that of greedy_descent.  At the bottom,
+    breadth-first closure under length-preserving moves (found from the
+    Whitehead graph, so only those moves are applied) up to orbit_cap
+    states.
     """
-    group = cw.group
-    moves = all_type_ii_automorphisms(group)
-    descent = [cw]
-    current = cw
-    while True:
-        best = None
-        for tau in moves:
-            img = apply_whitehead(tau, current)
-            if len(img) < len(current):
-                if best is None or len(img) < len(best[1]):
-                    best = (tau, img)
-        if best is None:
-            break
-        current = best[1]
-        descent.append(current)
-    # closure of the level set
+    descent = greedy_descent(cw)
+    current = descent[-1]
+    moves = all_type_ii_automorphisms(cw.group)
     level = {current}
-    frontier = [current]
+    frontier = [] if current.is_trivial() else [current]
     capped = False
     while frontier and not capped:
         nxt = []
         for w in frontier:
-            for tau in moves:
+            for tau, change in zip(moves, length_changes(WhiteheadGraph(w), moves)):
+                if change > 0:
+                    continue
                 img = apply_whitehead(tau, w)
-                if len(img) == len(w) and img not in level:
+                if change < 0:   # the closure found a shorter word:
+                    return reduce_to_minimal(img, orbit_cap)
+                if img not in level:
                     level.add(img)
                     nxt.append(img)
                     if len(level) > orbit_cap:
                         capped = True
                         break
-                elif len(img) < len(w):   # the closure found a shorter word:
-                    return reduce_to_minimal(img, orbit_cap)
             if capped:
                 break
         frontier = nxt
-    omitting = {w for w in level if len(w.support()) < group.rank}
+    omitting = {w for w in level if len(w.support()) < cw.group.rank}
     return MinimizationResult(len(current), level, descent, capped, omitting)
 
 
-def is_simple(cw, orbit_cap=100_000, cache=None):
+def is_simple(cw, cache=None):
     """Is the class contained in a proper free factor?
 
-    Simple exactly when some minimal representative omits a generator
-    (a letter pair); with the closure capped the verdict may be
-    undetermined, reported by OrbitCapExceeded.
+    Runs greedy_descent to its minimum m.  Simple when m omits a
+    generator (a letter pair); otherwise the Whitehead graph of m must
+    be two-connected, which certifies "not simple" by Whitehead's
+    cut-vertex lemma.  A failed certificate raises
+    SimplicityCertificateError with the input, the greedy chain and the
+    connectivity report.
 
     A word whose support misses a generator is simple outright.  An
-    optional cache dict amortizes sweeps: every representative of an
-    explored minimal level set gets the verdict.
+    optional cache dict amortizes sweeps: every word of the greedy chain
+    gets the verdict.
     """
-    if cw.group.rank < 2:
-        return True
-    if cw.is_trivial():
-        return True
-    if len(cw.support()) < cw.group.rank:
+    rank = cw.group.rank
+    if rank < 2 or cw.is_trivial() or len(cw.support()) < rank:
         return True
     if cache is not None and cw in cache:
         return cache[cw]
-    res = reduce_to_minimal(cw, orbit_cap)
-    if res.omitting:
-        verdict = True
-    elif res.capped:
-        raise OrbitCapExceeded(res)
-    else:
-        verdict = False
+    descent = greedy_descent(cw)
+    verdict = len(descent[-1].support()) < rank
+    if not verdict:
+        report = connectivity_report(WhiteheadGraph(descent[-1]))
+        if report.kind != "two-connected":
+            raise SimplicityCertificateError(cw, descent, report)
     if cache is not None:
-        cache[cw] = verdict
-        for w in res.representatives:
-            cache[w] = verdict
+        cache.update(dict.fromkeys(descent, verdict))
     return verdict
 
 
 def minimal_level_graph_reports(cw, orbit_cap=100_000):
-    """Connectivity reports of the Whitehead graphs over the minimal level set."""
+    """Connectivity reports of the Whitehead graphs over the minimal level set.
+
+    Raises OrbitCapExceeded when the level set outgrows orbit_cap.
+    """
     res = reduce_to_minimal(cw, orbit_cap)
+    if res.capped:
+        raise OrbitCapExceeded(res)
     return {w: connectivity_report(whitehead_graph(w)) for w in res.representatives}

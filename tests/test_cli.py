@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from outerspace import whitehead
 from outerspace.cli import main, run_experiment
 from outerspace.words import FreeGroup
 from outerspace.marked_graph import rose
@@ -62,6 +63,19 @@ def test_simple_and_reduce_commands(capsys):
     assert out["minimal_length"] == 1
 
 
+def test_simple_command_uncertified_minimum(monkeypatch, capsys):
+    # a greedy minimum whose graph had a cut vertex would be a defect;
+    # the command reports it as indeterminate with exit code 1
+    monkeypatch.setattr(whitehead, "connectivity_report",
+                        lambda W: whitehead.ConnectivityReport("cut-vertex", 1))
+    assert main(["simple", "aabbcc"]) == 1
+    assert capsys.readouterr().out.startswith("indeterminate: greedy minimum")
+    with pytest.raises(whitehead.SimplicityCertificateError) as info:
+        whitehead.is_simple(F3.word("aabbcc").cyclic())
+    assert [str(w) for w in info.value.descent] == ["aabbcc"]
+    assert info.value.report.kind == "cut-vertex"
+
+
 def test_whitehead_graph_command(capsys):
     assert main(["whitehead-graph", "aabbcc"]) == 0
     assert "two-connected" in capsys.readouterr().out
@@ -117,3 +131,13 @@ def test_experiment_exit_codes(tmp_path, capsys):
     rc = main(["experiment", "--suite", "distance-oracle",
                "--instances", "3", "--seed", "1"])
     assert rc == 0
+
+
+def test_experiment_seed_beyond_bound_is_usage_error(capsys):
+    # instance 3 of this run projects a factor with more edges than
+    # --bound allows
+    rc = main(["experiment", "--suite", "qg-check", "--instances", "4",
+               "--seed", "7"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--bound" in err and len(err.strip().splitlines()) == 1

@@ -3,16 +3,19 @@ import random
 import pytest
 
 from outerspace.words import FreeGroup, CyclicWord
+from outerspace.cli import main
 from outerspace.whitehead import (whitehead_graph, connectivity_report,
                                   WhiteheadAutomorphism, apply_whitehead,
                                   reduce_to_minimal, is_simple,
-                                  all_type_ii_automorphisms,
-                                  minimal_level_graph_reports)
+                                  all_type_ii_automorphisms, length_changes,
+                                  minimal_level_graph_reports,
+                                  OrbitCapExceeded)
 from outerspace.oracles import whitehead_simple_oracle
 from outerspace.randomgen import random_automorphism, random_cyclic_word
 
 
 F3 = FreeGroup(3)
+F4 = FreeGroup(4)
 
 
 def cw(text):
@@ -180,3 +183,48 @@ def test_malformed_whitehead_automorphism():
         WhiteheadAutomorphism(F3, 1, {2})        # special letter not in cut
     with pytest.raises(ValueError):
         WhiteheadAutomorphism(F3, 1, {1, -1})    # inverse in cut
+
+
+def test_graph_length_changes_match_rewriting():
+    # every type-II move, on seeded random words at ranks 2-4
+    rng = random.Random(76)
+    for rank in (2, 3, 4):
+        group = FreeGroup(rank)
+        moves = all_type_ii_automorphisms(group)
+        for _ in range(12):
+            w = random_cyclic_word(rng, group, rng.randint(1, 12))
+            changes = length_changes(whitehead_graph(w), moves)
+            for tau, change in zip(moves, changes):
+                assert change == len(apply_whitehead(tau, w)) - len(w), (w, tau)
+
+
+def _planted_rank4(rng, simple):
+    """The image of a^2 b^2 c^2 d^2 (not simple) or of a word in <a, b, c>
+    (simple) under a random automorphism of F4."""
+    if simple:
+        base = random_cyclic_word(rng, FreeGroup(3), rng.randint(2, 8)).letters
+    else:
+        base = (1, 1, 2, 2, 3, 3, 4, 4)
+    phi, _ = random_automorphism(rng, F4, rng.randint(1, 8))
+    return phi.apply(CyclicWord(F4, base))
+
+
+def test_rank4_planted_verdicts():
+    rng = random.Random(77)
+    for k in range(40):
+        simple = k % 2 == 0
+        w = _planted_rank4(rng, simple)
+        assert is_simple(w) == simple, w
+
+
+def test_simple_command_rank4_not_simple(capsys):
+    w = _planted_rank4(random.Random(78), simple=False)
+    assert len(w) > 8
+    assert main(["simple", str(w), "--rank", "4"]) == 0
+    assert capsys.readouterr().out.strip() == "not simple"
+
+
+def test_level_graph_reports_raise_when_capped():
+    with pytest.raises(OrbitCapExceeded) as info:
+        minimal_level_graph_reports(cw("aabbcc"), orbit_cap=10)
+    assert info.value.partial.capped
