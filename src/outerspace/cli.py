@@ -3,7 +3,8 @@
 Subcommands: dist, optimal-map, fold, standard-geodesic, project, ball,
 ffdist, simple, reduce, whitehead-graph, qg-check, experiment.
 
-Exit codes: 0 success, 1 a property violation was found, 2 usage error.
+Exit codes: 0 success, 1 a property violation was found or a
+construction failed to certify its answer, 2 usage error.
 Reports are deterministic for a fixed seed: instances derive their own
 generators from (seed, index), results are collected in index order, and
 JSON is emitted with sorted keys.
@@ -283,7 +284,7 @@ def cmd_qg_check(args):
 # -- experiment suites ------------------------------------------------------
 
 
-def _suite_distance_oracle(seed, index, rank, twist):
+def _suite_distance_oracle(seed, index, rank, twist, **_):
     rng = _instance_rng(seed, index)
     group = FreeGroup(rank)
     G = randomgen.random_marked_graph(rng, group, twist)
@@ -295,7 +296,7 @@ def _suite_distance_oracle(seed, index, rank, twist):
             "witness_length": _frac_str(wit.length_in(G))}
 
 
-def _suite_fold_additivity(seed, index, rank, twist):
+def _suite_fold_additivity(seed, index, rank, twist, **_):
     rng = _instance_rng(seed, index)
     group = FreeGroup(rank)
     G = randomgen.random_marked_graph(rng, group, twist)
@@ -318,17 +319,17 @@ def _suite_fold_additivity(seed, index, rank, twist):
     return {"index": index, "events": len(snaps) - 1, "additive": ok}
 
 
-def _suite_whitehead_oracle(seed, index, rank, length):
+def _suite_whitehead_oracle(seed, index, rank, word_length, **_):
     rng = _instance_rng(seed, index)
     group = FreeGroup(rank)
-    cw = randomgen.random_cyclic_word(rng, group, length)
+    cw = randomgen.random_cyclic_word(rng, group, word_length)
     verdict = whitehead.is_simple(cw)
     oracle = oracles.whitehead_simple_oracle(cw)
     return {"index": index, "word": str(cw), "simple": verdict,
             "oracle": oracle, "match": verdict == oracle}
 
 
-def _suite_qg_check(seed, index, rank, twist, K, bound):
+def _suite_qg_check(seed, index, rank, twist, K, bound, **_):
     rng = _instance_rng(seed, index)
     group = FreeGroup(rank)
     G = randomgen.random_marked_graph(rng, group, twist + 2)
@@ -360,13 +361,8 @@ def run_experiment(suite, seed, instances, rank=3, workers=1, twist=3,
         raise UsageError(f"unknown suite {suite}")
 
     def job(index):
-        if suite == "distance-oracle":
-            return _suite_distance_oracle(seed, index, rank, twist)
-        if suite == "fold-additivity":
-            return _suite_fold_additivity(seed, index, rank, twist)
-        if suite == "whitehead-oracle":
-            return _suite_whitehead_oracle(seed, index, rank, word_length)
-        return _suite_qg_check(seed, index, rank, twist, K, bound)
+        return SUITES[suite](seed=seed, index=index, rank=rank, twist=twist,
+                             word_length=word_length, K=K, bound=bound)
 
     if workers <= 1:
         results = [job(i) for i in range(instances)]
@@ -506,6 +502,9 @@ def main(argv=None):
     except factor_complex.SeedExceedsBound as exc:
         print(f"usage error: {exc}; raise --bound", file=sys.stderr)
         return 2
+    except (lipschitz.OptimalMapError, folding.FoldTerminationError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

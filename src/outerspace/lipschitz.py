@@ -3,13 +3,18 @@
 The stretch factor of a pair is the maximum, over the finite candidate
 family (embedded circles, figure-eights, barbells), of target length
 over source length.  An optimal map realizing the stretch exactly is
-then constructed by certification: starting from the tree-collapse
-difference-of-markings map, vertex images slide in exact rational steps
-until the maximal slope equals the known stretch factor.
+then built by convex descent.  The vertex images of a straight map
+range over a product of copies of the target's universal-cover tree,
+and the maximal slope is convex there with minimum the stretch factor
+(Francaviglia-Martino, "Metric properties of Outer space").  Starting
+from the tree-collapse difference-of-markings map, each step solves an
+exact LP in a closed cell around the current vertex images and moves to
+its optimum, until the maximal slope equals the known stretch factor.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .words import CyclicWord
@@ -20,7 +25,20 @@ from . import simplex_lp
 
 
 class OptimalMapError(RuntimeError):
-    """The balancing procedure failed to certify sigma = lambda."""
+    """The descent failed to certify sigma = lambda.
+
+    optimal_map fills in its state at the failure: sigma of the map, the
+    stretch factor lam, the descent steps taken and the cell LPs solved.
+    """
+
+    sigma = lam = None
+    steps = cells = 0
+
+    def __str__(self):
+        if self.sigma is None:
+            return self.args[0]
+        return (f"{self.args[0]} (sigma {self.sigma}, lambda {self.lam}, "
+                f"{self.steps} steps, {self.cells} cell LPs)")
 
 
 class BoundaryOptimumError(RuntimeError):
@@ -316,239 +334,97 @@ def initial_difference_of_markings(G, Gp):
     return GraphMap(G, Gp, vertex_images, edge_images)
 
 
-def _slide(f, v, germ, delta):
-    """Move the image of v by delta along the germ, updating edge images."""
-    Gp = f.target
-    e_g, a_g = germ
-    new_point = edge_point(Gp, e_g, a_g + delta)
-    back_seg = seg_reverse(Gp, (e_g, a_g, a_g + delta))
-    for e in sorted(f.source.edge_ends):
-        o, t = f.source.edge_ends[e]
-        path = f.edge_images[e]
-        if o == v:
-            if path.first_germ() == germ:
-                path = path.drop_prefix(delta)
-            else:
-                path = path.prepend_segment(back_seg)
-        if t == v:
-            rev = path.reverse()
-            if rev.first_germ() == germ:
-                rev = rev.drop_prefix(delta)
-            else:
-                rev = rev.prepend_segment(back_seg)
-            path = rev.reverse()
-        if o == v or t == v:
-            f.edge_images[e] = path
-    f.vertex_images[v] = new_point
-
-
-def optimal_map(G, Gp, lam=None, witness=None, max_rounds=60, slide_budget=250):
+def optimal_map(G, Gp, lam=None, witness=None):
     """An optimal difference-of-markings map: sigma(f) = stretch exactly.
 
-    lam/witness are recomputed if not supplied.  Two alternating moves:
+    lam/witness are recomputed if not supplied.  A straight map is fixed
+    by its vertex images, which range over a product of copies of the
+    universal-cover tree of Gp; each edge image length is a tree
+    distance, so the maximal slope sigma is convex on that product and
+    its minimum is the stretch factor lambda (Francaviglia-Martino,
+    "Metric properties of Outer space").  A point with sigma > lambda is
+    therefore improved inside some closed cell of its star, where the
+    edge image lengths are affine in the vertex offsets.
 
-    * single-vertex slides (a vertex whose tension directions share one
-      gate moves along that gate by the exact step minimizing the
-      maximal slope, with interior draining steps when the tension
-      graph sits partly elsewhere);
-    * an in-cell jump: within the current combinatorial cell the edge
-      image lengths are affine in the vertex offsets, so an exact LP
-      moves all vertices at once to the cell optimum.  This removes the
-      geometric creep that single-vertex moves exhibit on min-max
-      objectives.
-
-    Raises OptimalMapError if certification fails to reach sigma = lam
-    (which must not happen on valid inputs).
+    The descent starts from the tree-collapse map and moves, by an exact
+    LP, to the optimum of the first cell of the star that strictly lowers
+    sigma.  No cell is visited twice and finitely many lie below the
+    starting sigma, so the descent ends.  Raises OptimalMapError, which
+    carries sigma, lambda, the descent steps and the cell LPs solved, if
+    no cell improves a point with sigma > lambda, sigma drops below
+    lambda or a cell model disagrees with the map (none of which happens
+    on valid inputs).
     """
     if lam is None:
         lam, witness = stretch_factor(G, Gp)
     f = initial_difference_of_markings(G, Gp)
-    for _ in range(max_rounds):
-        if _slide_phase(f, lam, slide_budget):
-            return f
-        if f.sigma() == lam:
-            return f
-        if not _cell_jump(f):
-            raise OptimalMapError("no admissible move at sigma > lambda")
-    raise OptimalMapError("round cap exceeded")
+    steps = cells = 0
+    try:
+        while True:
+            sigma = f.sigma()
+            if sigma == lam:
+                return f
+            if sigma < lam:
+                raise OptimalMapError("sigma dropped below lambda")
+            for combo in _star(f):
+                cells += 1
+                if _try_cell_lp(f, sigma, combo):
+                    steps += 1
+                    break
+            else:
+                raise OptimalMapError("no cell of the star lowers sigma "
+                                      "above lambda")
+    except OptimalMapError as exc:
+        exc.sigma, exc.lam, exc.steps, exc.cells = f.sigma(), lam, steps, cells
+        raise
 
 
-def _slide_phase(f, lam, budget):
-    """Run single-vertex slides until lam is certified or progress stops."""
-    for _ in range(budget):
-        sigma = f.sigma()
-        if sigma == lam:
-            return True
-        if sigma < lam:
-            raise OptimalMapError(f"sigma {sigma} dropped below lambda {lam}")
-        slide = _best_slide(f, sigma)
-        if slide is not None and slide[3] < sigma:
-            v, germ, delta, _ = slide
-            _slide(f, v, germ, delta)
-            continue
-        drain = _drain_slide(f, sigma)
-        if drain is None:
-            raise OptimalMapError("no admissible slide at sigma > lambda")
-        v, germ, delta = drain
-        _slide(f, v, germ, delta)
-    return f.sigma() == lam
+def _star(f):
+    """The closed cells around the current vertex images, in a fixed order.
 
-
-def _slide_options(f, sigma, v):
-    """Admissible slide at v, if its tension directions share one germ.
-
-    Returns (germ, delta, sigma_after) minimizing the maximal slope over
-    the exact one-vertex line search, or None.
-    """
-    G = f.source
-    dirs = [d for d in G.directions_at(v)
-            if f.slope(d) == sigma]
-    if not dirs:
-        return None
-    germs = {f.germ(d) for d in dirs}
-    if len(germs) != 1:
-        return None
-    germ = germs.pop()
-    # per-edge growth rates under a slide of v along the germ
-    rate = {}
-    for d in G.directions_at(v):
-        e = abs(d)
-        rate[e] = rate.get(e, 0) + (-1 if f.germ(d) == germ else 1)
-    # hard cap: stay within the current first segment of each shrinking end
-    cap = None
-    for d in G.directions_at(v):
-        if f.germ(d) == germ:
-            seg = f.image_of_direction(d).segs[0]
-            c = seg[2] - seg[1]
-            cap = c if cap is None else min(cap, c)
-    if cap is None or cap <= 0:
-        return None
-    lines = []   # slope_e(delta) = (len_e + rate_e * delta) / l_e
-    for e in sorted(G.edge_ends):
-        lines.append((f.edge_images[e].length(), Fraction(rate.get(e, 0)),
-                      G.lengths[e]))
-
-    def sig_at(delta):
-        return max((ln + r * delta) / l for (ln, r, l) in lines)
-
-    cands = {cap}
-    for i in range(len(lines)):
-        for j in range(len(lines)):
-            ln1, r1, l1 = lines[i]
-            ln2, r2, l2 = lines[j]
-            den = r1 * l2 - r2 * l1
-            if den == 0:
-                continue
-            d = (ln2 * l1 - ln1 * l2) / den
-            if 0 < d <= cap:
-                cands.add(d)
-    best = None
-    for d in sorted(cands, reverse=True):
-        s = sig_at(d)
-        if best is None or s < best[2]:
-            best = (germ, d, s)
-    return best
-
-
-def _best_slide(f, sigma):
-    """The slide minimizing the resulting maximal slope over all vertices."""
-    best = None
-    for v in sorted(f.source.vertices):
-        opt = _slide_options(f, sigma, v)
-        if opt is None:
-            continue
-        germ, delta, s_after = opt
-        key = (s_after, -delta)
-        if best is None or key < best[0]:
-            best = (key, v, germ, delta, s_after)
-    if best is None:
-        return None
-    return best[1], best[2], best[3], best[4]
-
-
-def _vertex_lines(f):
-    """Candidate motion lines per vertex: (target edge, offset, wall offset).
-
-    A vertex with an interior image moves along its edge; one sitting on
-    a target vertex may move into any germ edge of an incident image
-    path, so those give one candidate line each.
+    A cell gives every source vertex a line (target edge e, current offset
+    in +e coordinates) to move on.  A vertex inside an edge has that edge
+    only; a vertex on a target vertex u has one line per oriented edge
+    leaving u, so a loop at u gives (e, 0) for +e and (e, L) for -e.  The
+    germs of the incident edge images come first: moving into them
+    shortens those images.
     """
     Gp = f.target
-    lines = {}
-    for v in sorted(f.source.vertices):
+    verts = sorted(f.source.vertices)
+    lines = []
+    for v in verts:
         pt = f.vertex_images[v]
         if pt[0] == "e":
-            _, e, off = pt
-            lines[v] = [(e, off)]
-        else:
-            u = pt[1]
-            cands = []
-            for d in f.source.directions_at(v):
-                g = f.germ(d)
-                if g is None:
-                    continue
-                e = abs(g[0])
-                off = g[1] if g[0] > 0 else Gp.lengths[e] - g[1]
-                # germ offset in +e coordinates equals u's position on e
-                pos = Fraction(0) if Gp.origin(e) == u else Gp.lengths[e]
-                if (e, pos) not in cands:
-                    cands.append((e, pos))
-            if not cands:
-                for d in sorted(Gp.oriented_edges()):
-                    if Gp.origin(d) == u:
-                        e = abs(d)
-                        pos = Fraction(0) if d > 0 else Gp.lengths[e]
-                        cands.append((e, pos))
-                        break
-            lines[v] = cands
-    return lines
-
-
-def _cell_jump(f):
-    """Joint LP move of all vertex images within the combinatorial cell.
-
-    Each vertex is confined to a line (a target edge); the LP minimizes
-    the maximal slope over offsets on these lines.  Returns True if the
-    map strictly improved.
-    """
-    G, Gp = f.source, f.target
-    sigma = f.sigma()
-    lines = _vertex_lines(f)
-    verts = sorted(G.vertices)
-    combos = [{}]
-    for v in verts:
-        nxt = []
-        for c in combos:
-            for line in lines[v]:
-                d = dict(c)
-                d[v] = line
-                nxt.append(d)
-        combos = nxt[:64]
-
-    for combo in combos:
-        moved = _try_cell_lp(f, sigma, combo)
-        if moved:
-            return True
-    return False
+            lines.append([(pt[1], pt[2])])
+            continue
+        germs = [f.germ(d) for d in f.source.directions_at(v)]
+        dirs = [g[0] for g in germs if g is not None] + Gp.directions_at(pt[1])
+        lines.append(list(dict.fromkeys(
+            (abs(d), Fraction(0) if d > 0 else Gp.lengths[abs(d)])
+            for d in dirs)))
+    for combo in itertools.product(*lines):
+        yield dict(zip(verts, combo))
 
 
 def _try_cell_lp(f, sigma, combo):
+    """Move f to the optimum of the cell `combo` if that lowers sigma.
+
+    Returns True if the map moved.  A negative right-hand side or an
+    unbounded LP means the cell model is wrong, and so does a moved map
+    whose sigma is not the LP optimum: all three raise OptimalMapError.
+    """
     G, Gp = f.source, f.target
     verts = sorted(G.vertices)
-    x_cur = {}
-    for v in verts:
-        e, off = combo[v]
-        x_cur[v] = off
 
     # affine model: len_e(x) = len_cur + sum_ends coef * (x_v - x_cur_v),
-    # with a pair of rows for ambiguously oriented degenerate edges.
+    # with a pair of rows for a degenerate edge whose ends share a line.
     rows = []          # (coef dict v -> c, base length, edge)
     nonneg = []        # (coef dict, base): model validity, length >= 0
     for e in sorted(G.edge_ends):
         o, t = G.edge_ends[e]
         path = f.edge_images[e]
         base = path.length()
-        if path.is_point() and combo[o][0] == combo[t][0]:
+        if path.is_point() and combo[o] == combo[t]:
             # shared line: length |x_o - x_t|, two signed rows
             for s in (1, -1):
                 coef = {}
@@ -558,9 +434,7 @@ def _try_cell_lp(f, sigma, combo):
             continue
         coef = {}
         for (v, end) in ((o, "start"), (t, "end")):
-            ev, off_v = combo[v]
-            c = _end_coefficient(f, path, end, ev, off_v, Gp)
-            coef[v] = coef.get(v, 0) + c
+            coef[v] = coef.get(v, 0) + _end_coefficient(path, end, *combo[v])
         rows.append((coef, base, e))
         if len(path.segs) == 1:
             # a single-segment image may not shrink through zero; the
@@ -581,7 +455,7 @@ def _try_cell_lp(f, sigma, combo):
         row[-1] = G.lengths[e]
         rhs = sigma * G.lengths[e] - base
         if rhs < 0:
-            return False     # model mismatch; stay safe
+            raise OptimalMapError(f"edge {e} is above sigma in the cell model")
         A.append(row)
         b.append(rhs)
     for coef, base in nonneg:
@@ -592,35 +466,31 @@ def _try_cell_lp(f, sigma, combo):
         A.append(row)
         b.append(base)
     for v in verts:
-        e, _ = combo[v]
-        L = Gp.lengths[e]
+        e, x_cur = combo[v]
         up = [Fraction(0)] * nvar
         up[2 * idx[v]] = Fraction(1)
         A.append(up)
-        b.append(L - x_cur[v])
+        b.append(Gp.lengths[e] - x_cur)
         dn = [Fraction(0)] * nvar
         dn[2 * idx[v] + 1] = Fraction(1)
         A.append(dn)
-        b.append(x_cur[v])
+        b.append(x_cur)
     try:
         value, sol = simplex_lp.solve_lp_max(c_obj, A, b)
     except simplex_lp.Unbounded:
-        return False
+        raise OptimalMapError("cell LP unbounded") from None
     if value <= 0:
         return False
-    # apply: move each vertex along its line, transporting edge images
-    new_points = {}
-    for v in verts:
-        e, _ = combo[v]
-        x_new = x_cur[v] + sol[2 * idx[v]] - sol[2 * idx[v] + 1]
-        new_points[v] = edge_point(Gp, e, x_new)
-    _transport(f, new_points, combo, x_cur)
+    x_new = {v: combo[v][1] + sol[2 * idx[v]] - sol[2 * idx[v] + 1]
+             for v in verts}
+    _transport(f, combo, x_new)
+    if f.sigma() != sigma - value:
+        raise OptimalMapError("moved map misses the cell LP optimum")
     return True
 
 
-def _end_coefficient(f, path, end, ev, off_v, Gp):
+def _end_coefficient(path, end, ev, off_v):
     """Rate of change of the path length when its `end` moves along +ev."""
-    L = Gp.lengths[ev]
     if end == "start":
         germ = path.first_germ()
     else:
@@ -629,7 +499,7 @@ def _end_coefficient(f, path, end, ev, off_v, Gp):
         # degenerate path, endpoints on distinct lines: it grows away
         # from the wall offset
         return Fraction(1) if off_v == 0 else Fraction(-1)
-    ge, ga = germ
+    ge = germ[0]
     if abs(ge) == ev:
         # moving into the germ shortens the path
         return Fraction(-1) if ge > 0 else Fraction(1)
@@ -637,88 +507,30 @@ def _end_coefficient(f, path, end, ev, off_v, Gp):
     return Fraction(1) if off_v == 0 else Fraction(-1)
 
 
-def _transport(f, new_points, combo, x_cur):
-    """Move vertex images to new_points, prepending/appending connectors."""
+def _transport(f, combo, x_new):
+    """Move each vertex from its line's offset to x_new, adding connectors.
+
+    An edge image leaving a moved vertex gains the segment new -> old in
+    front; one arriving there gains old -> new at the back.  Both run
+    along the vertex's line, so a loop's two ends stay apart.
+    """
     G, Gp = f.source, f.target
     conn = {}
-    for v, pt in new_points.items():
-        e, _ = combo[v]
-        conn[v] = (e, x_cur[v], _offset_on(Gp, pt, e))
+    for v, (e, x0) in combo.items():
+        x1 = x_new[v]
+        if x1 > x0:
+            conn[v] = (e, x0, x1)
+        elif x1 < x0:
+            conn[v] = seg_reverse(Gp, (e, x1, x0))
+        f.vertex_images[v] = edge_point(Gp, e, x1)
     for eid in sorted(G.edge_ends):
         o, t = G.edge_ends[eid]
         path = f.edge_images[eid]
-        e_o, x0_o, x1_o = conn[o]
-        if x1_o != x0_o:
-            seg = (e_o, min(x0_o, x1_o), max(x0_o, x1_o))
-            if x1_o < x0_o:
-                seg = seg_reverse(Gp, seg)
-            # seg runs old -> new; we need new -> old in front
-            back = seg_reverse(Gp, seg)
-            path = path.prepend_segment(back)
-        e_t, x0_t, x1_t = conn[t]
-        if x1_t != x0_t:
-            seg = (e_t, min(x0_t, x1_t), max(x0_t, x1_t))
-            if x1_t < x0_t:
-                seg = seg_reverse(Gp, seg)
-            rev = path.reverse().prepend_segment(seg_reverse(Gp, seg))
-            path = rev.reverse()
+        if o in conn:
+            path = path.prepend_segment(seg_reverse(Gp, conn[o]))
+        if t in conn:
+            path = path.concat(TargetPath(Gp, path.end(), [conn[t]]))
         f.edge_images[eid] = path
-    for v, pt in new_points.items():
-        f.vertex_images[v] = pt
-
-
-def _offset_on(Gp, pt, e):
-    """Offset of a point on edge e in +e coordinates."""
-    if pt[0] == "e":
-        if pt[1] != e:
-            raise ValueError("point not on the given edge")
-        return pt[2]
-    u = pt[1]
-    if Gp.origin(e) == u:
-        return Fraction(0)
-    if Gp.terminus(e) == u:
-        return Gp.lengths[e]
-    raise ValueError("vertex not an endpoint of the edge")
-
-
-def _drain_slide(f, sigma):
-    """A strictly interior slide at a one-gate tension vertex.
-
-    The step keeps every other edge strictly below sigma, so the moved
-    vertex's tension edges leave the tension graph and nothing enters.
-    """
-    G = f.source
-    for v in sorted(G.vertices):
-        dirs = [d for d in G.directions_at(v) if f.slope(d) == sigma]
-        if not dirs:
-            continue
-        germs = {f.germ(d) for d in dirs}
-        if len(germs) != 1:
-            continue
-        germ = germs.pop()
-        rate = {}
-        for d in G.directions_at(v):
-            e = abs(d)
-            rate[e] = rate.get(e, 0) + (-1 if f.germ(d) == germ else 1)
-        seg_cap = None
-        for d in G.directions_at(v):
-            if f.germ(d) == germ:
-                seg = f.image_of_direction(d).segs[0]
-                c = seg[2] - seg[1]
-                seg_cap = c if seg_cap is None else min(seg_cap, c)
-        rise_cap = None
-        for e, r in rate.items():
-            if r > 0:
-                slack = (sigma * G.lengths[e] - f.edge_images[e].length()) / r
-                rise_cap = slack if rise_cap is None else min(rise_cap, slack)
-        if rise_cap is not None and rise_cap <= seg_cap:
-            delta = rise_cap / 2
-        else:
-            delta = seg_cap
-        if delta <= 0:
-            continue
-        return v, germ, delta
-    return None
 
 
 def tension_graph(f):

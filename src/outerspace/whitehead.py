@@ -130,6 +130,7 @@ def connectivity_report(W):
     """Connectivity / cut-vertex analysis on the support of the graph."""
     support = sorted(W.support_vertices(), key=letter_key)
     isolated = tuple(v for v in W.vertices() if v not in support)
+    adjacency = {v: W.neighbors(v) for v in support}
 
     def connected(verts, skip=None):
         verts = [v for v in verts if v != skip]
@@ -139,7 +140,7 @@ def connectivity_report(W):
         stack = [verts[0]]
         while stack:
             v = stack.pop()
-            for w in W.neighbors(v):
+            for w in adjacency[v]:
                 if w != skip and w not in seen:
                     seen.add(w)
                     stack.append(w)

@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from outerspace import whitehead
+from outerspace import folding, lipschitz, whitehead
 from outerspace.cli import main, run_experiment
 from outerspace.words import FreeGroup
 from outerspace.marked_graph import rose
@@ -141,3 +141,36 @@ def test_experiment_seed_beyond_bound_is_usage_error(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "--bound" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["optimal-map", "standard-geodesic",
+                                     "fold", "experiment"])
+def test_optimal_map_failure_exits_1(graph_files, monkeypatch, capsys,
+                                     command):
+    # an uncertified optimal map would be a defect; every command that
+    # builds one reports it in one line with exit code 1
+    def fail(*args, **kwargs):
+        raise lipschitz.OptimalMapError("no cell of the star lowers sigma")
+
+    monkeypatch.setattr(lipschitz, "optimal_map", fail)
+    monkeypatch.setattr(folding, "optimal_map", fail)
+    g1, g2 = graph_files
+    argv = {"optimal-map": ["optimal-map", g1, g2],
+            "standard-geodesic": ["standard-geodesic", g1, g2],
+            "fold": ["fold", "--from", g1, "--to", g2],
+            "experiment": ["experiment", "--suite", "fold-additivity",
+                           "--instances", "1"]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "OptimalMapError" in err and len(err.strip().splitlines()) == 1
+
+
+def test_fold_termination_failure_exits_1(graph_files, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise folding.FoldTerminationError("volume failed to decrease")
+
+    monkeypatch.setattr(folding, "standard_geodesic", fail)
+    g1, g2 = graph_files
+    assert main(["fold", "--from", g1, "--to", g2]) == 1
+    err = capsys.readouterr().err
+    assert "FoldTerminationError" in err and len(err.strip().splitlines()) == 1

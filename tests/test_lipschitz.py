@@ -5,11 +5,13 @@ import pytest
 
 from outerspace.words import FreeGroup
 from outerspace.marked_graph import rose, standard_marking
+from outerspace import lipschitz
 from outerspace.lipschitz import (candidates, stretch_factor, distance,
                                   optimal_map, tension_graph, gates,
-                                  optimize_in_simplex, class_of_loop)
+                                  optimize_in_simplex, class_of_loop,
+                                  OptimalMapError)
 from outerspace.oracles import brute_stretch, all_short_loops
-from outerspace.randomgen import random_marked_graph
+from outerspace.randomgen import random_marked_graph, random_rose
 from outerspace.traintrack import is_legal, classify_recurrence
 
 
@@ -208,3 +210,69 @@ def test_optimize_in_simplex_recurrent_structure():
         tt = f.gates(set(X.edge_ends))
         verdict = classify_recurrence(tt)
         assert verdict.kind in ("recurrent", "birecurrent")
+
+
+def _assert_certified(G, Gp, lam, wit, f):
+    assert f.sigma() == lam
+    assert f.is_difference_of_markings()
+    f.check_consistency()
+    tens = tension_graph(f)
+    assert all(abs(e) in tens for e in wit.edges)
+
+
+@pytest.mark.parametrize("rank,twist", [(4, 4), (5, 3)])
+def test_optimal_map_certification_higher_rank(rank, twist):
+    # the pairs of the geodesic benchmark: the acceptance gate is rank 3
+    group = FreeGroup(rank)
+    rng = random.Random(40 + rank)
+    for _ in range(8):
+        G = random_marked_graph(rng, group, twist)
+        Gp = random_marked_graph(rng, group, twist)
+        lam, wit = stretch_factor(G, Gp)
+        _assert_certified(G, Gp, lam, wit, optimal_map(G, Gp, lam, wit))
+
+
+def _rose_pair_needing_minus_e():
+    rng = random.Random(47)
+    G = random_marked_graph(rng, F3, 3)
+    return G, random_rose(rng, F3, 3)
+
+
+def test_optimal_map_leaves_rose_vertex_along_minus_e(monkeypatch):
+    # three source vertices start on the rose's one vertex; no cell that
+    # moves them only along +e of the petals lowers sigma, so the descent
+    # must leave the vertex along -e of a loop edge
+    G, Gp = _rose_pair_needing_minus_e()
+    assert len(G.vertices) == 3
+    lam, wit = stretch_factor(G, Gp)
+    _assert_certified(G, Gp, lam, wit, optimal_map(G, Gp, lam, wit))
+
+    star = lipschitz._star
+
+    def plus_e_only(f):
+        return (combo for combo in star(f)
+                if all(f.vertex_images[v][0] == "e" or x == 0
+                       for v, (e, x) in combo.items()))
+
+    monkeypatch.setattr(lipschitz, "_star", plus_e_only)
+    with pytest.raises(OptimalMapError):
+        optimal_map(G, Gp, lam, wit)
+
+
+def test_optimal_map_deterministic():
+    G, Gp = _rose_pair_needing_minus_e()
+    f1, f2 = optimal_map(G, Gp), optimal_map(G, Gp)
+    assert f1.vertex_images == f2.vertex_images
+    assert f1.edge_images == f2.edge_images
+
+
+def test_optimal_map_error_carries_state(monkeypatch):
+    G, Gp = _rose_pair_needing_minus_e()
+    lam, wit = stretch_factor(G, Gp)
+    monkeypatch.setattr(lipschitz, "_try_cell_lp", lambda f, sigma, combo: False)
+    with pytest.raises(OptimalMapError) as info:
+        optimal_map(G, Gp, lam, wit)
+    err = info.value
+    assert err.lam == lam and err.sigma > lam
+    assert err.steps == 0 and err.cells > 0
+    assert f"{err.cells} cell LPs" in str(err)
