@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import log10
 
-from .words import FreeGroup, parse_letters, Word, CyclicWord
+from .words import FreeGroup, parse_letters, Word
 from .marked_graph import MarkedMetricGraph
 from . import lipschitz, folding, whitehead, factor_complex, oracles, randomgen
 from . import stallings
@@ -40,13 +40,42 @@ def _json_dump(obj, fh):
     fh.write("\n")
 
 
+def _parse_graph(text, source, group=None, key=None):
+    """The marked graph in JSON text (under key, if given)."""
+    try:
+        data = json.loads(text)
+        return MarkedMetricGraph.from_json(data[key] if key else data, group)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{source} does not hold a marked graph "
+                         f"({type(exc).__name__}: {exc})") from None
+
+
 def _load_graph(path):
     with open(path) as fh:
-        return MarkedMetricGraph.from_json(json.load(fh))
+        return _parse_graph(fh.read(), path)
 
 
-def _word_arg(group, text):
-    return Word(group, parse_letters(text))
+def _group(rank, least=1):
+    """FreeGroup(rank); a rank below what the command serves is a usage error."""
+    if rank < least:
+        raise UsageError(f"--rank {rank} is below {least}, the least rank "
+                         "this command serves")
+    return FreeGroup(rank)
+
+
+def _word_arg(group, text, nonempty=False):
+    """The reduced word spelled by text.
+
+    An unknown or out-of-range letter, or a trivial word where nonempty
+    is asked for, is a usage error.
+    """
+    try:
+        w = Word(group, parse_letters(text))
+    except ValueError as exc:
+        raise UsageError(f"word {text!r}: {exc}") from None
+    if nonempty and w.is_identity():
+        raise UsageError(f"word {text!r} is trivial")
+    return w
 
 
 def _instance_rng(seed, index):
@@ -112,10 +141,8 @@ def cmd_fold(args):
     G = _load_graph(getattr(args, "from")).normalize()
     Gp = _load_graph(args.to).normalize()
     sg = folding.standard_geodesic(G, Gp)
-    probes = []
-    group = G.group
-    for text in (args.probe or []):
-        probes.append(CyclicWord(group, parse_letters(text)))
+    probes = [_word_arg(G.group, text, nonempty=True).cyclic()
+              for text in (args.probe or [])]
     stats = folding.path_statistics(sg.path, probe_loops=probes)
     if args.emit_events:
         with open(args.emit_events, "w") as fh:
@@ -139,6 +166,9 @@ def cmd_fold(args):
 
 def cmd_project(args):
     G = _load_graph(args.graph)
+    if G.group.rank < 3:
+        raise UsageError(f"{args.graph} has rank {G.group.rank}; the factor "
+                         "graph degenerates below rank 3")
     img = factor_complex.project(G)
     handles = sorted(img, key=lambda h: h.code)
     if args.dot:
@@ -156,7 +186,7 @@ def cmd_project(args):
 
 
 def cmd_ball(args):
-    group = FreeGroup(args.rank)
+    group = _group(args.rank)
     ball = factor_complex.build_ball(group, bound=args.bound,
                                      aut_product_length=args.products,
                                      vertex_cap=args.cap)
@@ -175,12 +205,12 @@ def cmd_ball(args):
 
 
 def _factor_from_words(group, text):
-    words = [Word(group, parse_letters(t)) for t in text.split(",")]
+    words = [_word_arg(group, t, nonempty=True) for t in text.split(",")]
     return stallings.FactorHandle.from_words(words, ambient_rank=group.rank)
 
 
 def cmd_ffdist(args):
-    group = FreeGroup(args.rank)
+    group = _group(args.rank)
     with open(args.ball) as fh:
         data = json.load(fh)
     ball = factor_complex.FactorBall(bound=data["bound"])
@@ -214,8 +244,7 @@ def _core_from_json(group, data):
 
 
 def cmd_simple(args):
-    group = FreeGroup(args.rank)
-    cw = CyclicWord(group, parse_letters(args.word))
+    cw = _word_arg(_group(args.rank, 2), args.word).cyclic()
     if args.rank == 2:
         print("note: rank 2 accepted; the factor graph itself degenerates "
               "at rank 2", file=sys.stderr)
@@ -229,8 +258,7 @@ def cmd_simple(args):
 
 
 def cmd_reduce(args):
-    group = FreeGroup(args.rank)
-    cw = CyclicWord(group, parse_letters(args.word))
+    cw = _word_arg(_group(args.rank), args.word).cyclic()
     res = whitehead.reduce_to_minimal(cw, orbit_cap=args.orbit_cap)
     reps = sorted(str(w) for w in res.representatives)
     out = {"minimal_length": res.minimal_length,
@@ -247,8 +275,7 @@ def cmd_reduce(args):
 
 
 def cmd_whitehead_graph(args):
-    group = FreeGroup(args.rank)
-    cw = CyclicWord(group, parse_letters(args.word))
+    cw = _word_arg(_group(args.rank), args.word, nonempty=True).cyclic()
     W = whitehead.whitehead_graph(cw)
     report = whitehead.connectivity_report(W)
     if args.dot:
@@ -259,12 +286,11 @@ def cmd_whitehead_graph(args):
 
 
 def cmd_qg_check(args):
-    group = FreeGroup(args.rank)
-    snapshots = []
+    group = _group(args.rank, 3)
     with open(args.path) as fh:
-        for line in fh:
-            data = json.loads(line)
-            snapshots.append(MarkedMetricGraph.from_json(data["snapshot"], group))
+        snapshots = [_parse_graph(line, f"{args.path} line {n}", group,
+                                  "snapshot")
+                     for n, line in enumerate(fh, start=1)]
     images = [factor_complex.project(G) for G in snapshots]
     seeds = {h.code: h for img in images for h in img}
     ball = factor_complex.build_ball(group, seeds=list(seeds.values()),
@@ -346,11 +372,11 @@ def _suite_qg_check(seed, index, rank, twist, K, bound, **_):
             "consistent": report.consistent}
 
 
-SUITES = {
-    "distance-oracle": _suite_distance_oracle,
-    "fold-additivity": _suite_fold_additivity,
-    "whitehead-oracle": _suite_whitehead_oracle,
-    "qg-check": _suite_qg_check,
+SUITES = {   # name -> (instance function, least rank it serves)
+    "distance-oracle": (_suite_distance_oracle, 2),
+    "fold-additivity": (_suite_fold_additivity, 2),
+    "whitehead-oracle": (_suite_whitehead_oracle, 2),
+    "qg-check": (_suite_qg_check, 3),
 }
 
 
@@ -359,10 +385,12 @@ def run_experiment(suite, seed, instances, rank=3, workers=1, twist=3,
     """Run a suite over seeded instances; deterministic for fixed seed."""
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite}")
+    run_instance, least_rank = SUITES[suite]
+    _group(rank, least_rank)
 
     def job(index):
-        return SUITES[suite](seed=seed, index=index, rank=rank, twist=twist,
-                             word_length=word_length, K=K, bound=bound)
+        return run_instance(seed=seed, index=index, rank=rank, twist=twist,
+                            word_length=word_length, K=K, bound=bound)
 
     if workers <= 1:
         results = [job(i) for i in range(instances)]

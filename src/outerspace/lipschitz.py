@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .words import CyclicWord
+from .words import CyclicWord, least_rotation
 from .marked_graph import EdgePath
 from .paths import TargetPath, vertex_point, edge_point, seg_reverse
 from .traintrack import TrainTrackStructure
@@ -86,13 +86,8 @@ class Candidate:
 
 def _loop_canon(edges):
     """Canonical form of a cyclic loop up to rotation AND inversion."""
-    n = len(edges)
-    if n == 0:
-        return ()
-    rev = tuple(-e for e in reversed(edges))
-    forms = [tuple(edges[(r + i) % n] for i in range(n)) for r in range(n)]
-    forms += [tuple(rev[(r + i) % n] for i in range(n)) for r in range(n)]
-    return min(forms)
+    return min(least_rotation(edges),
+               least_rotation(-e for e in reversed(edges)))
 
 
 def _embedded_circles(graph):

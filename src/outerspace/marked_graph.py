@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .words import Word, CyclicWord, free_reduce, cyclic_reduce, letter_str
+from .words import (Word, CyclicWord, free_reduce, cyclic_reduce, letter_str,
+                    least_rotation)
 from . import stallings
 
 
@@ -58,10 +59,10 @@ class EdgePath:
             return False
         if not self.cyclic:
             return self.edges == other.edges
-        return _cyclic_canon(self.edges) == _cyclic_canon(other.edges)
+        return least_rotation(self.edges) == least_rotation(other.edges)
 
     def __hash__(self):
-        return hash((_cyclic_canon(self.edges) if self.cyclic else self.edges,
+        return hash((least_rotation(self.edges) if self.cyclic else self.edges,
                      self.cyclic))
 
     def length(self):
@@ -70,14 +71,6 @@ class EdgePath:
     def __repr__(self):
         kind = "cyclic" if self.cyclic else "based"
         return f"EdgePath({kind}, {list(self.edges)})"
-
-
-def _cyclic_canon(edges):
-    """Least rotation (not quotienting inversion)."""
-    n = len(edges)
-    if n == 0:
-        return ()
-    return min(tuple(edges[(r + i) % n] for i in range(n)) for r in range(n))
 
 
 class MarkedMetricGraph:
@@ -266,11 +259,6 @@ class MarkedMetricGraph:
 
     def is_valid(self):
         return not self.validate()
-
-    def describe(self):
-        """Diagnostics plus the headline numbers."""
-        return {"volume": self.volume(), "rank": self.rank(),
-                "diagnostics": self.validate()}
 
     # -- marking maintenance ----------------------------------------------
 

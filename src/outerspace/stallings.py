@@ -6,15 +6,17 @@ alphabet is the generator index set).  Folded means: at each vertex, at
 most one outgoing edge per signed label.  Reading edge labels along
 paths from the basepoint spells subgroup elements.
 
-The same machinery doubles as a rewriting engine over arbitrary signed
-alphabets (used by the marked-graph module to express based loops in
-terms of marking loops), so labels are plain integers here and words
-over them are plain tuples.
+Labels are plain integers and words over them plain tuples, so the
+folds work over any signed alphabet.  ``express_in_generators`` folds
+a wedge of loops whose edges also carry words over the loops; reading
+a target in the folded graph then spells it in the loops.  That one
+fold inverts automorphisms (``Automorphism.inverse``) and rewrites
+based loops in marking loops (``recompute_marking_out``).
 """
 
 from __future__ import annotations
 
-from .words import Word, free_reduce, letter_str, invert_basis_map, FreeGroup
+from .words import Word, free_reduce, letter_str, FreeGroup
 
 
 class SubgroupCoreGraph:
@@ -380,60 +382,91 @@ class FactorHandle:
 def express_in_generators(loop_words, targets, group_rank):
     """Rewrite target letter-tuples as words in the given generating loops.
 
-    loop_words: list of letter tuples over some signed alphabet, assumed
-    to generate (as a subgroup of the ambient free group on that
-    alphabet) a free group of rank len(loop_words), with the whole
-    target readable in their folded wedge.
+    loop_words: list of letter tuples over some signed alphabet, which
+    must be a free basis of the subgroup they generate in the ambient
+    free group on that alphabet; every target must lie in that subgroup.
+
+    One Stallings fold of the wedge of the loops in which every edge
+    also carries a word over the loops: loop ``i`` is a subdivided
+    circle at basepoint 0 whose first edge carries generator ``i`` and
+    whose other edges carry the identity.  Folding two equally labeled
+    edges v -> y1 (word u1) and v -> y2 (word u2) first regauges y2 by
+    u1^-1 u2, so both edges carry u1, and then merges y2 into y1.  With
+    y1 == y2 and u1 != u2 the fold would kill a nontrivial element, so
+    the loops are not a free basis.  The folded graph reads each target
+    from the basepoint; the product of the words met on the way is the
+    target's unique expression in the loops.
 
     Returns a list of Words over FreeGroup(len(loop_words)), one per
     target, such that substituting loop_words into them and reducing
-    gives back the targets.
+    gives back the targets.  Raises ValueError if a loop is empty, the
+    loops are not a free basis, or a target is not in their subgroup.
     """
-    n = len(loop_words)
-    alphabet = max([abs(x) for w in list(loop_words) + list(targets) for x in w],
-                   default=1)
-    a, v, e = wedge_of_words(alphabet, loop_words)
-    folded = fold_labeled_graph(a, v, e, basepoint=0)
-    # no trimming: keep every readable path (targets stay traceable)
-    parent, _ = folded.spanning_tree(folded.basepoint)
-    tree_pairs = set()
-    for vv, pe in parent.items():
-        if pe is not None:
-            u, lab = pe
-            tree_pairs.add((u, vv, lab) if lab > 0 else (vv, u, -lab))
-    nontree = [ed for ed in sorted(folded.edges) if ed not in tree_pairs]
-    if len(nontree) != n:
-        raise ValueError(f"loops generate rank {len(nontree)}, expected {n}")
-    edge_index = {ed: i + 1 for i, ed in enumerate(nontree)}
+    F_n = FreeGroup(len(loop_words))
 
-    def signature(letters):
-        """Trace letters from the basepoint, recording non-tree crossings."""
-        sig = []
-        vcur = folded.basepoint
-        for x in letters:
-            w = folded.out.get((vcur, x))
-            if w is None:
-                raise ValueError("target not readable in the folded wedge")
-            ed = (vcur, w, x) if x > 0 else (w, vcur, -x)
-            idx = edge_index.get(ed)
-            if idx is not None:
-                sig.append(idx if x > 0 else -idx)
-            vcur = w
-        if vcur != folded.basepoint:
-            raise ValueError("target is not a loop at the basepoint")
-        return free_reduce(sig)
+    def mul(*words):
+        return tuple(free_reduce([x for w in words for x in w]))
 
-    # s: F_n -> F_n, generator i (the i-th loop) -> its non-tree signature.
-    # Targets rewrite as s^-1 applied to their signatures.
-    F_n = FreeGroup(n)
-    gen_sigs = [Word(F_n, signature(w)) for w in loop_words]
-    inverse_images = invert_basis_map(F_n, F_n, gen_sigs)
+    def inv(u):
+        return tuple(-x for x in reversed(u))
+
+    out = {0: {}}           # vertex -> {signed letter: (far end, word)}
+    alias = {}              # merged vertex -> (vertex it went into, gauge)
+    stack = []              # edges (origin, letter, end, word) to insert
+    for i, loop in enumerate(loop_words, start=1):
+        if not loop:
+            raise ValueError(f"loop {i} is empty")
+        prev = 0
+        for k, a in enumerate(loop):
+            # the last letter closes the loop; len(out) is a new vertex
+            end = 0 if k == len(loop) - 1 else len(out)
+            out.setdefault(end, {})
+            stack.append((prev, a, end, (i,) if k == 0 else ()))
+            prev = end
+
+    def resolve(v):
+        g = ()
+        while v in alias:
+            v, h = alias[v]
+            g = mul(h, g)
+        return v, g
+
+    while stack:
+        v, a, w, u = stack.pop()
+        v, gv = resolve(v)
+        w, gw = resolve(w)
+        u = mul(gv, u, inv(gw))
+        if a in out[v]:
+            (y1, u1), (y2, u2) = out[v][a], (w, u)
+        elif -a in out[w]:
+            (y1, u1), (y2, u2) = out[w][-a], (v, inv(u))
+        else:
+            out[v][a] = (w, u)
+            out[w][-a] = (v, inv(u))
+            continue
+        if y1 == y2:
+            if u1 != u2:
+                raise ValueError("the loops are not a free basis of the "
+                                 "subgroup they generate")
+            continue
+        if y2 == 0:         # the basepoint is never regauged
+            (y1, u1), (y2, u2) = (y2, u2), (y1, u1)
+        alias[y2] = (y1, mul(inv(u1), u2))
+        for b, (x, ub) in out.pop(y2).items():
+            if x != y2:
+                del out[x][-b]
+            stack.append((y2, b, x, ub))
+        stack.append((v, a, w, u))
+
     results = []
     for t in targets:
-        sig = signature(t)
-        out = []
-        for s in sig:
-            img = inverse_images[abs(s) - 1]
-            out.extend(img.letters if s > 0 else img.inverse().letters)
-        results.append(Word(F_n, out))
+        v, letters = 0, []
+        for x in t:
+            if x not in out[v]:
+                raise ValueError("target not readable in the folded wedge")
+            v, u = out[v][x]
+            letters.extend(u)
+        if v != 0:
+            raise ValueError("target is not a loop at the basepoint")
+        results.append(Word(F_n, letters))
     return results

@@ -250,9 +250,6 @@ class MinimizationResult:
     capped: bool = False
     omitting: set = field(default_factory=set)
 
-    def some_representative_omits_letter(self):
-        return bool(self.omitting)
-
 
 def length_changes(W, moves):
     """|tau(w)| - |w| for each move tau, read off the Whitehead graph W of w.

@@ -19,10 +19,6 @@ class RankMismatchError(ValueError):
     pass
 
 
-def letter_inverse(letter):
-    return -letter
-
-
 def letter_key(letter):
     """Sort key realizing the order a < a^-1 < b < b^-1 < ..."""
     return (abs(letter), 0 if letter > 0 else 1)
@@ -166,10 +162,6 @@ class Word:
             out = out * base
         return out
 
-    def conjugate_by(self, g):
-        """g * self * g^-1."""
-        return g * self * g.inverse()
-
     def is_identity(self):
         return not self.letters
 
@@ -183,20 +175,16 @@ class Word:
         return CyclicWord(self.group, self.letters)
 
 
-def _min_rotation(letters):
-    """Lexicographically least rotation under letter_key order."""
-    n = len(letters)
-    if n == 0:
-        return ()
-    keys = [letter_key(x) for x in letters]
-    best = None
-    best_rot = None
-    for r in range(n):
-        cand = tuple(keys[(r + i) % n] for i in range(n))
-        if best is None or cand < best:
-            best = cand
-            best_rot = tuple(letters[(r + i) % n] for i in range(n))
-    return best_rot
+def least_rotation(seq, keys=None):
+    """The lexicographically least rotation of seq, as a tuple.
+
+    Rotations compare by ``keys`` (a sequence parallel to seq; default
+    seq itself); ties go to the first such rotation.
+    """
+    seq = tuple(seq)
+    keys = seq if keys is None else tuple(keys)
+    r = min(range(len(seq)), key=lambda r: keys[r:] + keys[:r], default=0)
+    return seq[r:] + seq[:r]
 
 
 class CyclicWord:
@@ -212,7 +200,9 @@ class CyclicWord:
             group.check_letter(x)
         core, _ = cyclic_reduce(free_reduce(list(letters)))
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "letters", _min_rotation(core))
+        # 2|x| - (x > 0) orders letters as letter_key does
+        object.__setattr__(self, "letters", least_rotation(
+            core, [2 * abs(x) - (x > 0) for x in core]))
 
     def __setattr__(self, *a):
         raise AttributeError("CyclicWord is immutable")
@@ -274,9 +264,10 @@ def apply_automorphism(phi, w):
 class Automorphism:
     """An automorphism given by generator images.
 
-    Invertibility is certified lazily: ``inverse()`` runs a recorded
-    Nielsen reduction on the image tuple and raises if the images do not
-    form a basis.
+    Invertibility is certified lazily: ``inverse()`` folds the wedge of
+    the images with word-carrying edges (``stallings.express_in_generators``)
+    and reads each generator in the folded graph; it raises ValueError
+    if the images do not form a basis.
     """
 
     __slots__ = ("group", "images", "_inverse_cache")
@@ -301,15 +292,12 @@ class Automorphism:
 
     def apply(self, w):
         """Apply to a Word (or CyclicWord, returning a CyclicWord)."""
-        if isinstance(w, CyclicWord):
-            out = self.apply(w.word())
-            return CyclicWord(self.group, out.letters)
         _same_group(self, w)
         letters = []
         for x in w.letters:
-            img = self.images[abs(x) - 1]
-            letters.extend(img.letters if x > 0 else img.inverse().letters)
-        return Word(self.group, letters)
+            img = self.images[abs(x) - 1].letters
+            letters.extend(img if x > 0 else [-y for y in reversed(img)])
+        return type(w)(self.group, letters)
 
     def __call__(self, w):
         return self.apply(w)
@@ -327,7 +315,10 @@ class Automorphism:
 
     def inverse(self):
         if self._inverse_cache is None:
-            inv = invert_basis_map(self.group, self.group, list(self.images))
+            from .stallings import express_in_generators
+            n = self.group.rank
+            inv = express_in_generators([im.letters for im in self.images],
+                                        [(j,) for j in range(1, n + 1)], n)
             object.__setattr__(self, "_inverse_cache", Automorphism(self.group, inv))
         return self._inverse_cache
 
@@ -341,148 +332,3 @@ class Automorphism:
     def __repr__(self):
         imgs = ", ".join(f"{letter_str(i + 1)}->{im}" for i, im in enumerate(self.images))
         return f"Automorphism({imgs})"
-
-
-def invert_basis_map(src, dst, images, max_plateau=200000):
-    """Invert a basis-to-basis map src -> dst given by generator images.
-
-    images[i] = image in dst of the i-th generator of src.  Returns the
-    list of images (in src) of dst's generators under the inverse map.
-
-    Method: Nielsen-reduce the image tuple with recorded elementary
-    moves.  Greedy length descent, with a breadth-first escape across
-    equal-length plateaus.  Raises ValueError if the tuple is not a
-    basis (or the plateau cap is exceeded).
-    """
-    n = len(images)
-    if n != dst.rank or n != src.rank:
-        raise ValueError("rank mismatch")
-
-    # state: tuple of letter-tuples (images), plus the recorded moves.
-    def total(state):
-        return sum(len(w) for w in state)
-
-    def moves_from(state):
-        # elementary Nielsen moves: i <- i*j, i <- i*j^-1, i <- j*i, i <- j^-1*i,
-        # and inversion i <- i^-1.  Swaps are unnecessary for reduction.
-        res = []
-        for i in range(n):
-            res.append(("inv", i, 0))
-            for j in range(n):
-                if i == j:
-                    continue
-                res.append(("mr", i, j))    # u_i <- u_i u_j
-                res.append(("mrI", i, j))   # u_i <- u_i u_j^-1
-                res.append(("ml", i, j))    # u_i <- u_j u_i
-                res.append(("mlI", i, j))   # u_i <- u_j^-1 u_i
-        return res
-
-    def apply_move(state, move):
-        kind, i, j = move
-        st = list(state)
-        if kind == "inv":
-            st[i] = tuple(-x for x in reversed(st[i]))
-        else:
-            u, v = list(st[i]), list(st[j])
-            if kind == "mr":
-                st[i] = tuple(free_reduce(u + v))
-            elif kind == "mrI":
-                st[i] = tuple(free_reduce(u + [-x for x in reversed(v)]))
-            elif kind == "ml":
-                st[i] = tuple(free_reduce(v + u))
-            elif kind == "mlI":
-                st[i] = tuple(free_reduce([-x for x in reversed(v)] + u))
-        return tuple(st)
-
-    start = tuple(tuple(w.letters) for w in images)
-    state = start
-    trail = []  # recorded moves, in application order
-
-    all_moves = moves_from(None)
-
-    def is_permuted_basis(st):
-        seen = set()
-        for w in st:
-            if len(w) != 1:
-                return False
-            seen.add(abs(w[0]))
-        return len(seen) == n
-
-    while not is_permuted_basis(state):
-        cur = total(state)
-        # greedy: any single move that strictly reduces total length
-        best = None
-        for mv in all_moves:
-            if mv[0] == "inv":
-                continue
-            nxt = apply_move(state, mv)
-            if total(nxt) < cur:
-                best = (mv, nxt)
-                break
-        if best is not None:
-            trail.append(best[0])
-            state = best[1]
-            continue
-        # plateau: BFS over equal-length states for a strict reducer
-        seen = {state}
-        frontier = [(state, [])]
-        found = None
-        while frontier and found is None:
-            if len(seen) > max_plateau:
-                raise ValueError("not invertible (plateau cap exceeded)")
-            nxt_frontier = []
-            for st, path in frontier:
-                for mv in all_moves:
-                    st2 = apply_move(st, mv)
-                    t2 = total(st2)
-                    if t2 < cur:
-                        found = (path + [mv], st2)
-                        break
-                    if t2 == cur and st2 not in seen:
-                        seen.add(st2)
-                        nxt_frontier.append((st2, path + [mv]))
-                if found:
-                    break
-            frontier = nxt_frontier
-        if found is None:
-            raise ValueError("images do not form a basis")
-        trail.extend(found[0])
-        state = found[1]
-
-    # state is a signed permutation: state[i] = (eps_i * sigma(i),)
-    # The recorded moves, as automorphisms rho_k of the free group on
-    # positions, satisfy  phi o rho_1 o ... o rho_k = pi  where
-    # pi(position i) = dst-letter state[i].  Hence
-    # phi^-1 = rho_1 o ... o rho_k o pi^-1.
-    # Represent maps by images of position-generators in src.
-    pos_images = [Word(src, [i + 1]) for i in range(n)]  # identity on positions
-
-    def apply_rho(imgs, move):
-        kind, i, j = move
-        out = list(imgs)
-        if kind == "inv":
-            out[i] = imgs[i].inverse()
-        elif kind == "mr":
-            out[i] = imgs[i] * imgs[j]
-        elif kind == "mrI":
-            out[i] = imgs[i] * imgs[j].inverse()
-        elif kind == "ml":
-            out[i] = imgs[j] * imgs[i]
-        elif kind == "mlI":
-            out[i] = imgs[j].inverse() * imgs[i]
-        return out
-
-    # compose rho_1 ... rho_k applied to the identity: build the map
-    # positions -> src realizing rho_1 o ... o rho_k.
-    comp = pos_images
-    for mv in trail:
-        comp = apply_rho(comp, mv)
-
-    # pi: positions -> dst basis; invert the signed permutation.
-    inv_images = [None] * n
-    for i, w in enumerate(state):
-        lt = w[0]
-        g = abs(lt)
-        img = comp[i]
-        inv_images[g - 1] = img if lt > 0 else img.inverse()
-    return inv_images

@@ -174,3 +174,39 @@ def test_fold_termination_failure_exits_1(graph_files, monkeypatch, capsys):
     assert main(["fold", "--from", g1, "--to", g2]) == 1
     err = capsys.readouterr().err
     assert "FoldTerminationError" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simple", "abz", "--rank", "3"],        # letter beyond the rank
+    ["simple", "ab1"],                       # not a letter
+    ["reduce", "abq", "--rank", "2"],
+    ["whitehead-graph", ""],                 # trivial word has no graph
+    ["fold", "--from", "g1", "--to", "g2", "--probe", "aA"],
+    ["experiment", "--suite", "qg-check", "--rank", "2"],
+    ["experiment", "--suite", "distance-oracle", "--rank", "1"],
+    ["simple", "a", "--rank", "1"],          # no proper factor at rank 1
+])
+def test_word_and_rank_errors_exit_2(argv, graph_files, capsys):
+    g1, g2 = graph_files
+    argv = [{"g1": g1, "g2": g2}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("content", ['{"a": 1}', '[1, 2]', 'not json'])
+def test_graph_file_without_graph_exits_2(content, graph_files, tmp_path, capsys):
+    g1, _ = graph_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    assert main(["dist", g1, str(bad)]) == 2
+    assert main(["qg-check", "--path", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.json" in err and "Traceback" not in err
+
+
+def test_project_below_rank_3_exits_2(tmp_path, capsys):
+    g = tmp_path / "rank2.json"
+    g.write_text(json.dumps(rose(FreeGroup(2)).to_json()))
+    assert main(["project", str(g)]) == 2
+    assert "below rank 3" in capsys.readouterr().err

@@ -161,3 +161,16 @@ def test_edgepath_tightening():
     assert p.edges == (2,)
     c = EdgePath(R, (1, 2, -1), cyclic=True)
     assert c.edges == (2,)
+
+
+def test_recompute_marking_out_is_the_tree_cocycle():
+    # random_marked_graph remarks a standard marking, whose marking-out
+    # is already the tree cocycle that recompute_marking_out rebuilds
+    for rank in (3, 4, 5):
+        F = FreeGroup(rank)
+        for k in range(12):
+            G = random_marked_graph(random.Random(k), F, k % 7)
+            H = MarkedMetricGraph.from_json(G.to_json(), F)
+            H.recompute_marking_out()
+            assert H.marking_out == G.marking_out
+            assert H.validate() == []

@@ -189,3 +189,28 @@ def test_json_and_dot_exports():
     assert len(data["edges"]) == 3
     dot = H.to_dot()
     assert "digraph" in dot
+
+
+@pytest.mark.parametrize("loops, targets", [
+    ([(1,), (1,)], [(1,)]),                  # not free
+    ([(1, 2), (), (3,)], [(3,)]),            # an empty loop
+    ([(1, 1), (2,), (3,)], [(1,)]),          # target outside the subgroup
+    ([(1, 1), (2,)], [(1, 2, 1)]),           # target leaves the folded wedge
+])
+def test_express_in_generators_rejects(loops, targets):
+    with pytest.raises(ValueError):
+        express_in_generators(loops, targets, 3)
+
+
+def test_express_in_generators_inverts_automorphisms():
+    # loops = images of phi, targets = generators: the answer is phi^-1
+    rng = random.Random(21)
+    for rank in (2, 3, 4):
+        F = FreeGroup(rank)
+        for k in range(20):
+            phi, phi_inv = random_automorphism(rng, F, k % 9)
+            exprs = express_in_generators([im.letters for im in phi.images],
+                                          [(j,) for j in range(1, rank + 1)],
+                                          rank)
+            assert [w.letters for w in exprs] == \
+                [w.letters for w in phi_inv.images]

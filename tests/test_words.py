@@ -122,3 +122,29 @@ def test_string_serialization():
     w = F3.word("aBc")
     assert parse_letters(str(w)) == list(w.letters)
     assert str(F3.identity()) == "1"
+
+
+def test_inverse_equals_known_inverse_ranks_2_to_5():
+    from outerspace.randomgen import random_automorphism
+    rng = random.Random(11)
+    for rank in range(2, 6):
+        F = FreeGroup(rank)
+        for k in range(104):
+            phi, phi_inv_known = random_automorphism(rng, F, k % 13)
+            assert phi.inverse().images == phi_inv_known.images
+
+
+def test_least_rotation_matches_all_rotations():
+    from outerspace.words import CyclicWord, least_rotation, letter_key
+    rng = random.Random(2)
+    phi = Automorphism(F3, [F3.word("ab"), F3.word("b"), F3.word("Ac")])
+    for _ in range(300):
+        period = [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randint(1, 4))]
+        seq = tuple(period * rng.randint(1, 3)) if rng.random() < 0.5 else \
+            tuple(rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randint(0, 9)))
+        rots = [seq[r:] + seq[:r] for r in range(len(seq))] or [()]
+        assert least_rotation(seq) == min(rots)
+        best = min(rots, key=lambda s: [letter_key(x) for x in s])
+        assert least_rotation(seq, [2 * abs(x) - (x > 0) for x in seq]) == best
+        cw = CyclicWord(F3, seq)
+        assert phi.apply(cw) == CyclicWord(F3, phi.apply(cw.word()).letters)
