@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import multiprocessing
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import log10
 
@@ -209,17 +211,27 @@ def _factor_from_words(group, text):
     return stallings.FactorHandle.from_words(words, ambient_rank=group.rank)
 
 
+def _load_ball(group, path):
+    """The FactorBall in a `ball` output file; anything else is a usage error."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        ball = factor_complex.FactorBall(bound=data["bound"])
+        for core_json in data["handles"].values():
+            h = stallings.FactorHandle(_core_from_json(group, core_json),
+                                       group.rank)
+            ball.handles[h.code] = h
+        ball.adjacency = {bytes.fromhex(c): {bytes.fromhex(x) for x in adj}
+                          for c, adj in data["adjacency"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise UsageError(f"{path} does not hold a factor ball "
+                         f"({type(exc).__name__}: {exc})") from None
+    return ball
+
+
 def cmd_ffdist(args):
     group = _group(args.rank)
-    with open(args.ball) as fh:
-        data = json.load(fh)
-    ball = factor_complex.FactorBall(bound=data["bound"])
-    for codehex, core_json in data["handles"].items():
-        core = _core_from_json(group, core_json)
-        h = stallings.FactorHandle(core, group.rank)
-        ball.handles[h.code] = h
-    ball.adjacency = {bytes.fromhex(c): {bytes.fromhex(x) for x in adj}
-                      for c, adj in data["adjacency"].items()}
+    ball = _load_ball(group, args.ball)
     h1 = _factor_from_words(group, args.factor1)
     h2 = _factor_from_words(group, args.factor2)
     try:
@@ -382,20 +394,25 @@ SUITES = {   # name -> (instance function, least rank it serves)
 
 def run_experiment(suite, seed, instances, rank=3, workers=1, twist=3,
                    word_length=6, K=6, bound=6, out_prefix=None):
-    """Run a suite over seeded instances; deterministic for fixed seed."""
+    """Run a suite over seeded instances; the report is the same for a
+    fixed seed at any worker count.
+
+    workers > 1 runs the instances in that many spawned processes, so a
+    script that calls this must guard its entry point with
+    ``if __name__ == "__main__"``.
+    """
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite}")
     run_instance, least_rank = SUITES[suite]
     _group(rank, least_rank)
 
-    def job(index):
-        return run_instance(seed=seed, index=index, rank=rank, twist=twist,
+    job = functools.partial(run_instance, seed, rank=rank, twist=twist,
                             word_length=word_length, K=K, bound=bound)
-
     if workers <= 1:
         results = [job(i) for i in range(instances)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             results = list(pool.map(job, range(instances)))
     violations = [r for r in results
                   if not r.get("match", r.get("additive", r.get("certified", True)))]

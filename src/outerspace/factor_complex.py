@@ -4,11 +4,14 @@ Vertices are conjugacy classes of proper free factors (FactorHandles);
 two handles are adjacent when one conjugates into the other.  True
 distances in the factor graph are not computable from a bounded ball,
 so distance queries return explicit upper bounds (BFS hop counts in the
-ball); the quasi-geodesic checker is phrased accordingly.
+ball); the quasi-geodesic checker is phrased accordingly.  Hop counts
+are computed once per source, per ball: one BFS fills a row that every
+later query from that source reads, until the ball changes.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,11 +52,16 @@ class FactorBall:
     handles: dict = field(default_factory=dict)    # code -> FactorHandle
     adjacency: dict = field(default_factory=dict)  # code -> set of codes
     truncated: bool = False
+    # source code -> {code: hops}; cleared whenever handles or edges change
+    _hops: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def add(self, handle):
         if handle.edge_count() > self.bound:
             return False
-        self.handles.setdefault(handle.code, handle)
+        if handle.code not in self.handles:
+            self.handles[handle.code] = handle
+            self._hops.clear()
         return True
 
     def contains(self, handle):
@@ -68,6 +76,7 @@ class FactorBall:
         """
         codes = sorted(self.handles)
         self.adjacency = {c: set() for c in codes}
+        self._hops.clear()
         for i, c1 in enumerate(codes):
             for c2 in codes[i + 1:]:
                 h1, h2 = self.handles[c1], self.handles[c2]
@@ -78,32 +87,39 @@ class FactorBall:
                     self.adjacency[c1].add(c2)
                     self.adjacency[c2].add(c1)
 
+    def hops_from(self, code):
+        """BFS hop counts from code to every handle it reaches in the ball."""
+        if code not in self.handles:
+            raise KeyError("handle not in ball")
+        row = self._hops.get(code)
+        if row is None:
+            row = {code: 0}
+            q = deque([code])
+            while q:
+                c = q.popleft()
+                for c2 in self.adjacency[c]:
+                    if c2 not in row:
+                        row[c2] = row[c] + 1
+                        q.append(c2)
+            self._hops[code] = row
+        return row
+
     def distance_upper(self, h1, h2):
         """BFS hop count in the ball: an upper bound for the true distance."""
-        if h1.code not in self.handles or h2.code not in self.handles:
+        if h2.code not in self.handles:
             raise KeyError("handle not in ball")
-        if h1.code == h2.code:
-            return 0
-        from collections import deque
-        dist = {h1.code: 0}
-        q = deque([h1.code])
-        while q:
-            c = q.popleft()
-            for c2 in self.adjacency[c]:
-                if c2 not in dist:
-                    dist[c2] = dist[c] + 1
-                    if c2 == h2.code:
-                        return dist[c2]
-                    q.append(c2)
-        return None    # unreachable within the ball
+        return self.hops_from(h1.code).get(h2.code)   # None: unreachable
 
     def diameter_upper(self, handles):
         """Max pairwise distance_upper over the given handles (None if split)."""
-        hs = list(handles)
+        codes = list(dict.fromkeys(h.code for h in handles))
+        if any(c not in self.handles for c in codes):
+            raise KeyError("handle not in ball")
         best = 0
-        for i in range(len(hs)):
-            for j in range(i + 1, len(hs)):
-                d = self.distance_upper(hs[i], hs[j])
+        for i, c in enumerate(codes[:-1]):
+            row = self.hops_from(c)
+            for c2 in codes[i + 1:]:
+                d = row.get(c2)
                 if d is None:
                     return None
                 best = max(best, d)
@@ -112,10 +128,13 @@ class FactorBall:
 
 class SeedExceedsBound(ValueError):
     def __init__(self, edges, bound):
-        super().__init__(f"a seed factor has {edges} edges, more than the "
-                         f"complexity bound {bound}")
+        super().__init__(edges, bound)   # args rebuild it when unpickled
         self.edges = edges
         self.bound = bound
+
+    def __str__(self):
+        return (f"a seed factor has {self.edges} edges, more than the "
+                f"complexity bound {self.bound}")
 
 
 def build_ball(group, seeds=(), bound=6, aut_product_length=3,
@@ -139,16 +158,22 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
         h = FactorHandle.from_words(gens, ambient_rank=n)
         if ball.add(h):
             frontier.append(gens)
+    # A handle depends only on the generated subgroup, so a generating
+    # set seen before lands on a handle already added or already rejected.
+    seen = {frozenset(gens) for gens in base_factors}
     moves = [t.automorphism() for t in all_type_ii_automorphisms(group)]
     for _ in range(aut_product_length):
         nxt = []
         for gens in frontier:
             for phi in moves:
                 imgs = [phi.apply(g) for g in gens]
-                h = FactorHandle.from_words(imgs, ambient_rank=n)
-                if h.edge_count() <= bound and h.code not in ball.handles:
-                    ball.add(h)
-                    nxt.append(imgs)
+                key = frozenset(imgs)
+                if key not in seen:
+                    seen.add(key)
+                    h = FactorHandle.from_words(imgs, ambient_rank=n)
+                    if h.edge_count() <= bound and h.code not in ball.handles:
+                        ball.add(h)
+                        nxt.append(imgs)
                 if len(ball.handles) >= vertex_cap:
                     ball.truncated = True
                     break

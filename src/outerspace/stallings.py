@@ -79,21 +79,16 @@ class SubgroupCoreGraph:
         root = self.basepoint if root is None else root
         if root is None:
             root = min(self.vertices)
+        labels = _labels_by_vertex(self)
         parent = {root: None}
         order = [root]
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for lab in sorted(self._labels_at(v), key=lambda s: (abs(s), s < 0)):
+        for v in order:
+            for lab in sorted(labels.get(v, ()), key=lambda s: (abs(s), s < 0)):
                 w = self.out[(v, lab)]
                 if w not in parent:
                     parent[w] = (v, lab)
                     order.append(w)
-                    queue.append(w)
         return parent, order
-
-    def _labels_at(self, v):
-        return [lab for (u, lab) in self.out if u == v]
 
     def path_from_root(self, parent, v):
         path = []
@@ -266,36 +261,46 @@ def contains_element(H, g):
     return H.trace(g.letters) == H.basepoint
 
 
+def _labels_by_vertex(graph):
+    """vertex -> its signed labels, in the order of graph.out."""
+    labels = {}
+    for (v, lab) in graph.out:
+        labels.setdefault(v, []).append(lab)
+    return labels
+
+
 def conjugate_into(H, K):
     """Does some conjugate of H lie in K?  (H, K cyclic cores.)
 
     Returns (True, vertex_map) with a label-preserving morphism
     core(H) -> core(K), or (False, None).  Since K is folded the
     morphism is determined by one vertex image; all seeds are tried.
+    The BFS walk of H from its least vertex is built once and replayed
+    against K from each seed.
     """
     if not H.vertices:
         return True, {}
     h0 = min(H.vertices)
+    labels = _labels_by_vertex(H)
+    walk = []              # (v, signed label, w) in BFS order from h0
+    reached = {h0}
+    queue = [h0]
+    for v in queue:
+        for lab in labels.get(v, ()):
+            w = H.out[(v, lab)]
+            walk.append((v, lab, w))
+            if w not in reached:
+                reached.add(w)
+                queue.append(w)
+    if len(reached) != len(H.vertices):
+        return False, None
     for seed in sorted(K.vertices):
         vmap = {h0: seed}
-        queue = [h0]
-        ok = True
-        while queue and ok:
-            v = queue.pop(0)
-            for lab in H._labels_at(v):
-                w = H.out[(v, lab)]
-                img = K.out.get((vmap[v], lab))
-                if img is None:
-                    ok = False
-                    break
-                if w in vmap:
-                    if vmap[w] != img:
-                        ok = False
-                        break
-                else:
-                    vmap[w] = img
-                    queue.append(w)
-        if ok and len(vmap) == len(H.vertices):
+        for (v, lab, w) in walk:
+            img = K.out.get((vmap[v], lab))
+            if img is None or vmap.setdefault(w, img) != img:
+                break
+        else:
             return True, vmap
     return False, None
 

@@ -340,13 +340,16 @@ def is_simple(cw, cache=None):
     SimplicityCertificateError with the input, the greedy chain and the
     connectivity report.
 
-    A word whose support misses a generator is simple outright.  An
-    optional cache dict amortizes sweeps: every word of the greedy chain
-    gets the verdict.
+    A word whose support misses a generator is simple outright; at rank
+    1 a nontrivial class is not, since Z has no nontrivial proper free
+    factor.  An optional cache dict amortizes sweeps: every word of the
+    greedy chain gets the verdict.
     """
     rank = cw.group.rank
-    if rank < 2 or cw.is_trivial() or len(cw.support()) < rank:
+    if cw.is_trivial() or len(cw.support()) < rank:
         return True
+    if rank < 2:
+        return False
     if cache is not None and cw in cache:
         return cache[cw]
     descent = greedy_descent(cw)

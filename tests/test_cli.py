@@ -99,6 +99,19 @@ def test_ball_and_ffdist(tmp_path, capsys):
     assert "1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("content", [
+    "not json",                                   # not JSON at all
+    '{"bound": 4, "handles": {}}',                # JSON without adjacency
+], ids=["not-json", "missing-key"])
+def test_ffdist_bad_ball_file_exits_2(content, tmp_path, capsys):
+    bad = tmp_path / "ball.json"
+    bad.write_text(content)
+    assert main(["ffdist", "a", "a,b", "--ball", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "ball.json" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_qg_check_command(graph_files, tmp_path, capsys):
     g1, g2 = graph_files
     events = tmp_path / "events.jsonl"

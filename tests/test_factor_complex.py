@@ -7,7 +7,8 @@ from outerspace.words import FreeGroup
 from outerspace.marked_graph import rose, standard_marking
 from outerspace.stallings import FactorHandle
 from outerspace.factor_complex import (project, build_ball, ProjectionImage,
-                                       check_reparam_quasigeodesic)
+                                       FactorBall, check_reparam_quasigeodesic,
+                                       _image_distance)
 from outerspace.randomgen import random_marked_graph
 from outerspace.folding import standard_geodesic
 
@@ -143,3 +144,56 @@ def test_qg_teleport_fails():
                                          K=1, ball=ball)
     assert not report.ok
     assert report.failed_window is not None
+
+
+def _plain_hops(ball, c1, c2):
+    """Hop count by a fresh BFS, or None when c2 is not reached."""
+    dist = {c1: 0}
+    queue = [c1]
+    for c in queue:
+        for c3 in ball.adjacency[c]:
+            if c3 not in dist:
+                dist[c3] = dist[c] + 1
+                queue.append(c3)
+    return dist.get(c2)
+
+
+def test_memoised_distances_equal_plain_bfs():
+    rng = random.Random(84)
+    images = [project(random_marked_graph(rng, F3, 3)) for _ in range(3)]
+    seeds = {h.code: h for img in images for h in img}
+    ball = build_ball(F3, seeds=list(seeds.values()),
+                      bound=max([6] + [h.edge_count() for h in seeds.values()]),
+                      aut_product_length=2, vertex_cap=4000)
+    hs = list(seeds.values()) + rng.sample(list(ball.handles.values()), 20)
+    for h1 in hs:
+        for h2 in hs:
+            assert ball.distance_upper(h1, h2) == \
+                _plain_hops(ball, h1.code, h2.code)
+    window = [h for img in images for h in img] + hs[:5]
+    pairs = [_plain_hops(ball, a.code, b.code)
+             for a in window for b in window]
+    expected = None if None in pairs else max(pairs)
+    assert ball.diameter_upper(window) == expected
+    for img1 in images:
+        for img2 in images:
+            ds = [_plain_hops(ball, a.code, b.code) for a in img1 for b in img2]
+            ds = [d for d in ds if d is not None]
+            assert _image_distance(ball, img1, img2) == \
+                (min(ds) if ds else None)
+
+
+def test_memo_sees_a_new_shortcut():
+    ha, hc = handle("a"), handle("c")
+    ball = FactorBall(bound=4)
+    for h in (ha, handle("a", "b"), handle("b"), handle("b", "c"), hc):
+        ball.add(h)
+    ball.compute_adjacency()
+    assert ball.distance_upper(ha, hc) == 4
+    assert ball.add(handle("a", "c"))
+    ball.compute_adjacency()
+    assert ball.distance_upper(ha, hc) == 2
+    assert ball.diameter_upper([ha, hc, ha]) == 2
+    assert "_hops" not in repr(ball) and ball == FactorBall(
+        bound=4, handles=dict(ball.handles), adjacency=ball.adjacency,
+        truncated=ball.truncated)

@@ -228,3 +228,12 @@ def test_level_graph_reports_raise_when_capped():
     with pytest.raises(OrbitCapExceeded) as info:
         minimal_level_graph_reports(cw("aabbcc"), orbit_cap=10)
     assert info.value.partial.capped
+
+
+def test_rank_one_agrees_with_oracle():
+    # Z has no nontrivial proper free factor: only the trivial class is
+    # simple
+    F1 = FreeGroup(1)
+    for letters in [(), (1,), (-1,), (1, 1, 1), (-1,) * 6]:
+        c = CyclicWord(F1, letters)
+        assert is_simple(c) == whitehead_simple_oracle(c) == (not letters)
