@@ -207,8 +207,13 @@ def cmd_ball(args):
 
 
 def _factor_from_words(group, text):
+    """The factor generated by comma-separated words; a factor that is
+    not proper is a usage error."""
     words = [_word_arg(group, t, nonempty=True) for t in text.split(",")]
-    return stallings.FactorHandle.from_words(words, ambient_rank=group.rank)
+    try:
+        return stallings.FactorHandle.from_words(words, ambient_rank=group.rank)
+    except ValueError as exc:
+        raise UsageError(f"factor {text!r}: {exc}") from None
 
 
 def _load_ball(group, path):
@@ -444,30 +449,38 @@ def cmd_experiment(args):
 # -- main -------------------------------------------------------------------
 
 
+SHARED_FLAGS = {
+    "--seed": {"type": int, "default": 0},
+    "--rank": {"type": int, "default": 3},
+    "--json": {"action": "store_true"},
+    "--dot": {"action": "store_true"},
+}
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="outerspace")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--rank", type=int, default=3)
-    common.add_argument("--json", action="store_true")
-    common.add_argument("--dot", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, *flags, **kw):
+        """A subcommand parser with those of the shared flags it reads."""
+        parser = sub.add_parser(name, **kw)
+        for flag in flags:
+            parser.add_argument(flag, **SHARED_FLAGS[flag])
+        return parser
 
-    d = add_parser("dist", help="Lipschitz stretch between two marked graphs")
+    d = add_parser("dist", "--json",
+                   help="Lipschitz stretch between two marked graphs")
     d.add_argument("source")
     d.add_argument("target")
     d.set_defaults(func=cmd_dist)
 
-    om = add_parser("optimal-map")
+    om = add_parser("optimal-map", "--json")
     om.add_argument("source")
     om.add_argument("target")
     om.add_argument("--emit-dot")
     om.set_defaults(func=cmd_optimal_map)
 
-    sg = add_parser("standard-geodesic")
+    sg = add_parser("standard-geodesic", "--json")
     sg.add_argument("source")
     sg.add_argument("target")
     sg.set_defaults(func=cmd_standard_geodesic)
@@ -480,44 +493,44 @@ def build_parser():
     f.add_argument("--probe", action="append")
     f.set_defaults(func=cmd_fold)
 
-    pr = add_parser("project")
+    pr = add_parser("project", "--json", "--dot")
     pr.add_argument("graph")
     pr.set_defaults(func=cmd_project)
 
-    b = add_parser("ball")
+    b = add_parser("ball", "--rank")
     b.add_argument("--bound", type=int, default=6)
     b.add_argument("--products", type=int, default=3)
     b.add_argument("--cap", type=int, default=4000)
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_ball)
 
-    ff = add_parser("ffdist")
+    ff = add_parser("ffdist", "--rank")
     ff.add_argument("factor1")
     ff.add_argument("factor2")
     ff.add_argument("--ball", required=True)
     ff.set_defaults(func=cmd_ffdist)
 
-    s = add_parser("simple")
+    s = add_parser("simple", "--rank")
     s.add_argument("word")
     s.set_defaults(func=cmd_simple)
 
-    r = add_parser("reduce")
+    r = add_parser("reduce", "--rank", "--json")
     r.add_argument("word")
     r.add_argument("--orbit-cap", type=int, default=100_000)
     r.set_defaults(func=cmd_reduce)
 
-    wg = add_parser("whitehead-graph")
+    wg = add_parser("whitehead-graph", "--rank", "--dot")
     wg.add_argument("word")
     wg.set_defaults(func=cmd_whitehead_graph)
 
-    qg = add_parser("qg-check")
+    qg = add_parser("qg-check", "--rank")
     qg.add_argument("--path", required=True)
     qg.add_argument("--K", type=int, default=6)
     qg.add_argument("--bound", type=int, default=6)
     qg.add_argument("--products", type=int, default=2)
     qg.set_defaults(func=cmd_qg_check)
 
-    ex = add_parser("experiment")
+    ex = add_parser("experiment", "--seed", "--rank")
     ex.add_argument("--suite", required=True, choices=sorted(SUITES))
     ex.add_argument("--instances", type=int, default=20)
     ex.add_argument("--workers", type=int, default=1)
@@ -547,7 +560,8 @@ def main(argv=None):
     except factor_complex.SeedExceedsBound as exc:
         print(f"usage error: {exc}; raise --bound", file=sys.stderr)
         return 2
-    except (lipschitz.OptimalMapError, folding.FoldTerminationError) as exc:
+    except (lipschitz.OptimalMapError, folding.FoldTerminationError,
+            whitehead.SimplicityCertificateError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -320,9 +320,7 @@ def initial_difference_of_markings(G, Gp):
     vertex_images = {v: bp for v in G.vertices}
     edge_images = {}
     for e in sorted(G.edge_ends):
-        loop = (G.tree_path(parent, G.origin(e)) + (e,)
-                + tuple(-x for x in reversed(G.tree_path(parent, G.terminus(e)))))
-        word = G.path_word(loop)
+        word = G.path_word(G.tree_loop(parent, e))
         target_loop = Gp.based_loop_of(word)
         edge_images[e] = TargetPath.from_edge_word(Gp, target_loop,
                                                    start=bp)

@@ -200,6 +200,12 @@ class MarkedMetricGraph:
             v = self.origin(e)
         return tuple(reversed(path))
 
+    def tree_loop(self, parent, e):
+        """Based loop through edge e: tree path to o(e), e, tree path back."""
+        back = self.tree_path(parent, self.terminus(e))
+        return (self.tree_path(parent, self.origin(e)) + (e,)
+                + tuple(-x for x in reversed(back)))
+
     # -- validation --------------------------------------------------------
 
     def validate(self):
@@ -249,8 +255,7 @@ class MarkedMetricGraph:
             for e in sorted(self.edge_ends):
                 if e in tree:
                     continue
-                loop = (self.tree_path(parent, self.origin(e)) + (e,)
-                        + tuple(-x for x in reversed(self.tree_path(parent, self.terminus(e)))))
+                loop = self.tree_loop(parent, e)
                 w = self.path_word(loop)
                 back = self.based_loop_of(w)
                 if tuple(free_reduce(list(loop))) != back:
@@ -269,9 +274,7 @@ class MarkedMetricGraph:
         targets = []
         keys = sorted(self.edge_ends)
         for e in keys:
-            loop = (self.tree_path(parent, self.origin(e)) + (e,)
-                    + tuple(-x for x in reversed(self.tree_path(parent, self.terminus(e)))))
-            targets.append(tuple(free_reduce(list(loop))))
+            targets.append(tuple(free_reduce(list(self.tree_loop(parent, e)))))
         exprs = stallings.express_in_generators(loops, targets, self.group.rank)
         # u_e := word of the tree-conjugated edge loop; tree edges come out
         # trivial, and products along based loops telescope to the right word.
@@ -295,35 +298,27 @@ class MarkedMetricGraph:
     # -- factors and subgroup cores -----------------------------------------
 
     def _subgraph_handle(self, edge_subset):
-        """FactorHandle of a connected subgraph given by positive edge ids."""
-        sub_vertices = set()
+        """FactorHandle of a connected subgraph given by positive edge ids;
+        None if the subgraph is disconnected.
+
+        The subgraph itself is folded, each edge spelling its
+        marking-out word; its core is the factor's cyclic core.
+        """
+        adjacent = {}
         for e in edge_subset:
             o, t = self.edge_ends[e]
-            sub_vertices.update((o, t))
-        root = min(sub_vertices)
-        parent = {root: None}
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for e in sorted(edge_subset):
-                for s in (e, -e):
-                    if self.origin(s) == v and self.terminus(s) not in parent:
-                        parent[self.terminus(s)] = s
-                        queue.append(self.terminus(s))
-        if len(parent) != len(sub_vertices):
+            adjacent.setdefault(o, set()).add(t)
+            adjacent.setdefault(t, set()).add(o)
+        reached = [min(adjacent)]
+        for v in reached:
+            reached.extend(adjacent[v].difference(reached))
+        if len(reached) != len(adjacent):
             return None
-        tree = {abs(parent[v]) for v in parent if parent[v] is not None}
-        words = []
-        for e in sorted(edge_subset):
-            if e in tree:
-                continue
-            loop = (self.tree_path(parent, self.origin(e)) + (e,)
-                    + tuple(-x for x in reversed(self.tree_path(parent, self.terminus(e)))))
-            words.append(self.path_word(loop))
-        words = [w for w in words]
-        if not words:
-            return None
-        return stallings.FactorHandle.from_words(words, self.group.rank)
+        folded = stallings.fold_labeled_graph(
+            self.group.rank, [(*self.edge_ends[e], self.marking_out[e].letters)
+                              for e in sorted(edge_subset)])
+        return stallings.FactorHandle(stallings.cyclic_core(folded),
+                                      self.group.rank)
 
     def subgraph_factors(self):
         """Handles of all connected proper core subgraphs (rank 1..N-1)."""
@@ -372,15 +367,12 @@ class MarkedMetricGraph:
         Returns (core, volume) where core is a SubgroupCoreGraph whose
         labels are oriented edge ids of this graph.
         """
-        words = H.basis_words(self.group)
-        if not words:
+        if H.rank() < 1:
             raise ValueError("trivial subgroup")
-        loops = [self.based_loop_of(w) for w in words]
-        alpha = max(self.edge_ends)
-        a, v, e = stallings.wedge_of_words(alpha, loops)
-        folded = stallings.fold_labeled_graph(a, v, e, basepoint=0)
-        core = stallings.trim_to_core(folded, keep_basepoint=False)
-        core.basepoint = None
+        folded = stallings.fold_labeled_graph(
+            max(self.edge_ends),
+            [(o, t, self.marking_in[lab]) for (o, t, lab) in sorted(H.edges)])
+        core = stallings.cyclic_core(folded)
         vol = sum(self.lengths[lab] for (_, _, lab) in core.edges)
         return core, vol
 
@@ -461,9 +453,7 @@ def standard_marking(group, vertices, edge_ends, lengths, basepoint):
     marking_in = {}
     for j, e in enumerate(nontree, start=1):
         marking_out[e] = group.generator(j)
-        loop = (g.tree_path(parent, g.origin(e)) + (e,)
-                + tuple(-x for x in reversed(g.tree_path(parent, g.terminus(e)))))
-        marking_in[j] = tuple(free_reduce(list(loop)))
+        marking_in[j] = tuple(free_reduce(list(g.tree_loop(parent, e))))
     g.marking_out = marking_out
     g.marking_in = marking_in
     return g

@@ -6,12 +6,20 @@ alphabet is the generator index set).  Folded means: at each vertex, at
 most one outgoing edge per signed label.  Reading edge labels along
 paths from the basepoint spells subgroup elements.
 
-Labels are plain integers and words over them plain tuples, so the
-folds work over any signed alphabet.  ``express_in_generators`` folds
-a wedge of loops whose edges also carry words over the loops; reading
-a target in the folded graph then spells it in the loops.  That one
-fold inverts automorphisms (``Automorphism.inverse``) and rewrites
-based loops in marking loops (``recompute_marking_out``).
+Every graph here is folded by one worklist fold, ``_fold`` (Stallings,
+"Topology of finite graphs", 1983; Touikan, "A fast algorithm for
+Stallings' folding process", 2006).  Its arcs are (origin, target,
+letters, word): an arc is a path spelling its letters whose first edge
+also carries a word over another alphabet, and an arc with no letters
+identifies its ends.  Two vertices folded together go into the least
+id, so a basepoint 0 stays put and the folded graph's ids do not depend
+on the order of the arcs.  ``fold_labeled_graph`` is the plain entry
+point, with trivial words: it builds subgroup cores (``core_graph``),
+subgraph factors and immersed covers of marked graphs.  With words,
+``express_in_generators`` folds a wedge of loops and reads targets as
+words in the loops; that inverts automorphisms
+(``Automorphism.inverse``) and rewrites based loops in marking loops
+(``recompute_marking_out``).
 """
 
 from __future__ import annotations
@@ -45,9 +53,6 @@ class SubgroupCoreGraph:
         self.out[key_f] = t
         self.out[key_b] = o
 
-    def degree(self, v):
-        return sum(1 for (o, t, lab) in self.edges for x in ((o,), (t,)) if x[0] == v)
-
     def degrees(self):
         deg = {v: 0 for v in self.vertices}
         for (o, t, lab) in self.edges:
@@ -57,9 +62,6 @@ class SubgroupCoreGraph:
 
     def rank(self):
         return len(self.edges) - len(self.vertices) + 1
-
-    def step(self, v, letter):
-        return self.out.get((v, letter))
 
     def trace(self, letters, start=None):
         """Follow a letter sequence from start (default basepoint); None if it leaves."""
@@ -73,47 +75,6 @@ class SubgroupCoreGraph:
     def copy(self):
         return SubgroupCoreGraph(self.alphabet_size, self.vertices, self.edges,
                                  self.basepoint)
-
-    def spanning_tree(self, root=None):
-        """BFS tree: returns (parent edge dict v -> (u, signed label), order)."""
-        root = self.basepoint if root is None else root
-        if root is None:
-            root = min(self.vertices)
-        labels = _labels_by_vertex(self)
-        parent = {root: None}
-        order = [root]
-        for v in order:
-            for lab in sorted(labels.get(v, ()), key=lambda s: (abs(s), s < 0)):
-                w = self.out[(v, lab)]
-                if w not in parent:
-                    parent[w] = (v, lab)
-                    order.append(w)
-        return parent, order
-
-    def path_from_root(self, parent, v):
-        path = []
-        while parent[v] is not None:
-            u, lab = parent[v]
-            path.append(lab)
-            v = u
-        return list(reversed(path))
-
-    def basis_words(self, group):
-        """Spanning-tree basis of the subgroup: one word per non-tree edge."""
-        parent, _ = self.spanning_tree()
-        tree_pairs = set()
-        for v, pe in parent.items():
-            if pe is not None:
-                u, lab = pe
-                tree_pairs.add((u, v, lab) if lab > 0 else (v, u, -lab))
-        words = []
-        for (o, t, lab) in sorted(self.edges):
-            if (o, t, lab) in tree_pairs:
-                continue
-            w = (self.path_from_root(parent, o) + [lab]
-                 + [-x for x in reversed(self.path_from_root(parent, t))])
-            words.append(Word(group, w))
-        return words
 
     def to_json(self):
         data = {
@@ -141,46 +102,103 @@ class SubgroupCoreGraph:
                 f"E={len(self.edges)}, rank={self.rank()})")
 
 
-def fold_labeled_graph(alphabet_size, vertices, edges, basepoint=None):
-    """Stallings folding via union-find; returns a folded SubgroupCoreGraph.
+def _mul(*words):
+    letters = [x for w in words for x in w]
+    return tuple(free_reduce(letters)) if letters else ()
 
-    edges: iterable of (origin, target, positive label).
+
+def _inv(u):
+    return tuple([-x for x in reversed(u)])
+
+
+def _fold(arcs):
+    """Stallings-fold arcs that carry words over some other alphabet.
+
+    arcs: (origin, target, letters, word) with integer ends.  An arc
+    becomes one edge per letter, through new vertices numbered above
+    every given end, and its first edge carries the word; an arc with
+    no letters identifies its two ends.
+
+    Folding two equally labeled edges v -> y1 (word u1) and v -> y2
+    (word u2) puts the larger of y1, y2 into the smaller and regauges
+    it, so both edges carry the same word.  The least id of each class
+    of vertices survives, never regauged, so the folded graph's vertex
+    ids do not depend on the order of the arcs.  With y1 == y2 and
+    u1 != u2 the fold would kill a nontrivial word: then the words are
+    not a free basis of the subgroup they generate, and ValueError is
+    raised.
+
+    Returns (out, find): out maps each vertex of the folded graph to
+    {signed letter: (far end, word)}; find maps an arc end to its
+    vertex in the folded graph and its gauge.
     """
-    parent = {v: v for v in vertices}
+    arcs = list(arcs)
+    fresh = 1 + max((x for arc in arcs for x in arc[:2]), default=0)
+    out = {}                # vertex -> {signed letter: (far end, word)}
+    alias = {}              # merged vertex -> (vertex it went into, gauge)
+    # edges (origin, letter, end, word) to insert; letter 0 joins the ends
+    stack = []
+    for o, t, letters, word in arcs:
+        ends = [o, *range(fresh, fresh + len(letters) - 1), t]
+        fresh += max(len(letters) - 1, 0)
+        for v in ends:
+            out.setdefault(v, {})
+        if not letters:
+            stack.append((o, 0, t, word))
+        for k, a in enumerate(letters):
+            stack.append((ends[k], a, ends[k + 1], () if k else word))
 
     def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+        g = ()
+        while v in alias:
+            v, h = alias[v]
+            g = _mul(h, g)
+        return v, g
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-        return rb
-
-    edge_set = {(o, t, lab) for (o, t, lab) in edges}
-    changed = True
-    while changed:
-        changed = False
-        out = {}
-        remap = {(find(o), find(t), lab) for (o, t, lab) in edge_set}
-        edge_set = remap
-        for (o, t, lab) in sorted(edge_set):
-            for (key, tgt) in (((o, lab), t), ((t, -lab), o)):
-                prev = out.get(key)
-                if prev is None:
-                    out[key] = tgt
-                elif find(prev) != find(tgt):
-                    union(prev, tgt)
-                    changed = True
-        if changed:
+    while stack:
+        v, a, w, u = stack.pop()
+        v, gv = find(v)
+        w, gw = find(w)
+        if gv or gw:
+            u = _mul(gv, u, _inv(gw))
+        if not a:
+            (y1, u1), (y2, u2) = (v, ()), (w, u)
+        elif a in out[v]:
+            (y1, u1), (y2, u2) = out[v][a], (w, u)
+        elif -a in out[w]:
+            (y1, u1), (y2, u2) = out[w][-a], (v, _inv(u))
+        else:
+            out[v][a] = (w, u)
+            out[w][-a] = (v, _inv(u))
             continue
-    verts = {find(v) for v in vertices}
-    edge_set = {(find(o), find(t), lab) for (o, t, lab) in edge_set}
-    bp = find(basepoint) if basepoint is not None else None
-    return SubgroupCoreGraph(alphabet_size, verts, edge_set, bp)
+        if y1 == y2:
+            if u1 != u2:
+                raise ValueError("the fold kills a nontrivial word: the arc "
+                                 "words are not a free basis")
+            continue
+        if y1 > y2:
+            (y1, u1), (y2, u2) = (y2, u2), (y1, u1)
+        alias[y2] = (y1, _mul(_inv(u1), u2))
+        for b, (x, ub) in out.pop(y2).items():
+            if x != y2:
+                del out[x][-b]
+            stack.append((y2, b, x, ub))
+        if a:
+            stack.append((v, a, w, u))
+    return out, find
+
+
+def fold_labeled_graph(alphabet_size, arcs, basepoint=None):
+    """The folded SubgroupCoreGraph of arcs (origin, target, letters).
+
+    Each arc is a path spelling its letters.  The result is not trimmed;
+    it is based at the image of basepoint (an arc end), if one is given.
+    """
+    out, find = _fold((o, t, letters, ()) for o, t, letters in arcs)
+    bp = None if basepoint is None else find(basepoint)[0]
+    edges = [(v, w, a) for v, row in out.items()
+             for a, (w, _) in row.items() if a > 0]
+    return SubgroupCoreGraph(alphabet_size, out, edges, bp)
 
 
 def trim_to_core(graph, keep_basepoint=True):
@@ -203,29 +221,6 @@ def trim_to_core(graph, keep_basepoint=True):
         g = SubgroupCoreGraph(g.alphabet_size, verts, edges, g.basepoint)
 
 
-def wedge_of_words(alphabet_size, letter_words):
-    """Unfolded wedge of subdivided circles, one per word, at basepoint 0."""
-    vertices = {0}
-    edges = []
-    nxt = 1
-    for w in letter_words:
-        if not w:
-            continue
-        prev = 0
-        for k, lab in enumerate(w):
-            last = (k == len(w) - 1)
-            target = 0 if last else nxt
-            if not last:
-                vertices.add(nxt)
-                nxt += 1
-            if lab > 0:
-                edges.append((prev, target, lab))
-            else:
-                edges.append((target, prev, -lab))
-            prev = target
-    return alphabet_size, vertices, edges
-
-
 def core_graph(generators, based=True):
     """Folded core of the subgroup generated by the given Words.
 
@@ -235,14 +230,9 @@ def core_graph(generators, based=True):
     gens = [g for g in generators if len(g) > 0]
     if not gens:
         raise ValueError("empty generator list")
-    group = gens[0].group
-    a, v, e = wedge_of_words(group.rank, [g.letters for g in gens])
-    folded = fold_labeled_graph(a, v, e, basepoint=0)
-    if based:
-        return trim_to_core(folded, keep_basepoint=True)
-    g = trim_to_core(folded, keep_basepoint=False)
-    g.basepoint = None
-    return g
+    folded = fold_labeled_graph(gens[0].group.rank,
+                                [(0, 0, g.letters) for g in gens], basepoint=0)
+    return trim_to_core(folded) if based else cyclic_core(folded)
 
 
 def cyclic_core(graph):
@@ -368,9 +358,6 @@ class FactorHandle:
         return cls(core_graph(words, based=False),
                    group.rank if ambient_rank is None else ambient_rank)
 
-    def basis_words(self, group):
-        return self.core.basis_words(group)
-
     def edge_count(self):
         return len(self.core.edges)
 
@@ -391,16 +378,10 @@ def express_in_generators(loop_words, targets, group_rank):
     must be a free basis of the subgroup they generate in the ambient
     free group on that alphabet; every target must lie in that subgroup.
 
-    One Stallings fold of the wedge of the loops in which every edge
-    also carries a word over the loops: loop ``i`` is a subdivided
-    circle at basepoint 0 whose first edge carries generator ``i`` and
-    whose other edges carry the identity.  Folding two equally labeled
-    edges v -> y1 (word u1) and v -> y2 (word u2) first regauges y2 by
-    u1^-1 u2, so both edges carry u1, and then merges y2 into y1.  With
-    y1 == y2 and u1 != u2 the fold would kill a nontrivial element, so
-    the loops are not a free basis.  The folded graph reads each target
-    from the basepoint; the product of the words met on the way is the
-    target's unique expression in the loops.
+    One fold (``_fold``) of the wedge of the loops at basepoint 0, in
+    which loop ``i`` carries generator ``i``.  The folded graph reads
+    each target from the basepoint; the product of the words met on the
+    way is the target's unique expression in the loops.
 
     Returns a list of Words over FreeGroup(len(loop_words)), one per
     target, such that substituting loop_words into them and reducing
@@ -408,61 +389,8 @@ def express_in_generators(loop_words, targets, group_rank):
     loops are not a free basis, or a target is not in their subgroup.
     """
     F_n = FreeGroup(len(loop_words))
-
-    def mul(*words):
-        return tuple(free_reduce([x for w in words for x in w]))
-
-    def inv(u):
-        return tuple(-x for x in reversed(u))
-
-    out = {0: {}}           # vertex -> {signed letter: (far end, word)}
-    alias = {}              # merged vertex -> (vertex it went into, gauge)
-    stack = []              # edges (origin, letter, end, word) to insert
-    for i, loop in enumerate(loop_words, start=1):
-        if not loop:
-            raise ValueError(f"loop {i} is empty")
-        prev = 0
-        for k, a in enumerate(loop):
-            # the last letter closes the loop; len(out) is a new vertex
-            end = 0 if k == len(loop) - 1 else len(out)
-            out.setdefault(end, {})
-            stack.append((prev, a, end, (i,) if k == 0 else ()))
-            prev = end
-
-    def resolve(v):
-        g = ()
-        while v in alias:
-            v, h = alias[v]
-            g = mul(h, g)
-        return v, g
-
-    while stack:
-        v, a, w, u = stack.pop()
-        v, gv = resolve(v)
-        w, gw = resolve(w)
-        u = mul(gv, u, inv(gw))
-        if a in out[v]:
-            (y1, u1), (y2, u2) = out[v][a], (w, u)
-        elif -a in out[w]:
-            (y1, u1), (y2, u2) = out[w][-a], (v, inv(u))
-        else:
-            out[v][a] = (w, u)
-            out[w][-a] = (v, inv(u))
-            continue
-        if y1 == y2:
-            if u1 != u2:
-                raise ValueError("the loops are not a free basis of the "
-                                 "subgroup they generate")
-            continue
-        if y2 == 0:         # the basepoint is never regauged
-            (y1, u1), (y2, u2) = (y2, u2), (y1, u1)
-        alias[y2] = (y1, mul(inv(u1), u2))
-        for b, (x, ub) in out.pop(y2).items():
-            if x != y2:
-                del out[x][-b]
-            stack.append((y2, b, x, ub))
-        stack.append((v, a, w, u))
-
+    out, _ = _fold((0, 0, loop, (i,))
+                   for i, loop in enumerate(loop_words, start=1))
     results = []
     for t in targets:
         v, letters = 0, []

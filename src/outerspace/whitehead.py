@@ -47,11 +47,14 @@ class SimplicityCertificateError(RuntimeError):
     two-connected: non-simplicity is not certified."""
 
     def __init__(self, word, descent, report):
-        super().__init__(f"greedy minimum {descent[-1]} of {word} has full "
-                         f"support but its Whitehead graph is {report}")
+        super().__init__(word, descent, report)  # args rebuild it when unpickled
         self.word = word
         self.descent = descent
         self.report = report
+
+    def __str__(self):
+        return (f"greedy minimum {self.descent[-1]} of {self.word} has full "
+                f"support but its Whitehead graph is {self.report}")
 
 
 def _letter_bits(letters):

@@ -133,6 +133,9 @@ class Word:
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        return (Word, (self.group, self.letters))
+
     def __len__(self):
         return len(self.letters)
 
@@ -206,6 +209,9 @@ class CyclicWord:
 
     def __setattr__(self, *a):
         raise AttributeError("CyclicWord is immutable")
+
+    def __reduce__(self):
+        return (CyclicWord, (self.group, self.letters))
 
     def __len__(self):
         return len(self.letters)
@@ -285,6 +291,9 @@ class Automorphism:
 
     def __setattr__(self, *a):
         raise AttributeError("Automorphism is immutable")
+
+    def __reduce__(self):
+        return (Automorphism, (self.group, self.images))
 
     @classmethod
     def identity(cls, group):

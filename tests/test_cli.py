@@ -223,3 +223,45 @@ def test_project_below_rank_3_exits_2(tmp_path, capsys):
     g.write_text(json.dumps(rose(FreeGroup(2)).to_json()))
     assert main(["project", str(g)]) == 2
     assert "below rank 3" in capsys.readouterr().err
+
+
+def test_experiment_certificate_failure_exits_1(monkeypatch, capsys):
+    # an uncertified greedy minimum inside a suite is one line and exit 1,
+    # as it is for `simple`
+    monkeypatch.setattr(whitehead, "connectivity_report",
+                        lambda W: whitehead.ConnectivityReport("cut-vertex", 1))
+    # at word length 14 every one of these classes is not simple
+    rc = main(["experiment", "--suite", "whitehead-oracle", "--instances",
+               "3", "--seed", "5", "--word-length", "14", "--workers", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "SimplicityCertificateError" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_ffdist_non_proper_factor_exits_2(tmp_path, capsys):
+    ball = tmp_path / "ball.json"
+    assert main(["ball", "--bound", "4", "--products", "1",
+                 "--out", str(ball)]) == 0
+    capsys.readouterr()
+    assert main(["ffdist", "a", "a,b,c", "--ball", str(ball)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "proper" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "g1", "g2", "--seed", "3"],
+    ["dist", "g1", "g2", "--rank", "9"],
+    ["dist", "g1", "g2", "--dot"],
+    ["fold", "--from", "g1", "--to", "g2", "--json"],
+    ["simple", "abc", "--json"],
+    ["reduce", "abc", "--dot"],
+    ["qg-check", "--path", "g1", "--seed", "1"],
+    ["project", "g1", "--rank", "3"],
+])
+def test_unread_flags_exit_2(argv, graph_files, capsys):
+    g1, g2 = graph_files
+    argv = [{"g1": g1, "g2": g2}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -174,3 +174,58 @@ def test_recompute_marking_out_is_the_tree_cocycle():
             H.recompute_marking_out()
             assert H.marking_out == G.marking_out
             assert H.validate() == []
+
+
+def _reference_factor_codes(G):
+    """Codes of the connected proper core subgraphs, each from the words of
+    its spanning-tree loops."""
+    from itertools import combinations
+    from outerspace.stallings import FactorHandle
+    edges = sorted(G.edge_ends)
+    codes = set()
+    for size in range(1, len(edges) + 1):
+        for subset in combinations(edges, size):
+            ends = [v for e in subset for v in G.edge_ends[e]]
+            if any(ends.count(v) < 2 for v in ends):
+                continue                    # not a core subgraph
+            if not 1 <= size - len(set(ends)) + 1 < G.group.rank:
+                continue                    # not of proper rank
+            parent = {min(ends): None}
+            queue = [min(ends)]
+            for v in queue:
+                for s in (x for e in subset for x in (e, -e)):
+                    if G.origin(s) == v and G.terminus(s) not in parent:
+                        parent[G.terminus(s)] = s
+                        queue.append(G.terminus(s))
+            if len(parent) != len(set(ends)):
+                continue                    # disconnected
+            tree = {abs(e) for e in parent.values() if e is not None}
+            words = [G.path_word(G.tree_loop(parent, e))
+                     for e in subset if e not in tree]
+            codes.add(FactorHandle.from_words(words, G.group.rank).code)
+    return codes
+
+
+def test_subgraph_factors_match_tree_loop_reference():
+    for rank in (3, 4, 5):
+        F = FreeGroup(rank)
+        for k in range(4):
+            G = random_marked_graph(random.Random(100 * rank + k), F, 1 + k)
+            assert {h.code for h in G.subgraph_factors()} == \
+                _reference_factor_codes(G)
+
+
+def test_disconnected_core_subset_has_no_handle():
+    # a barbell: loops 1 and 3 at the two ends of edge 2
+    ends = {1: (0, 0), 2: (0, 1), 3: (1, 1)}
+    G = standard_marking(FreeGroup(2), {0, 1}, ends,
+                         {e: Fr(1, 3) for e in ends}, 0)
+    assert G._subgraph_handle({1, 3}) is None
+    assert G._subgraph_handle({1}).rank == 1
+
+
+def test_trivial_subgroup_has_no_cover_core():
+    from outerspace.stallings import SubgroupCoreGraph
+    R = rose(F3, [Fr(1, 3)] * 3)
+    with pytest.raises(ValueError):
+        R.subgroup_core_in_graph(SubgroupCoreGraph(3, {0}, set()))

@@ -214,3 +214,23 @@ def test_express_in_generators_inverts_automorphisms():
                                           rank)
             assert [w.letters for w in exprs] == \
                 [w.letters for w in phi_inv.images]
+
+
+def test_fold_names_vertices_by_least_id():
+    # single-letter and empty arcs on given vertices: every class of
+    # folded vertices keeps its least id, whatever the order of the arcs
+    from outerspace.stallings import fold_labeled_graph
+    rng = random.Random(31)
+    for _ in range(40):
+        arcs = [(rng.randrange(9), rng.randrange(9),
+                 rng.choice([(), (1,), (-1,), (2,), (-2,)]))
+                for _ in range(rng.randint(1, 12))]
+        arcs.append((0, rng.randrange(9), (3,)))
+        first = fold_labeled_graph(3, arcs, basepoint=0)
+        assert first.basepoint == 0
+        for _ in range(5):
+            rng.shuffle(arcs)
+            again = fold_labeled_graph(3, arcs, basepoint=0)
+            assert again.vertices == first.vertices
+            assert again.edges == first.edges
+            assert again.out == first.out

@@ -237,3 +237,17 @@ def test_rank_one_agrees_with_oracle():
     for letters in [(), (1,), (-1,), (1, 1, 1), (-1,) * 6]:
         c = CyclicWord(F1, letters)
         assert is_simple(c) == whitehead_simple_oracle(c) == (not letters)
+
+
+def test_certificate_error_survives_pickling():
+    # a worker process raising it must hand it back whole
+    import pickle
+    from outerspace.whitehead import (SimplicityCertificateError,
+                                      ConnectivityReport)
+    exc = SimplicityCertificateError(cw("aabbcc"), [cw("aabbcc")],
+                                     ConnectivityReport("cut-vertex", 1))
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is SimplicityCertificateError
+    assert (back.word, back.descent, back.report) == \
+        (exc.word, exc.descent, exc.report)
+    assert str(back) == str(exc)

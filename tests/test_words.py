@@ -148,3 +148,14 @@ def test_least_rotation_matches_all_rotations():
         assert least_rotation(seq, [2 * abs(x) - (x > 0) for x in seq]) == best
         cw = CyclicWord(F3, seq)
         assert phi.apply(cw) == CyclicWord(F3, phi.apply(cw.word()).letters)
+
+
+def test_values_survive_pickling():
+    # experiment workers send words and automorphisms back by pickle
+    import pickle
+    phi = Automorphism(F3, [F3.word("ab"), F3.word("b"), F3.word("cA")])
+    phi.inverse()
+    for value in (F3.word("abC"), F3.identity(), F3.word("bca").cyclic(), phi):
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value) and back == value
+    assert pickle.loads(pickle.dumps(phi)).inverse() == phi.inverse()
