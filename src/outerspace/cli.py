@@ -308,6 +308,8 @@ def cmd_qg_check(args):
         snapshots = [_parse_graph(line, f"{args.path} line {n}", group,
                                   "snapshot")
                      for n, line in enumerate(fh, start=1)]
+    if not snapshots:
+        raise UsageError(f"{args.path} holds no snapshots")
     images = [factor_complex.project(G) for G in snapshots]
     seeds = {h.code: h for img in images for h in img}
     ball = factor_complex.build_ball(group, seeds=list(seeds.values()),
@@ -408,12 +410,17 @@ def run_experiment(suite, seed, instances, rank=3, workers=1, twist=3,
     """
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite}")
+    for flag, value, least in (("--instances", instances, 0),
+                               ("--workers", workers, 1),
+                               ("--word-length", word_length, 1)):
+        if value < least:
+            raise UsageError(f"{flag} {value} is below {least}")
     run_instance, least_rank = SUITES[suite]
     _group(rank, least_rank)
 
     job = functools.partial(run_instance, seed, rank=rank, twist=twist,
                             word_length=word_length, K=K, bound=bound)
-    if workers <= 1:
+    if workers == 1:
         results = [job(i) for i in range(instances)]
     else:
         spawn = multiprocessing.get_context("spawn")

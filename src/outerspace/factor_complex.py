@@ -1,7 +1,12 @@
 """A finite window into the free factor graph.
 
 Vertices are conjugacy classes of proper free factors (FactorHandles);
-two handles are adjacent when one conjugates into the other.  True
+two handles are adjacent when one conjugates into the other, that is,
+when the cyclic core of the smaller immerses into the core of the
+larger by a label-preserving map.  An immersion sends every turn (an
+unordered pair of signed labels leaving one vertex) to a turn, so a
+pair is tested only when the smaller core's turns are a subset of the
+larger's; the test is necessary, so it never drops an edge.  True
 distances in the factor graph are not computable from a bounded ball,
 so distance queries return explicit upper bounds (BFS hop counts in the
 ball); the quasi-geodesic checker is phrased accordingly.  Hop counts
@@ -13,10 +18,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import stallings
-from .stallings import FactorHandle, conjugate_into
+from .stallings import FactorHandle
 from .whitehead import all_type_ii_automorphisms
 
 
@@ -72,20 +76,30 @@ class FactorBall:
 
         Two distinct factor classes of equal rank never properly contain
         one another (a rank-k free factor of a rank-k factor is the whole
-        thing), so only cross-rank pairs are tested.
+        thing), so only pairs lo, hi of lower and higher rank are tested.
+        A containment is a label-preserving immersion core(lo) ->
+        core(hi), which sends every turn of lo to a turn of hi, so a
+        pair is replayed only when turns(lo) is a subset of turns(hi).
+        Each handle's walk and turns are built once.
         """
         codes = sorted(self.handles)
         self.adjacency = {c: set() for c in codes}
         self._hops.clear()
-        for i, c1 in enumerate(codes):
-            for c2 in codes[i + 1:]:
-                h1, h2 = self.handles[c1], self.handles[c2]
-                if h1.rank == h2.rank:
-                    continue
-                lo, hi = (h1, h2) if h1.rank < h2.rank else (h2, h1)
-                if conjugate_into(lo.core, hi.core)[0]:
-                    self.adjacency[c1].add(c2)
-                    self.adjacency[c2].add(c1)
+        walks = {c: stallings._walk(self.handles[c].core) for c in codes}
+        by_rank = {}
+        for c in codes:
+            by_rank.setdefault(self.handles[c].rank, []).append(c)
+        ranks = sorted(by_rank)
+        for i, r in enumerate(ranks):
+            higher = [(c, walks[c][2], self.handles[c].core)
+                      for r2 in ranks[i + 1:] for c in by_rank[r2]]
+            for lo in by_rank[r]:
+                h0, walk, turns = walks[lo]
+                for hi, hi_turns, hi_core in higher:
+                    if (not turns & ~hi_turns
+                            and stallings._replay(h0, walk, hi_core)):
+                        self.adjacency[lo].add(hi)
+                        self.adjacency[hi].add(lo)
 
     def hops_from(self, code):
         """BFS hop counts from code to every handle it reaches in the ball."""

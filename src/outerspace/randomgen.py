@@ -23,6 +23,10 @@ def random_word(rng, group, length):
 
 
 def random_cyclic_word(rng, group, length):
+    """A cyclic word of length at least max(1, length - 2), at most length."""
+    if length < 1:
+        raise ValueError(f"a random cyclic word needs length >= 1, "
+                         f"not {length}")
     w = random_word(rng, group, length)
     cw = w.cyclic()
     while len(cw) < max(1, length - 2):

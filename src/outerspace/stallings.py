@@ -251,28 +251,22 @@ def contains_element(H, g):
     return H.trace(g.letters) == H.basepoint
 
 
-def _labels_by_vertex(graph):
-    """vertex -> its signed labels, in the order of graph.out."""
-    labels = {}
-    for (v, lab) in graph.out:
-        labels.setdefault(v, []).append(lab)
-    return labels
+def _walk(H):
+    """H's least vertex, the walk ``_replay`` follows, and H's turns.
 
-
-def conjugate_into(H, K):
-    """Does some conjugate of H lie in K?  (H, K cyclic cores.)
-
-    Returns (True, vertex_map) with a label-preserving morphism
-    core(H) -> core(K), or (False, None).  Since K is folded the
-    morphism is determined by one vertex image; all seeds are tried.
-    The BFS walk of H from its least vertex is built once and replayed
-    against K from each seed.
+    Returns (h0, walk, turns).  walk lists (v, signed label, w) for
+    every oriented edge of H in BFS order from h0, or is None when H is
+    not connected.  turns has one bit per turn of H, an unordered pair
+    of signed labels leaving one vertex.  A label-preserving morphism
+    of H into a folded K is an immersion, so it sends every turn of H
+    to a turn of K: ``turns & ~K_turns`` is nonzero only if H does not
+    conjugate into K.
     """
-    if not H.vertices:
-        return True, {}
     h0 = min(H.vertices)
-    labels = _labels_by_vertex(H)
-    walk = []              # (v, signed label, w) in BFS order from h0
+    labels = {}             # vertex -> its signed labels, in H.out order
+    for (v, lab) in H.out:
+        labels.setdefault(v, []).append(lab)
+    walk = []
     reached = {h0}
     queue = [h0]
     for v in queue:
@@ -282,8 +276,25 @@ def conjugate_into(H, K):
             if w not in reached:
                 reached.add(w)
                 queue.append(w)
-    if len(reached) != len(H.vertices):
-        return False, None
+    # signed labels are numbered 0, 1, 2, ...; the turn {i, k} with
+    # i < k is bit k (k - 1) / 2 + i
+    turns = 0
+    for labs in labels.values():
+        ks = sorted(2 * abs(lab) - 2 + (lab < 0) for lab in labs)
+        for j, k in enumerate(ks):
+            for i in ks[:j]:
+                turns |= 1 << (k * (k - 1) // 2 + i)
+    return h0, (walk if len(reached) == len(H.vertices) else None), turns
+
+
+def _replay(h0, walk, K):
+    """The vertex map of H into K that follows H's walk, or None.
+
+    K is folded, so the map is fixed by the image of h0; every vertex
+    of K is tried as that image, least first.
+    """
+    if walk is None:
+        return None
     for seed in sorted(K.vertices):
         vmap = {h0: seed}
         for (v, lab, w) in walk:
@@ -291,8 +302,23 @@ def conjugate_into(H, K):
             if img is None or vmap.setdefault(w, img) != img:
                 break
         else:
-            return True, vmap
-    return False, None
+            return vmap
+    return None
+
+
+def conjugate_into(H, K):
+    """Does some conjugate of H lie in K?  (H, K cyclic cores.)
+
+    Returns (True, vertex_map) with a label-preserving morphism
+    core(H) -> core(K), or (False, None).  H's BFS walk is built once
+    by ``_walk`` and replayed against K by ``_replay``; a caller that
+    tests one H against many K keeps the walk and replays it.
+    """
+    if not H.vertices:
+        return True, {}
+    h0, walk, _ = _walk(H)
+    vmap = _replay(h0, walk, K)
+    return vmap is not None, vmap
 
 
 def canonical_code(graph):

@@ -265,3 +265,44 @@ def test_unread_flags_exit_2(argv, graph_files, capsys):
     argv = [{"g1": g1, "g2": g2}.get(a, a) for a in argv]
     assert main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_random_cyclic_word_rejects_nonpositive_length():
+    import random
+    from outerspace.randomgen import random_cyclic_word
+    for length in (0, -3):
+        with pytest.raises(ValueError):
+            random_cyclic_word(random.Random(1), F3, length)
+
+
+@pytest.mark.parametrize("name, value", [("instances", -1), ("workers", 0),
+                                         ("workers", -2), ("word_length", 0)])
+def test_experiment_counts_out_of_range_are_usage_errors(name, value, capsys):
+    # a random cyclic word of length 0 is never nontrivial: this suite
+    # used to loop forever at --word-length 0
+    from outerspace.cli import UsageError
+    with pytest.raises(UsageError):
+        run_experiment("whitehead-oracle", seed=1,
+                       **{"instances": 1, name: value})
+    rc = main(["experiment", "--suite", "whitehead-oracle", "--seed", "1",
+               "--" + name.replace("_", "-"), str(value)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
+
+
+def test_qg_check_empty_path_exits_2(tmp_path, capsys):
+    # a path with no snapshots has nothing to certify
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["qg-check", "--path", str(empty)]) == 2
+    err = capsys.readouterr().err
+    assert "no snapshots" in err and "certificate" not in err
+
+
+def test_rank_4_factor_window_certifies():
+    # one rank-4 window: the ball's adjacency is where rank 4 used to stall
+    summary, report = run_experiment("qg-check", seed=3, instances=1,
+                                     rank=4, bound=12)
+    assert summary["violations"] == 0
+    assert json.loads(report)["certified"]

@@ -79,6 +79,40 @@ def test_ball_adjacency_replays_conjugate_into(small_ball):
             assert (c2 in small_ball.adjacency[c1]) == expected
 
 
+def _reference_adjacency(ball):
+    """Adjacency by conjugate_into both ways on every cross-rank pair."""
+    from outerspace.stallings import conjugate_into
+    adjacency = {c: set() for c in ball.handles}
+    codes = sorted(ball.handles)
+    for i, c1 in enumerate(codes):
+        for c2 in codes[i + 1:]:
+            h1, h2 = ball.handles[c1], ball.handles[c2]
+            if h1.rank != h2.rank and (conjugate_into(h1.core, h2.core)[0]
+                                       or conjugate_into(h2.core, h1.core)[0]):
+                adjacency[c1].add(c2)
+                adjacency[c2].add(c1)
+    return adjacency
+
+
+@pytest.mark.parametrize("rank, bound, products, cap, truncated", [
+    (3, 8, 3, 50, True),
+    (3, 8, 3, 300, True),
+    (4, 6, 1, 4000, False),
+])
+def test_turn_filtered_adjacency_equals_every_pair(rank, bound, products,
+                                                   cap, truncated):
+    ball = build_ball(FreeGroup(rank), bound=bound,
+                      aut_product_length=products, vertex_cap=cap)
+    assert ball.truncated == truncated
+    assert ball.adjacency == _reference_adjacency(ball)
+    assert any(ball.adjacency.values())
+
+
+def test_turn_filtered_adjacency_on_full_small_ball(small_ball):
+    assert not small_ball.truncated
+    assert small_ball.adjacency == _reference_adjacency(small_ball)
+
+
 def test_ball_ranks_proper(small_ball):
     for h in small_ball.handles.values():
         assert 1 <= h.rank <= 2

@@ -126,6 +126,93 @@ def test_conjugate_into_reflexive_transitive():
                     assert conjugate_into(a, c)[0]
 
 
+def _turns(core):
+    """The turns of a core: pairs of signed labels leaving one vertex."""
+    at = {}
+    for (v, lab) in core.out:
+        at.setdefault(v, set()).add(lab)
+    return {frozenset((x, y)) for labs in at.values()
+            for x in labs for y in labs if x != y}
+
+
+def _random_cores(rng, group, count):
+    """Cores of random subgroups, each followed by a core of a subgroup
+    of a conjugate of it, so that some pairs conjugate in."""
+    cores = []
+    for _ in range(count):
+        gens = [random_word(rng, group, rng.randint(1, 4)) for _ in range(2)]
+        gens = [g for g in gens if len(g)]
+        if not gens:
+            continue
+        cores.append(core_graph(gens, based=False))
+        u = random_word(rng, group, rng.randint(0, 3))
+        sub = [u * gens[rng.randrange(len(gens))] * gens[-1] * u.inverse()]
+        if len(sub[0]):
+            cores.append(core_graph(sub, based=False))
+    return cores
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_containment_needs_nested_turns(rank):
+    from outerspace.stallings import _walk
+    cores = _random_cores(random.Random(40 + rank), FreeGroup(rank), 12)
+    turns = [_turns(c) for c in cores]
+    masks = [_walk(c)[2] for c in cores]
+    contained = 0
+    for i, H in enumerate(cores):
+        for j, K in enumerate(cores):
+            nested = turns[i] <= turns[j]
+            assert (not masks[i] & ~masks[j]) == nested
+            if conjugate_into(H, K)[0]:
+                contained += 1
+                assert nested
+    assert contained > len(cores)     # more than the pairs (H, H)
+
+
+def _reference_conjugate_into(H, K):
+    """The vertex map found by a walk from H's least vertex, tried from
+    every vertex of K in order, least first."""
+    h0 = min(H.vertices)
+    walk, queue = [], [h0]
+    for v in queue:
+        for (x, lab), w in H.out.items():
+            if x == v:
+                walk.append((v, lab, w))
+                if w not in queue:
+                    queue.append(w)
+    for seed in sorted(K.vertices):
+        vmap = {h0: seed}
+        for (v, lab, w) in walk:
+            img = K.out.get((vmap[v], lab))
+            if img is None or vmap.setdefault(w, img) != img:
+                break
+        else:
+            return True, vmap
+    return False, None
+
+
+def test_conjugate_into_vertex_maps_unchanged():
+    # the cases of the trivial-case and brute-force tests above
+    rng = random.Random(12)
+    pairs = [([F3.word([2, 1, -2])], [F3.word("a")]),
+             ([F3.word("ab")], [F3.word("a"), F3.word("b")]),
+             ([F3.word("a")], [F3.word("b"), F3.word("c")])]
+    for _ in range(10):
+        hw = [random_word(rng, F3, rng.randint(1, 3))]
+        kw = [random_word(rng, F3, rng.randint(1, 3)),
+              random_word(rng, F3, rng.randint(1, 3))]
+        pairs.append(([w for w in hw if len(w)], [w for w in kw if len(w)]))
+    found = 0
+    for hw, kw in pairs:
+        if not hw or not kw:
+            continue
+        H, K = core_graph(hw, based=False), core_graph(kw, based=False)
+        got = conjugate_into(H, K)
+        assert got == _reference_conjugate_into(H, K)
+        found += got[0]
+    assert found >= 2
+
+
 def test_codes_separate_factors():
     h1 = FactorHandle.from_words([F3.word("a")])
     h2 = FactorHandle.from_words([F3.word([3, 1, -3])])

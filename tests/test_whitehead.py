@@ -251,3 +251,26 @@ def test_certificate_error_survives_pickling():
     assert (back.word, back.descent, back.report) == \
         (exc.word, exc.descent, exc.report)
     assert str(back) == str(exc)
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_certificate_error_crosses_a_spawned_worker():
+    # what `experiment --workers N` sees when a worker's certificate fails
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from outerspace.whitehead import (SimplicityCertificateError,
+                                      ConnectivityReport)
+    exc = SimplicityCertificateError(cw("aabbcc"), [cw("aabbcc"), cw("abc")],
+                                     ConnectivityReport("cut-vertex", 1))
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        with pytest.raises(SimplicityCertificateError) as info:
+            pool.submit(_raise, exc).result()
+    back = info.value
+    assert back is not exc
+    assert (back.word, back.descent, back.report) == \
+        (exc.word, exc.descent, exc.report)
+    assert str(back) == str(exc)
