@@ -43,7 +43,8 @@ def _json_dump(obj, fh):
 
 
 def _parse_graph(text, source, group=None, key=None):
-    """The marked graph in JSON text (under key, if given)."""
+    """The marked graph in JSON text or bytes (under key, if given);
+    bytes that are not UTF-8 fail as bad JSON does."""
     try:
         data = json.loads(text)
         return MarkedMetricGraph.from_json(data[key] if key else data, group)
@@ -53,7 +54,7 @@ def _parse_graph(text, source, group=None, key=None):
 
 
 def _load_graph(path):
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return _parse_graph(fh.read(), path)
 
 
@@ -304,7 +305,9 @@ def cmd_whitehead_graph(args):
 
 def cmd_qg_check(args):
     group = _group(args.rank, 3)
-    with open(args.path) as fh:
+    if args.K < 0:
+        raise UsageError(f"--K {args.K} is below 0")
+    with open(args.path, "rb") as fh:
         snapshots = [_parse_graph(line, f"{args.path} line {n}", group,
                                   "snapshot")
                      for n, line in enumerate(fh, start=1)]
@@ -412,7 +415,8 @@ def run_experiment(suite, seed, instances, rank=3, workers=1, twist=3,
         raise UsageError(f"unknown suite {suite}")
     for flag, value, least in (("--instances", instances, 0),
                                ("--workers", workers, 1),
-                               ("--word-length", word_length, 1)):
+                               ("--word-length", word_length, 1),
+                               ("--K", K, 0)):
         if value < least:
             raise UsageError(f"{flag} {value} is below {least}")
     run_instance, least_rank = SUITES[suite]
@@ -561,8 +565,8 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except factor_complex.SeedExceedsBound as exc:
         print(f"usage error: {exc}; raise --bound", file=sys.stderr)

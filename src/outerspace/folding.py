@@ -21,15 +21,15 @@ map, after which the residual map has slope one everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .words import free_reduce
-from .marked_graph import MarkedMetricGraph, EdgePath
+from .marked_graph import MarkedMetricGraph
 from .lipschitz import (GraphMap, optimal_map, stretch_factor,
                         OptimalMapError)
+from .paths import edge_point
 from .traintrack import illegal_turn_count
-from . import stallings
 
 
 class FoldTerminationError(RuntimeError):
@@ -63,16 +63,60 @@ class FoldingPath:
         """Composite fold map (oriented edge -> edge path) from event i to j."""
         if not 0 <= i <= j < len(self.events):
             raise IndexError("event indices out of range")
-        nop = {d: (d,) for d in self.events[i].graph.oriented_edges()}
-        comp = nop
+        comp = {d: (d,) for d in self.events[i].graph.oriented_edges()}
         for k in range(i + 1, j + 1):
             step = self.events[k].fold_edge_map
-            comp = {d: tuple(x for e in path for x in step[e])
-                    for d, path in comp.items()}
-        out = {}
-        for d, path in comp.items():
-            out[d] = tuple(free_reduce(list(path)))
-        return out
+            comp = {d: _substitute(path, step) for d, path in comp.items()}
+        return comp
+
+
+def _classes(vertices, pairs):
+    """Map each vertex to the least vertex of its class, the classes
+    being those of the equivalence relation the pairs generate.
+
+    Union-find: joining two classes hangs the larger root under the
+    smaller, so every root is the least vertex of its class and the
+    map does not depend on the order of the pairs.
+    """
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {v: find(v) for v in vertices}
+
+
+def _substitute(path, sub):
+    """The free reduction of path with each oriented edge d replaced by
+    the edge path sub[d] (a fold map, a merge map, or () to collapse d).
+
+    Free reduction is confluent, so reducing after every substitution of
+    a composite gives the same path as reducing once at the end.
+    """
+    return tuple(free_reduce([x for d in path for x in sub[d]]))
+
+
+def _marked_quotient(G, vertices, edge_ends, lengths, sub, basepoint):
+    """The subdivided marked graph on the given cells whose marking loops
+    are G's pushed through the edge substitution sub.
+
+    Edge labels are trivial; the marking-out words are recomputed from
+    the new marking loops.
+    """
+    marking_in = {i: _substitute(G.marking_in[i], sub)
+                  for i in range(1, G.group.rank + 1)}
+    new = MarkedMetricGraph(G.group, vertices, edge_ends, lengths, marking_in,
+                            {e: G.group.identity() for e in edge_ends},
+                            basepoint, subdivided=True)
+    new.recompute_marking_out()
+    return new
 
 
 def gates_of_residual(f):
@@ -169,50 +213,31 @@ def fold_step(state_graph, f, gates=None, tau=None):
         pieces_of[e] = ids
 
     # gate gluing: identify stubs and their endpoints
-    parent = {v: v for v in new_vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    glued = []           # (canonical stub end, stub end) pairs to identify
     edge_sub = {}        # oriented piece id -> oriented replacement id
     drop_pieces = set()
+
+    def far_end(p):      # the end of oriented piece p
+        return piece_ends[p][1] if p > 0 else piece_ends[-p][0]
+
+    def segs(p):         # the image segments of oriented piece p
+        return piece_image[p].segs if p > 0 else piece_image[-p].reverse().segs
+
     for (v, dirs) in gates:
-        stub_pieces = []
-        for d in dirs:
-            e = abs(d)
-            ids = pieces_of[e]
-            if d > 0:
-                stub_pieces.append(ids[0])          # oriented away from v
-            else:
-                stub_pieces.append(-ids[-1])        # reverse of the last piece
-        # identify all stubs with the first one
-        canon = stub_pieces[0]
-        canon_end = (piece_ends[canon][1] if canon > 0 else piece_ends[-canon][0])
-        for sp in stub_pieces[1:]:
-            end_v = piece_ends[sp][1] if sp > 0 else piece_ends[-sp][0]
-            union(canon_end, end_v)
+        # each stub oriented away from v: a first piece or a reversed last one
+        stubs = [pieces_of[d][0] if d > 0 else -pieces_of[-d][-1] for d in dirs]
+        canon = stubs[0]
+        # identify all stubs with the first one, which carries the same image
+        for sp in stubs[1:]:
+            if segs(sp) != segs(canon):
+                raise FoldTerminationError("gate stubs have unequal prefixes")
+            glued.append((far_end(canon), far_end(sp)))
             edge_sub[sp] = canon
             edge_sub[-sp] = -canon
             drop_pieces.add(abs(sp))
-        # sanity: the identified stubs carry identical image prefixes
-        canon_img = piece_image[abs(canon)]
-        canon_path = canon_img if canon > 0 else canon_img.reverse()
-        for sp in stub_pieces[1:]:
-            img = piece_image[abs(sp)]
-            path = img if sp > 0 else img.reverse()
-            if path.segs != canon_path.segs:
-                raise FoldTerminationError("gate stubs have unequal prefixes")
 
     # assemble quotient graph
-    vmap = {v: find(v) for v in new_vertices}
+    vmap = _classes(new_vertices, glued)
     verts = set(vmap.values())
     edge_ends = {}
     lengths = {}
@@ -234,21 +259,8 @@ def fold_step(state_graph, f, gates=None, tau=None):
         edge_map[e] = tuple(seq)
         edge_map[-e] = tuple(-x for x in reversed(seq))
 
-    # markings through the fold
-    marking_in = {}
-    for i in range(1, G.group.rank + 1):
-        loop = []
-        for d in G.marking_in[i]:
-            loop.extend(edge_map[d])
-        marking_in[i] = tuple(free_reduce(loop))
-    basepoint = vmap[G.basepoint]
-
-    new_graph = MarkedMetricGraph(G.group, verts, edge_ends, lengths,
-                                  marking_in,
-                                  {e: G.group.identity() for e in edge_ends},
-                                  basepoint, subdivided=True)
-    new_graph.recompute_marking_out()
-
+    new_graph = _marked_quotient(G, verts, edge_ends, lengths, edge_map,
+                                 vmap[G.basepoint])
     vertex_images = {}
     for pid, (o, t) in edge_ends.items():
         vertex_images[o] = images[pid].start
@@ -258,11 +270,8 @@ def fold_step(state_graph, f, gates=None, tau=None):
     # simplify: merge legal degree-2 vertices (not the basepoint)
     new_graph, residual, merge_map = _merge_degree_two(new_graph, residual)
     if merge_map is not None:
-        edge_map = {d: tuple(free_reduce([x for e2 in path
-                                          for x in merge_map[e2]]))
+        edge_map = {d: _substitute(path, merge_map)
                     for d, path in edge_map.items()}
-        vertex_images = residual.vertex_images
-
     vertex_map = {v: vmap[v] for v in G.vertices}
     return tau, new_graph, residual, edge_map, vertex_map
 
@@ -307,24 +316,14 @@ def _merge_degree_two(G, f):
         sub[-d2] = ()
         # rewriting: every path through v crosses (-d1, d2) or (-d2, d1);
         # substituting -d1 -> E, d2 -> (), d1 -> -E, -d2 -> () realizes both.
-        marking_in = {}
-        for i in range(1, G.group.rank + 1):
-            loop = []
-            for d in G.marking_in[i]:
-                loop.extend(sub[d])
-            marking_in[i] = tuple(free_reduce(loop))
         verts = set(G.vertices) - {v}
-        new_graph = MarkedMetricGraph(G.group, verts, new_ends, new_lengths,
-                                      marking_in,
-                                      {e: G.group.identity() for e in new_ends},
-                                      G.basepoint, subdivided=True)
-        new_graph.recompute_marking_out()
+        new_graph = _marked_quotient(G, verts, new_ends, new_lengths, sub,
+                                     G.basepoint)
         new_images = {e: f.edge_images[e] for e in new_ends if e != E}
         new_images[E] = img
         vertex_images = {w: f.vertex_images[w] for w in verts}
         f = GraphMap(new_graph, f.target, vertex_images, new_images)
-        merge_map = {d: tuple(free_reduce([x for e2 in path
-                                           for x in sub[e2]]))
+        merge_map = {d: _substitute(path, sub)
                      for d, path in merge_map.items()}
         G = new_graph
     if not changed:
@@ -406,23 +405,11 @@ def _tighten_plain(f):
     G = f.source
     while True:
         # classes of vertices joined by collapsed edges
-        parent = {v: v for v in G.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for e in G.edge_ends:
-            if f.edge_images[e].is_point():
-                o, t = G.edge_ends[e]
-                ro, rt = find(o), find(t)
-                if ro != rt:
-                    parent[max(ro, rt)] = min(ro, rt)
+        vmap = _classes(G.vertices, [G.edge_ends[e] for e in G.edge_ends
+                                     if f.edge_images[e].is_point()])
         classes = {}
         for v in G.vertices:
-            classes.setdefault(find(v), []).append(v)
+            classes.setdefault(vmap[v], []).append(v)
         moved = False
         for root, members in sorted(classes.items()):
             germs = set()
@@ -443,15 +430,14 @@ def _tighten_plain(f):
                 c = seg[2] - seg[1]
                 delta = c if delta is None else min(delta, c)
             # move every member along the germ; all live directions shrink
-            from .paths import edge_point, seg_reverse
             e_g, a_g = germ
             new_point = edge_point(f.target, e_g, a_g + delta)
             for e in sorted(G.edge_ends):
                 o, t = G.edge_ends[e]
                 path = f.edge_images[e]
-                if find(o) == root and not path.is_point():
+                if vmap[o] == root and not path.is_point():
                     path = path.drop_prefix(delta)
-                if find(t) == root and not path.is_point():
+                if vmap[t] == root and not path.is_point():
                     rev = path.reverse().drop_prefix(delta)
                     path = rev.reverse()
                 f.edge_images[e] = path
@@ -476,32 +462,13 @@ def standard_geodesic(G, Gp, max_events=5000):
     lengths_end = {e: l / mid_vol for e, l in pullback.items()}
 
     # quotient collapsed edges to build the graph the fold runs on
-    parent = {v: v for v in G.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in collapsed:
-        o, t = G.edge_ends[e]
-        ro, rt = find(o), find(t)
-        if ro != rt:
-            parent[max(ro, rt)] = min(ro, rt)
-    vmap = {v: find(v) for v in G.vertices}
-    verts = set(vmap.values())
+    vmap = _classes(G.vertices, [G.edge_ends[e] for e in collapsed])
     edge_ends = {e: (vmap[o], vmap[t]) for e, (o, t) in G.edge_ends.items()
                  if e not in collapsed}
     lengths = {e: pullback[e] for e in edge_ends}
-    marking_in = {}
-    for i in range(1, G.group.rank + 1):
-        loop = [d for d in G.marking_in[i] if abs(d) not in collapsed]
-        marking_in[i] = tuple(free_reduce(loop))
-    mid = MarkedMetricGraph(G.group, verts, edge_ends, lengths, marking_in,
-                            {e: G.group.identity() for e in edge_ends},
-                            vmap[G.basepoint], subdivided=True)
-    mid.recompute_marking_out()
+    sub = {d: () if abs(d) in collapsed else (d,) for d in G.oriented_edges()}
+    mid = _marked_quotient(G, set(vmap.values()), edge_ends, lengths, sub,
+                           vmap[G.basepoint])
     vertex_images = {}
     for v in G.vertices:
         vertex_images[vmap[v]] = f.vertex_images[v]
@@ -571,64 +538,38 @@ def _long_legal_segment_in_core(G, tt, core, total_vol):
 
 
 def _core_chains(core, branch):
-    """Maximal label chains between branch vertices of an immersed core."""
-    chains = []
-    if not branch:
-        # the core is a disjoint union of circles; walk each once
-        seen = set()
-        for (o, t, lab) in sorted(core.edges):
-            if (o, t, lab) in seen:
-                continue
-            chain = [lab]
-            seen.add((o, t, lab))
-            v = t
-            while v != o:
-                for (o2, t2, lab2) in sorted(core.edges):
-                    if (o2, t2, lab2) in seen:
-                        continue
-                    if o2 == v:
-                        chain.append(lab2)
-                        seen.add((o2, t2, lab2))
-                        v = t2
-                        break
-                    if t2 == v:
-                        chain.append(-lab2)
-                        seen.add((o2, t2, lab2))
-                        v = o2
-                        break
-                else:
-                    break
-            chains.append(tuple(chain))
-        return chains
+    """Maximal label chains between branch vertices of an immersed core.
+
+    rows[v] lists (signed label, far end, edge) for each oriented edge
+    leaving v, over the (origin, target, label) edges of the core in
+    sorted order.  A chain starts on every edge not yet walked at each
+    branch vertex, least vertex first, and follows the one unwalked edge
+    at each vertex of valence 2 until it reaches a branch vertex.  A
+    core with no branch vertex is a circle, walked once forward from its
+    least edge.  Edges are told apart by the whole triple, so both edges
+    of a same-label 2-cycle o -> t -> o are walked.
+    """
+    rows = {v: [] for v in core.vertices}
+    for edge in sorted(core.edges):
+        o, t, lab = edge
+        rows[o].append((lab, t, edge))
+        rows[t].append((-lab, o, edge))
+    if branch:
+        starts = [row for b in sorted(branch) for row in rows[b]]
+    else:
+        o, t, lab = min(core.edges)
+        starts = [(lab, t, (o, t, lab))]
     used = set()
-    for b in sorted(branch):
-        for (o, t, lab) in sorted(core.edges):
-            for start, lab0 in ((o, lab), (t, -lab)):
-                if start != b or (abs(lab), frozenset((o, t)), lab0 > 0) in used:
-                    continue
-                chain = [lab0]
-                used.add((abs(lab), frozenset((o, t)), lab0 > 0))
-                used.add((abs(lab), frozenset((o, t)), lab0 < 0))
-                v = t if lab0 == lab else o
-                while v not in branch:
-                    for (o2, t2, lab2) in sorted(core.edges):
-                        key_f = (abs(lab2), frozenset((o2, t2)), True)
-                        key_b = (abs(lab2), frozenset((o2, t2)), False)
-                        if key_f in used and key_b in used:
-                            continue
-                        if o2 == v:
-                            chain.append(lab2)
-                            used.add(key_f)
-                            used.add(key_b)
-                            v = t2
-                            break
-                        if t2 == v:
-                            chain.append(-lab2)
-                            used.add(key_f)
-                            used.add(key_b)
-                            v = o2
-                            break
-                    else:
-                        break
-                chains.append(tuple(chain))
+    chains = []
+    for row in starts:
+        chain = []
+        while row is not None and row[2] not in used:
+            lab, v, edge = row
+            used.add(edge)
+            chain.append(lab)
+            if v in branch:
+                break
+            row = next((r for r in rows[v] if r[2] not in used), None)
+        if chain:
+            chains.append(tuple(chain))
     return chains

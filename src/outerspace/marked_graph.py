@@ -321,44 +321,29 @@ class MarkedMetricGraph:
                                       self.group.rank)
 
     def subgraph_factors(self):
-        """Handles of all connected proper core subgraphs (rank 1..N-1)."""
+        """Handles of all connected proper core subgraphs (rank 1..N-1).
+
+        A subset of edges is its own core exactly when none of its
+        vertices has valence below 2, so every core subgraph is met as
+        its own subset and no other subset is kept.
+        """
         edges = sorted(self.edge_ends)
         handles = {}
         for mask in range(1, 1 << len(edges)):
-            subset = {edges[k] for k in range(len(edges)) if mask >> k & 1}
-            core = self._core_reduce(subset)
-            if core != subset:
-                continue  # the core subgraph shows up as its own subset
-            r = self._subset_rank(subset)
-            if not (1 <= r <= self.group.rank - 1):
+            subset = [edges[k] for k in range(len(edges)) if mask >> k & 1]
+            deg = {}
+            for e in subset:
+                for v in self.edge_ends[e]:
+                    deg[v] = deg.get(v, 0) + 1
+            if min(deg.values()) < 2:
+                continue
+            if not 1 <= len(subset) - len(deg) + 1 <= self.group.rank - 1:
                 continue
             h = self._subgraph_handle(subset)
             if h is None:  # disconnected
                 continue
             handles[h.code] = h
         return list(handles.values())
-
-    def _core_reduce(self, subset):
-        sub = set(subset)
-        while True:
-            deg = {}
-            for e in sub:
-                o, t = self.edge_ends[e]
-                deg[o] = deg.get(o, 0) + 1
-                deg[t] = deg.get(t, 0) + 1
-            bad = {v for v, d in deg.items() if d < 2}
-            if not bad:
-                return sub
-            sub = {e for e in sub
-                   if self.edge_ends[e][0] not in bad and self.edge_ends[e][1] not in bad}
-            if not sub:
-                return sub
-
-    def _subset_rank(self, subset):
-        verts = set()
-        for e in subset:
-            verts.update(self.edge_ends[e])
-        return len(subset) - len(verts) + 1
 
     def subgroup_core_in_graph(self, H):
         """Immersed cyclic core of the H-cover over this graph, with volume.

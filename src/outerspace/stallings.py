@@ -72,10 +72,6 @@ class SubgroupCoreGraph:
                 return None
         return v
 
-    def copy(self):
-        return SubgroupCoreGraph(self.alphabet_size, self.vertices, self.edges,
-                                 self.basepoint)
-
     def to_json(self):
         data = {
             "vertices": sorted(self.vertices),
@@ -202,23 +198,35 @@ def fold_labeled_graph(alphabet_size, arcs, basepoint=None):
 
 
 def trim_to_core(graph, keep_basepoint=True):
-    """Iteratively remove valence-<2 vertices (keeping the basepoint if asked)."""
-    g = graph.copy()
-    while True:
-        deg = g.degrees()
-        victims = [v for v in g.vertices
-                   if deg.get(v, 0) < 2 and not (keep_basepoint and v == g.basepoint)]
-        if not victims:
-            return g
-        vset = set(victims)
-        edges = {(o, t, lab) for (o, t, lab) in g.edges
-                 if o not in vset and t not in vset}
-        verts = g.vertices - vset
-        if not verts:
-            # trivial subgroup: keep a single vertex
-            verts = {g.basepoint} if g.basepoint is not None else {0}
-            edges = set()
-        g = SubgroupCoreGraph(g.alphabet_size, verts, edges, g.basepoint)
+    """The core of graph: valence-<2 vertices removed until none is left.
+
+    The basepoint stays if asked.  One worklist prunes: removing a
+    vertex lowers the degree of each neighbour it reaches through
+    ``graph.out``, and a neighbour whose degree falls below 2 is removed
+    in turn.  A graph pruned away entirely (trivial subgroup) keeps one
+    vertex, the basepoint or else 0.  The graph is built once, at the end.
+    """
+    keep = graph.basepoint if keep_basepoint else None
+    far_ends = {v: [] for v in graph.vertices}
+    for (v, _), w in graph.out.items():
+        far_ends[v].append(w)
+    deg = {v: len(ends) for v, ends in far_ends.items()}
+    stack = [v for v in graph.vertices if deg[v] < 2 and v != keep]
+    gone = set(stack)
+    while stack:
+        for w in far_ends[stack.pop()]:
+            if w in gone:
+                continue
+            deg[w] -= 1
+            if deg[w] < 2 and w != keep:
+                gone.add(w)
+                stack.append(w)
+    verts = graph.vertices - gone
+    edges = {(o, t, lab) for (o, t, lab) in graph.edges
+             if o not in gone and t not in gone}
+    if not verts:
+        verts = {graph.basepoint} if graph.basepoint is not None else {0}
+    return SubgroupCoreGraph(graph.alphabet_size, verts, edges, graph.basepoint)
 
 
 def core_graph(generators, based=True):

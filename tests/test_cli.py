@@ -306,3 +306,46 @@ def test_rank_4_factor_window_certifies():
                                      rank=4, bound=12)
     assert summary["violations"] == 0
     assert json.loads(report)["certified"]
+
+
+def _one_line_usage_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_non_utf8_graph_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"rank": 3, "name": "\xe9"}'.encode("latin-1"))
+    assert main(["dist", str(bad), str(bad)]) == 2
+    assert "UnicodeDecodeError" in _one_line_usage_error(capsys)
+    assert main(["qg-check", "--path", str(bad)]) == 2
+    assert "UnicodeDecodeError" in _one_line_usage_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "DIR", "g1"],
+    ["qg-check", "--path", "DIR"],
+    ["ball", "--bound", "2", "--products", "1", "--out", "DIR"],
+], ids=["graph-file", "qg-check-path", "ball-out"])
+def test_directory_as_file_exits_2(argv, graph_files, tmp_path, capsys):
+    g1, _ = graph_files
+    argv = [{"DIR": str(tmp_path), "g1": g1}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    assert "Is a directory" in _one_line_usage_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["qg-check", "--path", "EVENTS", "--K", "-1"],
+    ["experiment", "--suite", "qg-check", "--instances", "2", "--bound", "12",
+     "--K", "-1"],
+], ids=["qg-check", "experiment"])
+def test_negative_window_bound_exits_2(argv, graph_files, tmp_path, capsys):
+    # no window has a negative diameter: this was reported as a violation
+    g1, g2 = graph_files
+    events = tmp_path / "events.jsonl"
+    main(["fold", "--from", g1, "--to", g2, "--emit-events", str(events)])
+    capsys.readouterr()
+    argv = [{"EVENTS": str(events)}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    assert "--K -1" in _one_line_usage_error(capsys)

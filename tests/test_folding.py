@@ -3,12 +3,14 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from outerspace import folding
 from outerspace.words import FreeGroup, CyclicWord
 from outerspace.marked_graph import rose
 from outerspace.lipschitz import stretch_factor, optimal_map
 from outerspace.folding import (standard_geodesic, folding_path, fold_step,
                                 path_statistics, _multi_gates, _event_depth)
-from outerspace.randomgen import random_marked_graph, random_cyclic_word
+from outerspace.randomgen import (random_marked_graph, random_cyclic_word,
+                                  random_word)
 from outerspace.stallings import core_graph
 
 
@@ -233,3 +235,106 @@ def test_fold_precondition_errors():
     f = optimal_map(R1, R2)
     with pytest.raises(ValueError):
         folding_path(R1, f)     # slopes are not 1: wrong parametrization
+
+
+def _keyed_core_chains(core, branch):
+    """The former chain walk, kept as a reference: it keys an edge by its
+    label and unordered ends, so a same-label 2-cycle counts as one edge."""
+    chains = []
+    if not branch:
+        seen = set()
+        for (o, t, lab) in sorted(core.edges):
+            if (o, t, lab) in seen:
+                continue
+            chain = [lab]
+            seen.add((o, t, lab))
+            v = t
+            while v != o:
+                for (o2, t2, lab2) in sorted(core.edges):
+                    if (o2, t2, lab2) in seen:
+                        continue
+                    if o2 == v or t2 == v:
+                        chain.append(lab2 if o2 == v else -lab2)
+                        seen.add((o2, t2, lab2))
+                        v = t2 if o2 == v else o2
+                        break
+                else:
+                    break
+            chains.append(tuple(chain))
+        return chains
+    used = set()
+    for b in sorted(branch):
+        for (o, t, lab) in sorted(core.edges):
+            for start, lab0 in ((o, lab), (t, -lab)):
+                key = (lab, frozenset((o, t)))
+                if start != b or key in used:
+                    continue
+                chain = [lab0]
+                used.add(key)
+                v = t if lab0 == lab else o
+                while v not in branch:
+                    for (o2, t2, lab2) in sorted(core.edges):
+                        key2 = (lab2, frozenset((o2, t2)))
+                        if key2 in used:
+                            continue
+                        if o2 == v or t2 == v:
+                            chain.append(lab2 if o2 == v else -lab2)
+                            used.add(key2)
+                            v = t2 if o2 == v else o2
+                            break
+                    else:
+                        break
+                chains.append(tuple(chain))
+    return chains
+
+
+def _branch(core):
+    return {v for v, d in core.degrees().items() if d != 2}
+
+
+def _up_to_reversal(chains):
+    return sorted(min(c, tuple(-x for x in reversed(c))) for c in chains)
+
+
+def test_core_chains_walk_both_edges_of_a_same_label_two_cycle():
+    # <aa, b> over the rose: a b-loop at 0 and the 2-cycle 0 -a-> 1 -a-> 0
+    R = rose(F3, [Fr(1, 3)] * 3)
+    core, _ = R.subgroup_core_in_graph(core_graph([F3.word("aa"),
+                                                   F3.word("b")]))
+    assert core.edges == {(0, 0, 2), (0, 1, 1), (1, 0, 1)}
+    assert folding._core_chains(core, _branch(core)) == [(2,), (1, 1)]
+    assert _keyed_core_chains(core, _branch(core)) == [(2,), (1,)]
+
+
+def test_core_chains_match_keyed_walk_on_probe_cores(monkeypatch):
+    compared = two_cycles = 0
+    for rank, seed in ((3, 71), (3, 72), (4, 73), (4, 74)):
+        F = FreeGroup(rank)
+        rng = random.Random(seed)
+        G = random_marked_graph(rng, F, 3)
+        Gp = random_marked_graph(rng, F, 3)
+        path = standard_geodesic(G, Gp).path
+        probes = []
+        while len(probes) < 5:
+            gens = [random_word(rng, F, rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 2))]
+            if all(len(g) for g in gens):
+                probes.append(core_graph(gens))
+        for ev in path.events:
+            for H in probes:
+                core, _ = ev.graph.subgroup_core_in_graph(H)
+                chains = folding._core_chains(core, _branch(core))
+                # every edge of the core is walked exactly once
+                assert sum(map(len, chains)) == len(core.edges)
+                compared += 1
+                if any((t, o, lab) in core.edges and o != t
+                       for (o, t, lab) in core.edges):
+                    two_cycles += 1
+                    continue
+                assert _up_to_reversal(chains) == _up_to_reversal(
+                    _keyed_core_chains(core, _branch(core)))
+        rows = path_statistics(path, probe_subgroups=probes)
+        monkeypatch.setattr(folding, "_core_chains", _keyed_core_chains)
+        assert path_statistics(path, probe_subgroups=probes) == rows
+        monkeypatch.undo()
+    assert compared > 100 and two_cycles > 0

@@ -229,3 +229,55 @@ def test_trivial_subgroup_has_no_cover_core():
     R = rose(F3, [Fr(1, 3)] * 3)
     with pytest.raises(ValueError):
         R.subgroup_core_in_graph(SubgroupCoreGraph(3, {0}, set()))
+
+
+def _core_reduce_factors(G):
+    """The former enumeration, kept as a reference: each subset is cut to
+    its core by rounds that drop the edges at valence-1 vertices, and is
+    kept only when it is its own core."""
+    def core_reduce(subset):
+        sub = set(subset)
+        while True:
+            deg = {}
+            for e in sub:
+                o, t = G.edge_ends[e]
+                deg[o] = deg.get(o, 0) + 1
+                deg[t] = deg.get(t, 0) + 1
+            bad = {v for v, d in deg.items() if d < 2}
+            if not bad:
+                return sub
+            sub = {e for e in sub
+                   if G.edge_ends[e][0] not in bad and G.edge_ends[e][1] not in bad}
+            if not sub:
+                return sub
+
+    edges = sorted(G.edge_ends)
+    handles = {}
+    for mask in range(1, 1 << len(edges)):
+        subset = {edges[k] for k in range(len(edges)) if mask >> k & 1}
+        if core_reduce(subset) != subset:
+            continue
+        verts = {v for e in subset for v in G.edge_ends[e]}
+        if not 1 <= len(subset) - len(verts) + 1 <= G.group.rank - 1:
+            continue
+        h = G._subgraph_handle(subset)
+        if h is not None:
+            handles[h.code] = h
+    return list(handles.values())
+
+
+def test_subgraph_factors_match_core_reduce_reference():
+    from outerspace.folding import standard_geodesic
+    graphs = []
+    for rank in (3, 4, 5):
+        F = FreeGroup(rank)
+        rng = random.Random(800 + rank)
+        graphs += [random_marked_graph(rng, F, 2 + k) for k in range(3)]
+    # fold snapshots add valence-2 vertices
+    rng = random.Random(810)
+    G, Gp = (random_marked_graph(rng, FreeGroup(4), 3) for _ in range(2))
+    graphs += [ev.graph for ev in standard_geodesic(G, Gp).path.events]
+    for G in graphs:
+        got, ref = G.subgraph_factors(), _core_reduce_factors(G)
+        assert [h.code for h in got] == [h.code for h in ref]
+        assert [h.core.to_json() for h in got] == [h.core.to_json() for h in ref]

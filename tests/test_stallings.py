@@ -321,3 +321,53 @@ def test_fold_names_vertices_by_least_id():
             assert again.vertices == first.vertices
             assert again.edges == first.edges
             assert again.out == first.out
+
+
+def _trim_by_rounds(graph, keep_basepoint):
+    """The former pruning, kept as a reference: each round drops every
+    valence-<2 vertex at once and rebuilds the graph."""
+    from outerspace.stallings import SubgroupCoreGraph
+    g = graph
+    while True:
+        deg = g.degrees()
+        victims = {v for v in g.vertices if deg[v] < 2
+                   and not (keep_basepoint and v == g.basepoint)}
+        if not victims:
+            return g
+        verts = g.vertices - victims
+        edges = {(o, t, lab) for (o, t, lab) in g.edges
+                 if o not in victims and t not in victims}
+        if not verts:
+            return SubgroupCoreGraph(g.alphabet_size,
+                                     {0 if g.basepoint is None else g.basepoint},
+                                     set(), g.basepoint)
+        g = SubgroupCoreGraph(g.alphabet_size, verts, edges, g.basepoint)
+
+
+@pytest.mark.parametrize("keep_basepoint", [True, False])
+def test_trim_to_core_matches_rounds(keep_basepoint):
+    # random folded graphs with hairs, trees and several components
+    from outerspace.stallings import fold_labeled_graph, trim_to_core
+    rng = random.Random(41)
+    trivial = 0
+    for _ in range(300):
+        arcs = [(rng.randrange(10), rng.randrange(10),
+                 tuple(rng.choice([1, -1, 2, -2, 3, -3])
+                       for _ in range(rng.randint(0, 3))))
+                for _ in range(rng.randint(1, 6))]
+        arcs.append((0, rng.randrange(10), (rng.choice([1, 2, 3]),)))
+        g = fold_labeled_graph(3, arcs, basepoint=rng.choice([None, 0]))
+        got = trim_to_core(g, keep_basepoint=keep_basepoint)
+        ref = _trim_by_rounds(g, keep_basepoint)
+        assert got is not g
+        assert (got.vertices, got.edges, got.out, got.basepoint) == \
+            (ref.vertices, ref.edges, ref.out, ref.basepoint)
+        trivial += not got.edges
+    assert trivial > 0
+
+
+def test_cyclic_core_of_a_tree_is_one_vertex():
+    from outerspace.stallings import fold_labeled_graph, cyclic_core
+    g = fold_labeled_graph(3, [(0, 1, (1, 2)), (0, 2, (3,))], basepoint=0)
+    core = cyclic_core(g)
+    assert (core.vertices, core.edges, core.basepoint) == ({0}, set(), None)
