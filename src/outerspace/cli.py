@@ -43,14 +43,20 @@ def _json_dump(obj, fh):
 
 
 def _parse_graph(text, source, group=None, key=None):
-    """The marked graph in JSON text or bytes (under key, if given);
-    bytes that are not UTF-8 fail as bad JSON does."""
+    """The valid marked graph in JSON text or bytes (under key, if given);
+    bytes that are not UTF-8 fail as bad JSON does, and a graph that
+    fails MarkedMetricGraph.validate is a usage error listing why."""
     try:
         data = json.loads(text)
-        return MarkedMetricGraph.from_json(data[key] if key else data, group)
+        G = MarkedMetricGraph.from_json(data[key] if key else data, group)
+        diags = G.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{source} does not hold a marked graph "
                          f"({type(exc).__name__}: {exc})") from None
+    if diags:
+        raise UsageError(f"{source} is not a valid marked graph: "
+                         + "; ".join(diags))
+    return G
 
 
 def _load_graph(path):
@@ -64,6 +70,12 @@ def _group(rank, least=1):
         raise UsageError(f"--rank {rank} is below {least}, the least rank "
                          "this command serves")
     return FreeGroup(rank)
+
+
+def _at_least(flag, value, least):
+    """A flag value below least is a usage error."""
+    if value < least:
+        raise UsageError(f"{flag} {value} is below {least}")
 
 
 def _word_arg(group, text, nonempty=False):
@@ -190,6 +202,9 @@ def cmd_project(args):
 
 def cmd_ball(args):
     group = _group(args.rank)
+    _at_least("--bound", args.bound, 0)
+    _at_least("--cap", args.cap, 0)
+    _at_least("--products", args.products, 0)
     ball = factor_complex.build_ball(group, bound=args.bound,
                                      aut_product_length=args.products,
                                      vertex_cap=args.cap)
@@ -305,8 +320,8 @@ def cmd_whitehead_graph(args):
 
 def cmd_qg_check(args):
     group = _group(args.rank, 3)
-    if args.K < 0:
-        raise UsageError(f"--K {args.K} is below 0")
+    _at_least("--K", args.K, 0)
+    _at_least("--products", args.products, 0)
     with open(args.path, "rb") as fh:
         snapshots = [_parse_graph(line, f"{args.path} line {n}", group,
                                   "snapshot")
@@ -413,12 +428,10 @@ def run_experiment(suite, seed, instances, rank=3, workers=1, twist=3,
     """
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite}")
-    for flag, value, least in (("--instances", instances, 0),
-                               ("--workers", workers, 1),
-                               ("--word-length", word_length, 1),
-                               ("--K", K, 0)):
-        if value < least:
-            raise UsageError(f"{flag} {value} is below {least}")
+    _at_least("--instances", instances, 0)
+    _at_least("--workers", workers, 1)
+    _at_least("--word-length", word_length, 1)
+    _at_least("--K", K, 0)
     run_instance, least_rank = SUITES[suite]
     _group(rank, least_rank)
 

@@ -2,14 +2,17 @@
 
 The stretch factor of a pair is the maximum, over the finite candidate
 family (embedded circles, figure-eights, barbells), of target length
-over source length.  An optimal map realizing the stretch exactly is
-then built by convex descent.  The vertex images of a straight map
-range over a product of copies of the target's universal-cover tree,
-and the maximal slope is convex there with minimum the stretch factor
-(Francaviglia-Martino, "Metric properties of Outer space").  Starting
-from the tree-collapse difference-of-markings map, each step solves an
-exact LP in a closed cell around the current vertex images and moves to
-its optimum, until the maximal slope equals the known stretch factor.
+over source length.  Each candidate is built once: every embedded circle
+is met from its least edge, crossed forwards, and one pass over the
+pairs of circles builds the figure-eights and barbells.  An optimal map
+realizing the stretch exactly is then built by convex descent.  The
+vertex images of a straight map range over a product of copies of the
+target's universal-cover tree, and the maximal slope is convex there
+with minimum the stretch factor (Francaviglia-Martino, "Metric
+properties of Outer space").  Starting from the tree-collapse
+difference-of-markings map, each step solves an exact LP in a closed
+cell around the current vertex images and moves to its optimum, until
+the maximal slope equals the known stretch factor.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import itertools
 from fractions import Fraction
 
 from .words import CyclicWord, least_rotation
-from .marked_graph import EdgePath
 from .paths import TargetPath, vertex_point, edge_point, seg_reverse
 from .traintrack import TrainTrackStructure
 from . import simplex_lp
@@ -86,107 +88,88 @@ class Candidate:
 
 def _loop_canon(edges):
     """Canonical form of a cyclic loop up to rotation AND inversion."""
-    return min(least_rotation(edges),
-               least_rotation(-e for e in reversed(edges)))
+    return min(least_rotation(edges), least_rotation(_inverse(edges)))
+
+
+def _inverse(path):
+    return tuple(-e for e in reversed(path))
 
 
 def _embedded_circles(graph):
-    """All embedded circles (vertex-simple cycles) as oriented edge tuples."""
-    found = {}
-    for start in graph.oriented_edges():
-        v0 = graph.origin(start)
-        stack = [((start,), {v0, graph.terminus(start)} - {v0})]
+    """All embedded circles (vertex-simple cycles) as oriented edge tuples.
+
+    The search from each positive edge e0 crosses only edges above e0, so
+    it meets exactly the circles whose least edge is e0, each once and
+    starting with e0 crossed forwards.
+    """
+    circles = []
+    for e0 in sorted(graph.edge_ends):
+        v0 = graph.origin(e0)
+        stack = [((e0,), {graph.terminus(e0)})]
         while stack:
             path, visited = stack.pop()
             head = graph.terminus(path[-1])
-            if head == v0 and path:
-                key = _loop_canon(path)
-                found.setdefault(key, tuple(path))
+            if head == v0:
+                circles.append(path)
                 continue
             for e in graph.directions_at(head):
                 w = graph.terminus(e)
-                if w == v0:
-                    if e != -path[-1] or len(path) == 0:
-                        stack.append((path + (e,), visited))
-                elif w not in visited and w != v0:
+                if abs(e) > e0 and (w == v0 or w not in visited):
                     stack.append((path + (e,), visited | {w}))
-    return list(found.values())
+    return circles
 
 
 def _rotate_to_vertex(graph, cycle, v):
-    for i, e in enumerate(cycle):
-        if graph.origin(e) == v:
-            return cycle[i:] + cycle[:i]
-    return None
+    i = next(i for i, e in enumerate(cycle) if graph.origin(e) == v)
+    return cycle[i:] + cycle[:i]
 
 
 def candidates(graph):
-    """All candidate loops, each once up to rotation and inversion."""
+    """All candidate loops, each built once, sorted by canonical key.
+
+    Beside the embedded circles, one pass over the pairs of circles: a
+    pair sharing exactly one vertex gives two figure-eights, a
+    vertex-disjoint pair two barbells per embedded arc between them.  A
+    figure-eight is a barbell with an empty arc, so one loop builds both.
+    """
     circles = _embedded_circles(graph)
-    result = {}
-    for c in circles:
-        cand = Candidate(c, "embedded-circle")
-        result[cand.canonical_key()] = cand
-    # figure-eights: edge-disjoint circles sharing exactly one vertex
-    for i in range(len(circles)):
-        for j in range(i + 1, len(circles)):
-            c1, c2 = circles[i], circles[j]
-            if {abs(e) for e in c1} & {abs(e) for e in c2}:
-                continue
-            v1 = {graph.origin(e) for e in c1}
-            v2 = {graph.origin(e) for e in c2}
-            common = v1 & v2
-            if len(common) != 1:
-                continue
-            v = common.pop()
-            r1 = _rotate_to_vertex(graph, c1, v)
-            r2 = _rotate_to_vertex(graph, c2, v)
-            for second in (r2, tuple(-e for e in reversed(r2))):
-                cand = Candidate(r1 + second, "figure-eight")
-                result[cand.canonical_key()] = cand
-    # barbells: vertex-disjoint circles joined by an embedded arc
-    for i in range(len(circles)):
-        for j in range(i + 1, len(circles)):
-            c1, c2 = circles[i], circles[j]
-            v1 = {graph.origin(e) for e in c1}
-            v2 = {graph.origin(e) for e in c2}
-            if v1 & v2:
-                continue
-            for arc in _arcs_between(graph, v1, v2):
-                u1, u2 = graph.origin(arc[0]), graph.terminus(arc[-1])
-                r1 = _rotate_to_vertex(graph, c1, u1)
-                r2 = _rotate_to_vertex(graph, c2, u2)
-                back = tuple(-e for e in reversed(arc))
-                for second in (r2, tuple(-e for e in reversed(r2))):
-                    cand = Candidate(r1 + arc + second + back, "barbell")
-                    result[cand.canonical_key()] = cand
-    return sorted(result.values(), key=lambda c: c.canonical_key())
+    result = [Candidate(c, "embedded-circle") for c in circles]
+    with_vertices = [(c, {graph.origin(e) for e in c}) for c in circles]
+    for (c1, v1), (c2, v2) in itertools.combinations(with_vertices, 2):
+        common = v1 & v2
+        if len(common) > 1:
+            continue
+        if common:
+            shape, joins = "figure-eight", [(v, (), v) for v in common]
+        else:
+            shape = "barbell"
+            joins = [(graph.origin(arc[0]), arc, graph.terminus(arc[-1]))
+                     for arc in _arcs_between(graph, v1, v2)]
+        for u1, arc, u2 in joins:
+            r1 = _rotate_to_vertex(graph, c1, u1)
+            r2 = _rotate_to_vertex(graph, c2, u2)
+            for second in (r2, _inverse(r2)):
+                result.append(Candidate(r1 + arc + second + _inverse(arc),
+                                        shape))
+    return sorted(result, key=Candidate.canonical_key)
 
 
 def _arcs_between(graph, v1, v2):
-    """Embedded arcs from v1-set to v2-set, interior avoiding both."""
+    """Embedded arcs from v1 to the disjoint v2, interior avoiding both."""
     arcs = []
     for u in sorted(v1):
         stack = [((e,), {graph.terminus(e)})
-                 for e in graph.directions_at(u)
-                 if graph.terminus(e) not in v1 or graph.terminus(e) in v2]
+                 for e in graph.directions_at(u) if graph.terminus(e) not in v1]
         while stack:
             path, seen = stack.pop()
             head = graph.terminus(path[-1])
             if head in v2:
                 arcs.append(path)
                 continue
-            if head in v1:
-                continue
             for e in graph.directions_at(head):
                 w = graph.terminus(e)
-                if e == -path[-1]:
-                    continue
-                if w in seen and w not in v2:
-                    continue
-                if w in v1:
-                    continue
-                stack.append((path + (e,), seen | {w}))
+                if w not in seen and w not in v1:
+                    stack.append((path + (e,), seen | {w}))
     return arcs
 
 
@@ -199,21 +182,17 @@ def class_of_loop(graph, edges):
     return CyclicWord(graph.group, w.letters)
 
 
-def stretch_factor(G, Gp, cands=None):
+def stretch_factor(G, Gp):
     """(lambda, witness): max over candidates of target/source length."""
     if G.group.rank != Gp.group.rank:
         raise ValueError("rank mismatch")
-    if cands is None:
-        cands = candidates(G)
-    best = None
-    witness = None
-    for cand in cands:
+    best = witness = None
+    for cand in candidates(G):
         lg = cand.length_in(G)
         lt = Gp.translation_length(class_of_loop(G, cand.edges))
         ratio = lt / lg
         if best is None or ratio > best:
-            best = ratio
-            witness = cand
+            best, witness = ratio, cand
     return best, witness
 
 

@@ -181,7 +181,7 @@ class MarkedMetricGraph:
         queue = [root]
         while queue:
             v = queue.pop(0)
-            for e in sorted(self.directions_at(v), key=lambda s: (abs(s), s < 0)):
+            for e in self.directions_at(v):
                 w = self.terminus(e)
                 if w not in parent:
                     parent[w] = e
@@ -261,9 +261,6 @@ class MarkedMetricGraph:
                 if tuple(free_reduce(list(loop))) != back:
                     diags.append(f"marking round-trip fails on edge loop {e}")
         return diags
-
-    def is_valid(self):
-        return not self.validate()
 
     # -- marking maintenance ----------------------------------------------
 

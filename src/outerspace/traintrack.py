@@ -114,13 +114,6 @@ class DirectionDigraph:
     nodes: set
     arcs: dict  # node -> set of nodes
 
-    def reverse(self):
-        rev = {n: set() for n in self.nodes}
-        for n, outs in self.arcs.items():
-            for m in outs:
-                rev[m].add(n)
-        return DirectionDigraph(set(self.nodes), rev)
-
 
 def direction_digraph(tt):
     graph = tt.graph

@@ -349,3 +349,76 @@ def test_negative_window_bound_exits_2(argv, graph_files, tmp_path, capsys):
     argv = [{"EVENTS": str(events)}.get(a, a) for a in argv]
     assert main(argv) == 2
     assert "--K -1" in _one_line_usage_error(capsys)
+
+
+@pytest.fixture
+def events_file(graph_files, tmp_path, capsys):
+    g1, g2 = graph_files
+    events = tmp_path / "events.jsonl"
+    assert main(["fold", "--from", g1, "--to", g2,
+                 "--emit-events", str(events)]) == 0
+    capsys.readouterr()
+    return events
+
+
+def _spoil_labels(data):
+    data["marking"]["labels"].update({"2": "a", "3": "a"})
+
+
+def _spoil_length(data):
+    data["edges"][1]["length"] = "-1/3"
+
+
+def _spoil_endpoint(data):
+    data["edges"][1]["to"] = 5
+
+
+@pytest.mark.parametrize("spoil, diagnostic", [
+    (_spoil_labels, "marking mismatch: word of loop 2 is a"),
+    (_spoil_length, "nonpositive length on edge 2"),
+    (_spoil_endpoint, "edge 2 has missing endpoint"),
+], ids=["labels", "negative-length", "missing-vertex"])
+def test_invalid_graph_file_exits_2(spoil, diagnostic, graph_files, tmp_path,
+                                    capsys):
+    # each was read as a graph: lambda = 1/1, a ZeroDivisionError or a
+    # ValueError traceback
+    g1, _ = graph_files
+    data = rose(F3, [Fr(1, 3)] * 3).to_json()
+    spoil(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for argv in (["dist", g1, str(bad)], ["dist", str(bad), g1]):
+        assert main(argv) == 2
+        err = _one_line_usage_error(capsys)
+        assert "bad.json is not a valid marked graph" in err
+        assert diagnostic in err
+
+
+def test_invalid_snapshot_line_exits_2(events_file, capsys):
+    lines = events_file.read_text().splitlines()
+    event = json.loads(lines[-1])
+    event["snapshot"]["edges"][0]["length"] = "0/1"
+    lines[-1] = json.dumps(event)
+    events_file.write_text("\n".join(lines) + "\n")
+    assert main(["qg-check", "--path", str(events_file)]) == 2
+    err = _one_line_usage_error(capsys)
+    assert f"line {len(lines)} is not a valid marked graph" in err
+    assert "nonpositive length on edge 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball", "--bound", "-1", "--out", "OUT"],
+    ["ball", "--bound", "2", "--cap", "-1", "--out", "OUT"],
+    ["ball", "--bound", "2", "--products", "-1", "--out", "OUT"],
+    ["qg-check", "--path", "EVENTS", "--products", "-1"],
+], ids=["ball-bound", "ball-cap", "ball-products", "qg-check-products"])
+def test_negative_ball_flags_exit_2(argv, events_file, tmp_path, capsys):
+    # `ball` wrote an empty or truncated ball and exited 0, and a
+    # negative --products was taken as 0
+    out = tmp_path / "ball.json"
+    argv = [{"OUT": str(out), "EVENTS": str(events_file)}.get(a, a)
+            for a in argv]
+    assert main(argv) == 2
+    flag = argv[argv.index("-1") - 1]
+    assert f"{flag} -1 is below 0" in _one_line_usage_error(capsys)
+    assert not out.exists()

@@ -71,6 +71,119 @@ def test_barbell_candidate_crosses_arc_twice():
         assert counts.get(1, 0) <= 1 or counts.get(2, 0) <= 1
 
 
+def _every_start_candidates(graph):
+    """The candidate search that meets each circle once per oriented edge
+    on it and dedupes by canonical form, kept as the reference."""
+    def canon(edges):
+        return lipschitz._loop_canon(tuple(edges))
+
+    def inverse(path):
+        return tuple(-e for e in reversed(path))
+
+    def rotate(cycle, v):
+        i = next(i for i, e in enumerate(cycle) if graph.origin(e) == v)
+        return cycle[i:] + cycle[:i]
+
+    def arcs_between(v1, v2):
+        arcs = []
+        for u in sorted(v1):
+            stack = [((e,), {graph.terminus(e)})
+                     for e in graph.directions_at(u)
+                     if graph.terminus(e) not in v1 or graph.terminus(e) in v2]
+            while stack:
+                path, seen = stack.pop()
+                head = graph.terminus(path[-1])
+                if head in v2:
+                    arcs.append(path)
+                    continue
+                if head in v1:
+                    continue
+                for e in graph.directions_at(head):
+                    w = graph.terminus(e)
+                    if (e != -path[-1] and w not in v1
+                            and (w not in seen or w in v2)):
+                        stack.append((path + (e,), seen | {w}))
+        return arcs
+
+    found = {}
+    for start in graph.oriented_edges():
+        v0 = graph.origin(start)
+        stack = [((start,), {graph.terminus(start)} - {v0})]
+        while stack:
+            path, visited = stack.pop()
+            head = graph.terminus(path[-1])
+            if head == v0:
+                found.setdefault(canon(path), path)
+                continue
+            for e in graph.directions_at(head):
+                w = graph.terminus(e)
+                if w == v0 and e != -path[-1]:
+                    stack.append((path + (e,), visited))
+                elif w not in visited and w != v0:
+                    stack.append((path + (e,), visited | {w}))
+    circles = list(found.values())
+    result = {canon(c): ("embedded-circle", c) for c in circles}
+    for i, c1 in enumerate(circles):
+        for c2 in circles[i + 1:]:
+            v1 = {graph.origin(e) for e in c1}
+            v2 = {graph.origin(e) for e in c2}
+            if {abs(e) for e in c1} & {abs(e) for e in c2} or len(v1 & v2) != 1:
+                continue
+            (v,) = v1 & v2
+            for second in (rotate(c2, v), inverse(rotate(c2, v))):
+                loop = rotate(c1, v) + second
+                result[canon(loop)] = ("figure-eight", loop)
+    for i, c1 in enumerate(circles):
+        for c2 in circles[i + 1:]:
+            v1 = {graph.origin(e) for e in c1}
+            v2 = {graph.origin(e) for e in c2}
+            if v1 & v2:
+                continue
+            for arc in arcs_between(v1, v2):
+                r1 = rotate(c1, graph.origin(arc[0]))
+                r2 = rotate(c2, graph.terminus(arc[-1]))
+                for second in (r2, inverse(r2)):
+                    loop = r1 + arc + second + inverse(arc)
+                    result[canon(loop)] = ("barbell", loop)
+    return [result[key] for key in sorted(result)]
+
+
+@pytest.fixture(scope="module")
+def sample_graphs():
+    """The fixtures, seeded graphs at ranks 2-5 and fold snapshots."""
+    from outerspace.folding import standard_geodesic
+    graphs = [R_unit(), theta4(), barbell()]
+    for rank in (2, 3, 4, 5):
+        group = FreeGroup(rank)
+        for i in range(4):
+            rng = random.Random(f"candidates:{rank}:{i}")
+            G = random_marked_graph(rng, group, 3)
+            graphs.append(G)
+            if i < 2:
+                Gp = random_marked_graph(rng, group, 3)
+                graphs += [ev.graph for ev in
+                           standard_geodesic(G, Gp).path.events]
+    return graphs
+
+
+def test_candidates_match_every_start_search(sample_graphs):
+    # same shapes, edge tuples and order as the every-start search
+    for G in sample_graphs:
+        assert ([(c.shape, c.edges) for c in candidates(G)]
+                == _every_start_candidates(G))
+
+
+def test_candidates_met_once(sample_graphs):
+    for G in sample_graphs:
+        cs = candidates(G)
+        keys = [c.canonical_key() for c in cs]
+        assert len(set(keys)) == len(keys)
+        for c in cs:
+            if c.shape == "embedded-circle":
+                # the least edge, crossed forwards, comes first
+                assert c.edges[0] == min(abs(e) for e in c.edges)
+
+
 def test_stretch_identity():
     R = R_skew()
     lam, _ = stretch_factor(R, R)
