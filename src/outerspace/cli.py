@@ -22,6 +22,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import log10
+from pathlib import Path
 
 from .words import FreeGroup, parse_letters, Word
 from .marked_graph import MarkedMetricGraph
@@ -64,6 +65,27 @@ def _load_graph(path):
         return _parse_graph(fh.read(), path)
 
 
+def _load_pair(source, target):
+    """The marked graphs in two files; different ranks are a usage error."""
+    G, Gp = _load_graph(source), _load_graph(target)
+    if G.group.rank != Gp.group.rank:
+        raise UsageError(f"{source} has rank {G.group.rank} but {target} "
+                         f"has rank {Gp.group.rank}")
+    return G, Gp
+
+
+def _output_path(flag, path):
+    """Fail before any work when an output path cannot be written as a
+    file: it is a directory, or its directory does not exist."""
+    if path is None:
+        return
+    p = Path(path)
+    if p.is_dir():
+        raise UsageError(f"{flag} {path}: Is a directory")
+    if not p.parent.is_dir():
+        raise UsageError(f"{flag} {path}: {p.parent} is not a directory")
+
+
 def _group(rank, least=1):
     """FreeGroup(rank); a rank below what the command serves is a usage error."""
     if rank < least:
@@ -101,8 +123,7 @@ def _instance_rng(seed, index):
 
 
 def cmd_dist(args):
-    G = _load_graph(args.source)
-    Gp = _load_graph(args.target)
+    G, Gp = _load_pair(args.source, args.target)
     lam, wit = lipschitz.stretch_factor(G.normalize(), Gp.normalize())
     out = {"lambda": _frac_str(lam), "log10": f"{log10(lam):.12f}",
            "witness": list(wit.edges), "witness_shape": wit.shape}
@@ -115,8 +136,9 @@ def cmd_dist(args):
 
 
 def cmd_optimal_map(args):
-    G = _load_graph(args.source).normalize()
-    Gp = _load_graph(args.target).normalize()
+    _output_path("--emit-dot", args.emit_dot)
+    G, Gp = _load_pair(args.source, args.target)
+    G, Gp = G.normalize(), Gp.normalize()
     f = lipschitz.optimal_map(G, Gp)
     tension = sorted(lipschitz.tension_graph(f))
     out = {"sigma": _frac_str(f.sigma()),
@@ -133,9 +155,8 @@ def cmd_optimal_map(args):
 
 
 def cmd_standard_geodesic(args):
-    G = _load_graph(args.source).normalize()
-    Gp = _load_graph(args.target).normalize()
-    sg = folding.standard_geodesic(G, Gp)
+    G, Gp = _load_pair(args.source, args.target)
+    sg = folding.standard_geodesic(G.normalize(), Gp.normalize())
     out = {
         "lengths_start": {str(e): _frac_str(l) for e, l in sorted(sg.lengths_start.items())},
         "lengths_end": {str(e): _frac_str(l) for e, l in sorted(sg.lengths_end.items())},
@@ -153,11 +174,12 @@ def cmd_standard_geodesic(args):
 
 
 def cmd_fold(args):
-    G = _load_graph(getattr(args, "from")).normalize()
-    Gp = _load_graph(args.to).normalize()
-    sg = folding.standard_geodesic(G, Gp)
+    _output_path("--emit-events", args.emit_events)
+    _output_path("--stats", args.stats)
+    G, Gp = _load_pair(getattr(args, "from"), args.to)
     probes = [_word_arg(G.group, text, nonempty=True).cyclic()
               for text in (args.probe or [])]
+    sg = folding.standard_geodesic(G.normalize(), Gp.normalize())
     stats = folding.path_statistics(sg.path, probe_loops=probes)
     if args.emit_events:
         with open(args.emit_events, "w") as fh:
@@ -205,6 +227,7 @@ def cmd_ball(args):
     _at_least("--bound", args.bound, 0)
     _at_least("--cap", args.cap, 0)
     _at_least("--products", args.products, 0)
+    _output_path("--out", args.out)
     ball = factor_complex.build_ball(group, bound=args.bound,
                                      aut_product_length=args.products,
                                      vertex_cap=args.cap)
@@ -434,6 +457,9 @@ def run_experiment(suite, seed, instances, rank=3, workers=1, twist=3,
     _at_least("--K", K, 0)
     run_instance, least_rank = SUITES[suite]
     _group(rank, least_rank)
+    if out_prefix:
+        _output_path("--out", out_prefix + ".jsonl")
+        _output_path("--out", out_prefix + ".summary.json")
 
     job = functools.partial(run_instance, seed, rank=rank, twist=twist,
                             word_length=word_length, K=K, bound=bound)

@@ -1,9 +1,12 @@
-"""Exact rational simplex method (dense tableau, Bland's rule).
+"""Exact rational simplex method (dense tableau, sparse pivots, Bland's rule).
 
 Solves  maximize c.x  subject to  A x <= b,  x >= 0,  with b >= 0, so
 the slack basis is feasible and no phase-1 is needed.  Instances here
 are tiny (at most a few dozen variables and a few hundred constraints),
-so a dense Fraction tableau is the right tool.
+so the tableau rows are dense lists of Fractions.  Most entries are zero
+(slack columns, cells touching few edges), so a pivot updates only the
+nonzero columns of the pivot row; the pivot sequence, and so the answer,
+is the one the full-row update gives.
 """
 
 from __future__ import annotations
@@ -54,15 +57,18 @@ def solve_lp_max(c, A, b):
                     leave = i
         if leave is None:
             raise Unbounded("objective unbounded above")
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
-        for i in range(m):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, T[leave])]
+        # pivot over the nonzero columns of the pivot row only: a zero
+        # there leaves every other row's entry in that column as it is
+        P = T[leave]
+        piv = P[enter]
+        nz = [j for j, x in enumerate(P) if x]
+        for j in nz:
+            P[j] /= piv
+        for row in (*T, obj):
+            f = row[enter]
+            if f and row is not P:
+                for j in nz:
+                    row[j] -= f * P[j]
         basis[leave] = enter
 
     x = [Fraction(0)] * n

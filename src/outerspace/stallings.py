@@ -329,41 +329,43 @@ def conjugate_into(H, K):
     return vmap is not None, vmap
 
 
+def _bfs_rows(out, signed, start):
+    """The rows of a BFS from start, one per vertex in the order met:
+    for each signed label, the number of the vertex it leads to, or -1."""
+    number = {start: 0}
+    order = [start]
+    for v in order:
+        row = []
+        for lab in signed:
+            w = out.get((v, lab))
+            if w is None:
+                row.append(-1)
+                continue
+            if w not in number:
+                number[w] = len(order)
+                order.append(w)
+            row.append(number[w])
+        yield tuple(row)
+
+
 def canonical_code(graph):
     """Canonical byte string: equal exactly for isomorphic labeled graphs.
 
-    BFS from every start vertex with label-sorted edge exploration; the
-    lexicographically least serialization wins.  Cores here are tiny, so
-    the |V| BFS passes are cheap.
+    BFS with label-sorted edge exploration; the lexicographically least
+    serialization over all start vertices wins.  A start's first row
+    depends only on its own out-edges, so the BFS runs on past the first
+    row only from starts whose first row is least.
     """
     if not graph.vertices:
         return b"empty"
-    best = None
     labels = sorted({lab for (_, _, lab) in graph.edges})
     signed = [s * l for l in labels for s in (1, -1)]
-    for start in sorted(graph.vertices):
-        number = {start: 0}
-        order = [start]
-        i = 0
-        rows = []
-        while i < len(order):
-            v = order[i]
-            i += 1
-            row = []
-            for lab in signed:
-                w = graph.out.get((v, lab))
-                if w is None:
-                    row.append(-1)
-                    continue
-                if w not in number:
-                    number[w] = len(order)
-                    order.append(w)
-                row.append(number[w])
-            rows.append(tuple(row))
-        code = (tuple(labels), tuple(rows))
-        if best is None or code < best:
-            best = code
-    return repr(best).encode()
+    walks = [_bfs_rows(graph.out, signed, v) for v in graph.vertices]
+    firsts = [next(rows) for rows in walks]
+    least = min(firsts)
+    best = min((least, *rows)
+               for first, rows in zip(firsts, walks) if first == least)
+    return repr((tuple(labels), best)).encode()
 
 
 class FactorHandle:

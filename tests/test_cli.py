@@ -1,9 +1,11 @@
 import json
+import time
 from fractions import Fraction as Fr
 
 import pytest
 
-from outerspace import folding, lipschitz, whitehead
+from outerspace import (factor_complex, folding, lipschitz, randomgen,
+                        whitehead)
 from outerspace.cli import main, run_experiment
 from outerspace.words import FreeGroup
 from outerspace.marked_graph import rose
@@ -422,3 +424,72 @@ def test_negative_ball_flags_exit_2(argv, events_file, tmp_path, capsys):
     flag = argv[argv.index("-1") - 1]
     assert f"{flag} -1 is below 0" in _one_line_usage_error(capsys)
     assert not out.exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
+@pytest.fixture
+def rank_4_file(tmp_path):
+    g = tmp_path / "rose4.json"
+    g.write_text(json.dumps(rose(FreeGroup(4), [Fr(1, 4)] * 4).to_json()))
+    return str(g)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "G3", "G4"],
+    ["optimal-map", "G3", "G4"],
+    ["standard-geodesic", "G4", "G3"],
+    ["fold", "--from", "G3", "--to", "G4"],
+], ids=["dist", "optimal-map", "standard-geodesic", "fold"])
+def test_rank_mismatch_exits_2(argv, graph_files, rank_4_file, monkeypatch,
+                               capsys):
+    # each ended in a ValueError traceback from stretch_factor
+    monkeypatch.setattr(lipschitz, "stretch_factor", _no_work)
+    monkeypatch.setattr(lipschitz, "optimal_map", _no_work)
+    monkeypatch.setattr(folding, "standard_geodesic", _no_work)
+    g3, _ = graph_files
+    argv = [{"G3": g3, "G4": rank_4_file}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    err = _one_line_usage_error(capsys)
+    assert "has rank 3" in err and "has rank 4" in err
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["optimal-map", "G1", "G2", "--emit-dot", "DIR"],
+     (lipschitz, "optimal_map")),
+    (["optimal-map", "G1", "G2", "--emit-dot", "MISSING"],
+     (lipschitz, "optimal_map")),
+    (["fold", "--from", "G1", "--to", "G2", "--emit-events", "DIR"],
+     (folding, "standard_geodesic")),
+    (["fold", "--from", "G1", "--to", "G2", "--stats", "MISSING"],
+     (folding, "standard_geodesic")),
+    (["ball", "--out", "MISSING"], (factor_complex, "build_ball")),
+    (["experiment", "--suite", "distance-oracle", "--out", "MISSING"],
+     (randomgen, "random_marked_graph")),
+    (["experiment", "--suite", "distance-oracle", "--out", "JSONL_DIR"],
+     (randomgen, "random_marked_graph")),
+], ids=["emit-dot-dir", "emit-dot-missing", "emit-events-dir",
+        "stats-missing", "ball-out-missing", "experiment-out-missing",
+        "experiment-out-dir"])
+def test_unwritable_output_exits_2_before_work(argv, work, graph_files,
+                                               tmp_path, monkeypatch, capsys):
+    # each was found out only when the finished result was written
+    monkeypatch.setattr(*work, _no_work)
+    g1, g2 = graph_files
+    (tmp_path / "report.jsonl").mkdir()
+    argv = [{"G1": g1, "G2": g2, "DIR": str(tmp_path),
+             "MISSING": str(tmp_path / "missing" / "out"),
+             "JSONL_DIR": str(tmp_path / "report")}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    err = _one_line_usage_error(capsys)
+    assert "Is a directory" in err or "missing is not a directory" in err
+
+
+def test_ball_out_directory_fails_fast(tmp_path, capsys):
+    # the default ball took seconds to build before the write failed
+    t0 = time.perf_counter()
+    assert main(["ball", "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert "Is a directory" in _one_line_usage_error(capsys)

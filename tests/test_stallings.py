@@ -371,3 +371,56 @@ def test_cyclic_core_of_a_tree_is_one_vertex():
     g = fold_labeled_graph(3, [(0, 1, (1, 2)), (0, 2, (3,))], basepoint=0)
     core = cyclic_core(g)
     assert (core.vertices, core.edges, core.basepoint) == ({0}, set(), None)
+
+
+def _code_from_every_start(graph):
+    """canonical_code with a full BFS from every start vertex."""
+    if not graph.vertices:
+        return b"empty"
+    best = None
+    labels = sorted({lab for (_, _, lab) in graph.edges})
+    signed = [s * l for l in labels for s in (1, -1)]
+    for start in sorted(graph.vertices):
+        number = {start: 0}
+        order = [start]
+        rows = []
+        for v in order:
+            row = []
+            for lab in signed:
+                w = graph.out.get((v, lab))
+                if w is None:
+                    row.append(-1)
+                    continue
+                if w not in number:
+                    number[w] = len(order)
+                    order.append(w)
+                row.append(number[w])
+            rows.append(tuple(row))
+        code = (tuple(labels), tuple(rows))
+        if best is None or code < best:
+            best = code
+    return repr(best).encode()
+
+
+def test_canonical_code_from_least_first_rows_matches_every_start():
+    from outerspace.factor_complex import build_ball, project
+    from outerspace.folding import standard_geodesic
+    from outerspace.randomgen import random_marked_graph
+    cores = [h.core for h in
+             build_ball(F3, bound=4, aut_product_length=2).handles.values()]
+    rng = random.Random(10)
+    for rank in (3, 4, 5):
+        group = FreeGroup(rank)
+        G = random_marked_graph(rng, group, 3)
+        Gp = random_marked_graph(rng, group, 3)
+        for ev in standard_geodesic(G, Gp).path.events:
+            cores += [h.core for h in project(ev.graph)]
+    # cycles with letters repeated, where several starts share the least
+    # first row
+    for _ in range(100):
+        gens = [random_word(rng, F3, rng.randint(1, 8)) for _ in range(2)]
+        cores.append(core_graph([g for g in gens if len(g)] or [F3.word("a")],
+                                based=False))
+    assert max(len(core.vertices) for core in cores) >= 5
+    for core in cores:
+        assert canonical_code(core) == _code_from_every_start(core)
