@@ -5,12 +5,14 @@ The decision shortens greedily with Whitehead automorphisms, each move
 scored from the Whitehead graph.  The class is simple when the greedy
 minimum omits a generator; otherwise the minimum's Whitehead graph is
 connected without cut vertices, which certifies non-simplicity.
-reduce_to_minimal also closes the minimal level set under
-length-preserving moves, to count the minimal forms printed below.
+The minimal forms counted below are the greedy minimum's level set,
+closed under length-preserving moves by the brute-force oracle
+oracles.minimal_level_set.
 """
 
 from outerspace import (FreeGroup, whitehead_graph, connectivity_report,
                         reduce_to_minimal, is_simple)
+from outerspace.oracles import minimal_level_set
 from outerspace.words import CyclicWord
 
 F = FreeGroup(3)
@@ -20,9 +22,10 @@ for text in ("abc", "aabbcc", "abAB", "abacbc"):
     W = whitehead_graph(w)
     rep = connectivity_report(W)
     res = reduce_to_minimal(w)
+    forms = minimal_level_set(res.descent[-1])
     verdict = is_simple(w)
     print(f"{text:10s} graph: {str(rep):14s} minimal length {res.minimal_length}"
-          f"  ({len(res.representatives)} minimal forms)  simple: {verdict}")
+          f"  ({len(forms)} minimal forms)  simple: {verdict}")
 
 print()
 w = CyclicWord(F, F.word("aabbcc").letters)

@@ -3,8 +3,9 @@
 Subcommands: dist, optimal-map, fold, standard-geodesic, project, ball,
 ffdist, simple, reduce, whitehead-graph, qg-check, experiment.
 
-Exit codes: 0 success, 1 a property violation was found or a
-construction failed to certify its answer, 2 usage error.
+Exit codes: 0 success, 1 a property violation was found, a
+construction failed to certify its answer or an oracle ran out of its
+budget, 2 usage error.
 Reports are deterministic for a fixed seed: instances derive their own
 generators from (seed, index), results are collected in index order, and
 JSON is emitted with sorted keys.
@@ -315,18 +316,15 @@ def cmd_simple(args):
 
 def cmd_reduce(args):
     cw = _word_arg(_group(args.rank), args.word).cyclic()
-    res = whitehead.reduce_to_minimal(cw, orbit_cap=args.orbit_cap)
-    reps = sorted(str(w) for w in res.representatives)
+    res = whitehead.reduce_to_minimal(cw)
     out = {"minimal_length": res.minimal_length,
-           "representatives": reps[:50],
-           "representative_count": len(reps),
-           "capped": res.capped}
+           "minimum": str(res.descent[-1]),
+           "descent": [str(w) for w in res.descent]}
     if args.json:
         _json_dump(out, sys.stdout)
     else:
-        print(f"minimal length {res.minimal_length}; "
-              f"{len(reps)} minimal representatives"
-              + (" (capped)" if res.capped else ""))
+        print(f"minimal length {res.minimal_length}; greedy chain "
+              + " -> ".join(out["descent"]))
     return 0
 
 
@@ -455,6 +453,7 @@ def run_experiment(suite, seed, instances, rank=3, workers=1, twist=3,
     _at_least("--workers", workers, 1)
     _at_least("--word-length", word_length, 1)
     _at_least("--K", K, 0)
+    _at_least("--twist", twist, 0)
     run_instance, least_rank = SUITES[suite]
     _group(rank, least_rank)
     if out_prefix:
@@ -566,7 +565,6 @@ def build_parser():
 
     r = add_parser("reduce", "--rank", "--json")
     r.add_argument("word")
-    r.add_argument("--orbit-cap", type=int, default=100_000)
     r.set_defaults(func=cmd_reduce)
 
     wg = add_parser("whitehead-graph", "--rank", "--dot")
@@ -611,7 +609,8 @@ def main(argv=None):
         print(f"usage error: {exc}; raise --bound", file=sys.stderr)
         return 2
     except (lipschitz.OptimalMapError, folding.FoldTerminationError,
-            whitehead.SimplicityCertificateError) as exc:
+            whitehead.SimplicityCertificateError,
+            oracles.OracleBudgetExceeded) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,7 @@ gate; the combinatorics is constant between events, so the path is
 represented by its event snapshots:
 
 * an event time is the least metric common-prefix length over all
-  same-gate direction pairs (capped at half length for edges folding at
+  same-gate direction pairs (at most half the length for edges folding at
   both ends);
 * executing an event subdivides the participating edges, glues the
   gate stubs, rewrites the marking through the fold, and recomputes the

@@ -3,16 +3,37 @@
 These deliberately avoid the candidate machinery, the direction-digraph
 classification, and the greedy Whitehead descent; comparisons against
 them are the backbone of the test suite and of the experiment runner.
+The exhaustive Whitehead searches live here: ``whitehead_simple_oracle``
+and the level-set closure ``minimal_level_set``.  Every search has a
+budget; one that runs out raises OracleBudgetExceeded with the oracle's
+name, its budget and the work done so far, never a partial answer.
 """
 
 from __future__ import annotations
+
+
+class OracleBudgetExceeded(RuntimeError):
+    """An oracle ran out of budget before its search was complete."""
+
+    def __init__(self, oracle, budget, done):
+        super().__init__(oracle, budget, done)  # args rebuild it when unpickled
+        self.oracle = oracle
+        self.budget = budget
+        self.done = done        # {counter: value} when the budget ran out
+
+    def __str__(self):
+        done = ", ".join(f"{k} {v}" for k, v in self.done.items())
+        return f"{self.oracle} exceeded its budget of {self.budget} ({done})"
 
 
 def all_short_loops(graph, max_crossings=2, budget=2_000_000):
     """All immersed cyclic loops crossing each unoriented edge at most twice.
 
     Returns a list of cyclic edge tuples, one per loop class up to
-    rotation and inversion.  DFS over oriented edges with usage counts.
+    rotation and inversion.  DFS over oriented edges with usage counts
+    from each edge, both ways, through edges not below it, so each loop
+    is found from its least edge (more than once if it crosses it twice,
+    hence the dedupe).  More than budget steps raise OracleBudgetExceeded.
     """
     from .lipschitz import _loop_canon
 
@@ -24,13 +45,15 @@ def all_short_loops(graph, max_crossings=2, budget=2_000_000):
     term = {d: graph.terminus(d) for v in graph.vertices for d in dirs_at[v]}
     for start in [s * e for e in edges for s in (1, -1)]:
         v0 = graph.origin(start)
+        least = index[abs(start)]
         usage0 = [0] * len(edges)
-        usage0[index[abs(start)]] = 1
+        usage0[least] = 1
         stack = [((start,), tuple(usage0))]
         while stack:
             steps += 1
             if steps > budget:
-                raise RuntimeError("loop enumeration budget exceeded")
+                raise OracleBudgetExceeded("all_short_loops", budget, {
+                    "steps": steps, "loops": len(found)})
             path, usage = stack.pop()
             head = term[path[-1]]
             if head == v0 and path[-1] != -path[0]:
@@ -38,10 +61,8 @@ def all_short_loops(graph, max_crossings=2, budget=2_000_000):
                 found.setdefault(key, tuple(path))
                 # longer loops may still close differently; keep extending
             for e in dirs_at[head]:
-                if e == -path[-1]:
-                    continue
                 i = index[abs(e)]
-                if usage[i] >= max_crossings:
+                if e == -path[-1] or i < least or usage[i] >= max_crossings:
                     continue
                 u2 = list(usage)
                 u2[i] += 1
@@ -124,7 +145,7 @@ def conjugate_into_bruteforce(H_words, K_words, conjugator_length, member_length
     return False
 
 
-def whitehead_simple_oracle(cw, cap=200_000, cache=None):
+def whitehead_simple_oracle(cw, budget=200_000, cache=None):
     """Simplicity by search: some image under a chain of non-length-increasing
     type-II Whitehead moves omits a generator.
 
@@ -132,6 +153,7 @@ def whitehead_simple_oracle(cw, cap=200_000, cache=None):
     cone with breadth-first closure.  A negative verdict certifies every
     word in the explored cone, so an optional cache dict amortizes
     sweeps (positives propagate forward when hit during the search).
+    A cone of more than budget words raises OracleBudgetExceeded.
     """
     from .whitehead import all_type_ii_automorphisms, apply_whitehead
 
@@ -166,8 +188,9 @@ def whitehead_simple_oracle(cw, cap=200_000, cache=None):
                     seen.add(img)
                     continue
                 seen.add(img)
-                if len(seen) > cap:
-                    raise RuntimeError("oracle state cap exceeded")
+                if len(seen) > budget:
+                    raise OracleBudgetExceeded("whitehead_simple_oracle",
+                                               budget, {"states": len(seen)})
                 nxt.append(img)
             if found:
                 break
@@ -179,6 +202,39 @@ def whitehead_simple_oracle(cw, cap=200_000, cache=None):
             for w in seen:
                 cache[w] = False
     return found
+
+
+def minimal_level_set(m, budget=100_000):
+    """The classes reachable from m by length-preserving type-II moves.
+
+    m must have minimal length, as the greedy minimum has.  Independent of
+    the greedy descent and of the graph-scored length changes: the
+    breadth-first closure applies every move and measures each image.  A
+    shorter image raises ValueError (m was not minimal); more than budget
+    classes raise OracleBudgetExceeded.
+    """
+    from .whitehead import all_type_ii_automorphisms, apply_whitehead
+
+    moves = all_type_ii_automorphisms(m.group)
+    level = {m}
+    frontier = [m]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for tau in moves:
+                img = apply_whitehead(tau, w)
+                if len(img) < len(m):
+                    raise ValueError(f"{tau} takes {w} to the shorter {img}; "
+                                     f"{m} is not of minimal length")
+                if len(img) > len(m) or img in level:
+                    continue
+                level.add(img)
+                if len(level) > budget:
+                    raise OracleBudgetExceeded("minimal_level_set", budget,
+                                               {"states": len(level)})
+                nxt.append(img)
+        frontier = nxt
+    return level
 
 
 def _omits_generator(cw):

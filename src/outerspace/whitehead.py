@@ -23,23 +23,14 @@ disconnected graph or one with a cut vertex).  At a greedy minimum with
 full support a cut vertex, or a component not closed under inversion,
 would give a strictly shortening move, so a failed certificate is a
 defect, raised as SimplicityCertificateError.  No level set is closed.
-
-``reduce_to_minimal`` adds the breadth-first closure of the minimal
-level set under length-preserving moves, to list its representatives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections import Counter
 
 from .words import Word, CyclicWord, Automorphism, letter_str, letter_key
-
-
-class OrbitCapExceeded(RuntimeError):
-    def __init__(self, partial):
-        super().__init__("orbit cap exceeded; minimal level set incomplete")
-        self.partial = partial
 
 
 class SimplicityCertificateError(RuntimeError):
@@ -200,9 +191,6 @@ class WhiteheadAutomorphism:
         self._aut = Automorphism(self.group, images)
         return self._aut
 
-    def is_identity_like(self):
-        return self.cut == frozenset((self.special,))
-
     def sort_key(self):
         return (letter_key(self.special),
                 tuple(sorted(map(letter_key, self.cut))))
@@ -215,24 +203,20 @@ class WhiteheadAutomorphism:
 _TYPE_II_CACHE = {}
 
 
-def all_type_ii_automorphisms(group, include_trivial=False):
-    """All type-II Whitehead automorphisms of the group (cached per rank)."""
-    key = (group.rank, include_trivial)
-    cached = _TYPE_II_CACHE.get(key)
+def all_type_ii_automorphisms(group):
+    """The nontrivial type-II Whitehead automorphisms (cached per rank)."""
+    cached = _TYPE_II_CACHE.get(group.rank)
     if cached is not None:
         return cached
     letters = group.all_letters()
     out = []
     for v in letters:
         rest = [x for x in letters if abs(x) != abs(v)]
-        for mask in range(1 << len(rest)):
+        for mask in range(1, 1 << len(rest)):   # mask 0 is the identity
             cut = {v} | {rest[k] for k in range(len(rest)) if mask >> k & 1}
-            tau = WhiteheadAutomorphism(group, v, cut)
-            if tau.is_identity_like() and not include_trivial:
-                continue
-            out.append(tau)
+            out.append(WhiteheadAutomorphism(group, v, cut))
     out = sorted(out, key=lambda t: t.sort_key())
-    _TYPE_II_CACHE[key] = out
+    _TYPE_II_CACHE[group.rank] = out
     return out
 
 
@@ -248,10 +232,7 @@ def apply_whitehead(tau, cw):
 @dataclass
 class MinimizationResult:
     minimal_length: int
-    representatives: set          # minimal-level classes visited
     descent: list                 # the greedy chain, start to minimum
-    capped: bool = False
-    omitting: set = field(default_factory=set)
 
 
 def length_changes(W, moves):
@@ -297,40 +278,10 @@ def greedy_descent(cw):
         chain.append(img)
 
 
-def reduce_to_minimal(cw, orbit_cap=100_000):
-    """Greedy Whitehead descent, then closure of the minimal level set.
-
-    The greedy chain is that of greedy_descent.  At the bottom,
-    breadth-first closure under length-preserving moves (found from the
-    Whitehead graph, so only those moves are applied) up to orbit_cap
-    states.
-    """
+def reduce_to_minimal(cw):
+    """The minimal length of the class and the greedy chain reaching it."""
     descent = greedy_descent(cw)
-    current = descent[-1]
-    moves = all_type_ii_automorphisms(cw.group)
-    level = {current}
-    frontier = [] if current.is_trivial() else [current]
-    capped = False
-    while frontier and not capped:
-        nxt = []
-        for w in frontier:
-            for tau, change in zip(moves, length_changes(WhiteheadGraph(w), moves)):
-                if change > 0:
-                    continue
-                img = apply_whitehead(tau, w)
-                if change < 0:   # the closure found a shorter word:
-                    return reduce_to_minimal(img, orbit_cap)
-                if img not in level:
-                    level.add(img)
-                    nxt.append(img)
-                    if len(level) > orbit_cap:
-                        capped = True
-                        break
-            if capped:
-                break
-        frontier = nxt
-    omitting = {w for w in level if len(w.support()) < cw.group.rank}
-    return MinimizationResult(len(current), level, descent, capped, omitting)
+    return MinimizationResult(len(descent[-1]), descent)
 
 
 def is_simple(cw, cache=None):
@@ -364,14 +315,3 @@ def is_simple(cw, cache=None):
     if cache is not None:
         cache.update(dict.fromkeys(descent, verdict))
     return verdict
-
-
-def minimal_level_graph_reports(cw, orbit_cap=100_000):
-    """Connectivity reports of the Whitehead graphs over the minimal level set.
-
-    Raises OrbitCapExceeded when the level set outgrows orbit_cap.
-    """
-    res = reduce_to_minimal(cw, orbit_cap)
-    if res.capped:
-        raise OrbitCapExceeded(res)
-    return {w: connectivity_report(whitehead_graph(w)) for w in res.representatives}

@@ -259,6 +259,7 @@ def test_ffdist_non_proper_factor_exits_2(tmp_path, capsys):
     ["fold", "--from", "g1", "--to", "g2", "--json"],
     ["simple", "abc", "--json"],
     ["reduce", "abc", "--dot"],
+    ["reduce", "aabbcc", "--orbit-cap", "5"],
     ["qg-check", "--path", "g1", "--seed", "1"],
     ["project", "g1", "--rank", "3"],
 ])
@@ -278,7 +279,8 @@ def test_random_cyclic_word_rejects_nonpositive_length():
 
 
 @pytest.mark.parametrize("name, value", [("instances", -1), ("workers", 0),
-                                         ("workers", -2), ("word_length", 0)])
+                                         ("workers", -2), ("word_length", 0),
+                                         ("twist", -2)])
 def test_experiment_counts_out_of_range_are_usage_errors(name, value, capsys):
     # a random cyclic word of length 0 is never nontrivial: this suite
     # used to loop forever at --word-length 0

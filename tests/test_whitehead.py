@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,10 +8,9 @@ from outerspace.cli import main
 from outerspace.whitehead import (whitehead_graph, connectivity_report,
                                   WhiteheadAutomorphism, apply_whitehead,
                                   reduce_to_minimal, is_simple,
-                                  all_type_ii_automorphisms, length_changes,
-                                  minimal_level_graph_reports,
-                                  OrbitCapExceeded)
-from outerspace.oracles import whitehead_simple_oracle
+                                  all_type_ii_automorphisms, length_changes)
+from outerspace.oracles import (whitehead_simple_oracle, minimal_level_set,
+                                OracleBudgetExceeded)
 from outerspace.randomgen import random_automorphism, random_cyclic_word
 
 
@@ -20,6 +20,13 @@ F4 = FreeGroup(4)
 
 def cw(text):
     return CyclicWord(F3, F3.word(text).letters)
+
+
+def _omitting(res):
+    """The classes of the greedy minimum's level set that omit a generator."""
+    rank = res.descent[-1].group.rank
+    return {w for w in minimal_level_set(res.descent[-1])
+            if len(w.support()) < rank}
 
 
 def test_graph_of_abc_is_perfect_matching():
@@ -105,7 +112,7 @@ def test_reduce_primitive_to_single_letter():
     # abc is primitive: the descent oracle finds minimal length 1
     res = reduce_to_minimal(cw("abc"))
     assert res.minimal_length == 1
-    assert res.omitting
+    assert _omitting(res)
 
 
 def test_reduce_aba_inverse_b():
@@ -113,13 +120,13 @@ def test_reduce_aba_inverse_b():
     # length computed by exhaustive descent is 4
     res = reduce_to_minimal(CyclicWord(F3, (1, 2, -1, 2)))
     assert res.minimal_length == 4
-    assert res.omitting   # the class lies in <a, b>
+    assert _omitting(res)   # the class lies in <a, b>
 
 
 def test_reduce_squares_minimal():
     res = reduce_to_minimal(cw("aabbcc"))
     assert res.minimal_length == 6
-    assert not res.omitting
+    assert not _omitting(res)
 
 
 def test_greedy_descent_strictly_decreases():
@@ -171,7 +178,8 @@ def test_graph_criterion_on_minimal_level():
     # at minimal length, simplicity matches disconnected-or-cut-vertex
     # Whitehead graphs on the tested instances
     for text, simple in (("aabbcc", False), ("abc", True)):
-        reports = minimal_level_graph_reports(cw(text))
+        level = minimal_level_set(reduce_to_minimal(cw(text)).descent[-1])
+        reports = {w: connectivity_report(whitehead_graph(w)) for w in level}
         has_bad = any(r.kind in ("disconnected", "cut-vertex")
                       or len(w.support()) < 3
                       for w, r in reports.items())
@@ -224,10 +232,23 @@ def test_simple_command_rank4_not_simple(capsys):
     assert capsys.readouterr().out.strip() == "not simple"
 
 
+def test_reduce_command_rank4_returns_the_greedy_chain(capsys):
+    w = _planted_rank4(random.Random(78), simple=False)
+    assert main(["reduce", str(w), "--rank", "4", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    chain = reduce_to_minimal(w).descent
+    assert out == {"minimal_length": 8, "minimum": str(chain[-1]),
+                   "descent": [str(x) for x in chain]}
+    assert out["descent"][0] == str(w) and len(chain) > 1
+
+
 def test_level_graph_reports_raise_when_capped():
-    with pytest.raises(OrbitCapExceeded) as info:
-        minimal_level_graph_reports(cw("aabbcc"), orbit_cap=10)
-    assert info.value.partial.capped
+    # the minimal level set of a^2 b^2 c^2 has 328 classes
+    with pytest.raises(OracleBudgetExceeded) as info:
+        minimal_level_set(reduce_to_minimal(cw("aabbcc")).descent[-1],
+                          budget=10)
+    assert (info.value.oracle, info.value.budget, info.value.done) == \
+        ("minimal_level_set", 10, {"states": 11})
 
 
 def test_rank_one_agrees_with_oracle():
