@@ -416,10 +416,10 @@ def _tighten_plain(f):
             live = []
             for v in members:
                 for d in G.directions_at(v):
-                    p = f.image_of_direction(d)
-                    if p.is_point():
+                    germ = f.germ(d)
+                    if germ is None:
                         continue
-                    germs.add(p.first_germ())
+                    germs.add(germ)
                     live.append((v, d))
             if len(germs) != 1 or not live:
                 continue

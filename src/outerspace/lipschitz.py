@@ -232,7 +232,13 @@ class GraphMap:
         return {e for e in self.source.edge_ends if self.slope(e) == s}
 
     def germ(self, d):
-        return self.image_of_direction(d).first_germ()
+        """The first germ of the image of direction d, or None for a point
+        image; read off the edge image without reversing it."""
+        segs = self.edge_images[abs(d)].segs
+        if not segs:
+            return None
+        e, a, _ = segs[0] if d > 0 else seg_reverse(self.target, segs[-1])
+        return (e, a)
 
     def gates(self, restrict_edges=None):
         """Train track structure by first-germ partition.
@@ -405,8 +411,8 @@ def _try_cell_lp(f, sigma, combo):
                 rows.append((coef, Fraction(0), e))
             continue
         coef = {}
-        for (v, end) in ((o, "start"), (t, "end")):
-            coef[v] = coef.get(v, 0) + _end_coefficient(path, end, *combo[v])
+        for (v, d) in ((o, e), (t, -e)):
+            coef[v] = coef.get(v, 0) + _end_coefficient(f.germ(d), *combo[v])
         rows.append((coef, base, e))
         if len(path.segs) == 1:
             # a single-segment image may not shrink through zero; the
@@ -461,12 +467,9 @@ def _try_cell_lp(f, sigma, combo):
     return True
 
 
-def _end_coefficient(path, end, ev, off_v):
-    """Rate of change of the path length when its `end` moves along +ev."""
-    if end == "start":
-        germ = path.first_germ()
-    else:
-        germ = path.reverse().first_germ()
+def _end_coefficient(germ, ev, off_v):
+    """Rate of change of a path's length when the end whose outward
+    germ is `germ` moves along +ev."""
     if germ is None:
         # degenerate path, endpoints on distinct lines: it grows away
         # from the wall offset

@@ -311,30 +311,65 @@ class MarkedMetricGraph:
             reached.extend(adjacent[v].difference(reached))
         if len(reached) != len(adjacent):
             return None
-        folded = stallings.fold_labeled_graph(
+        core = stallings.folded_core(
             self.group.rank, [(*self.edge_ends[e], self.marking_out[e].letters)
                               for e in sorted(edge_subset)])
-        return stallings.FactorHandle(stallings.cyclic_core(folded),
-                                      self.group.rank)
+        return stallings.FactorHandle(core, self.group.rank)
+
+    def _core_subsets(self):
+        """Every nonempty edge subset in which no vertex has valence 1.
+
+        A depth-first include/exclude search decides the edges from the
+        greatest id down, excluding before including, so the subsets
+        come in increasing order of their bit masks (bit k for the k-th
+        least edge).  A vertex is closed once its least edge is decided;
+        a branch that closes a vertex of valence 1 is dropped.  Each
+        subset is a list of edge ids in increasing order.
+        """
+        edges = sorted(self.edge_ends)
+        closes = [[] for _ in edges]       # vertices closed by edges[k]
+        least = {}
+        for k, e in enumerate(edges):
+            for v in self.edge_ends[e]:
+                if v not in least:
+                    least[v] = k
+                    closes[k].append(v)
+        deg = dict.fromkeys(least, 0)
+        chosen, subsets = [], []
+
+        def decide(k):
+            if k < 0:
+                if chosen:
+                    subsets.append(chosen[::-1])
+                return
+            if all(deg[v] != 1 for v in closes[k]):
+                decide(k - 1)
+            o, t = self.edge_ends[edges[k]]
+            deg[o] += 1
+            deg[t] += 1
+            chosen.append(edges[k])
+            if all(deg[v] != 1 for v in closes[k]):
+                decide(k - 1)
+            deg[o] -= 1
+            deg[t] -= 1
+            chosen.pop()
+
+        decide(len(edges) - 1)
+        return subsets
 
     def subgraph_factors(self):
         """Handles of all connected proper core subgraphs (rank 1..N-1).
 
         A subset of edges is its own core exactly when none of its
-        vertices has valence below 2, so every core subgraph is met as
-        its own subset and no other subset is kept.
+        vertices has valence below 2.  ``_core_subsets`` searches for
+        those subsets, so every core subgraph is met as its own subset
+        and no other subset is visited to the end.  Handles come in the
+        order of the subsets' bit masks, each handle once.
         """
-        edges = sorted(self.edge_ends)
         handles = {}
-        for mask in range(1, 1 << len(edges)):
-            subset = [edges[k] for k in range(len(edges)) if mask >> k & 1]
-            deg = {}
-            for e in subset:
-                for v in self.edge_ends[e]:
-                    deg[v] = deg.get(v, 0) + 1
-            if min(deg.values()) < 2:
-                continue
-            if not 1 <= len(subset) - len(deg) + 1 <= self.group.rank - 1:
+        for subset in self._core_subsets():
+            verts = {v for e in subset for v in self.edge_ends[e]}
+            if not 1 <= len(subset) - len(verts) + 1 <= self.group.rank - 1:
                 continue
             h = self._subgraph_handle(subset)
             if h is None:  # disconnected
@@ -351,10 +386,9 @@ class MarkedMetricGraph:
         """
         if H.rank() < 1:
             raise ValueError("trivial subgroup")
-        folded = stallings.fold_labeled_graph(
+        core = stallings.folded_core(
             max(self.edge_ends),
             [(o, t, self.marking_in[lab]) for (o, t, lab) in sorted(H.edges)])
-        core = stallings.cyclic_core(folded)
         vol = sum(self.lengths[lab] for (_, _, lab) in core.edges)
         return core, vol
 

@@ -138,8 +138,12 @@ class TargetPath:
         return not self.segs
 
     def reverse(self):
-        segs = [seg_reverse(self.graph, s) for s in reversed(self.segs)]
-        return TargetPath(self.graph, self.end(), segs)
+        """The path run backwards.  Its segments are built directly: the
+        reverse of a tight, contiguous path is tight and contiguous,
+        since ``_push`` merges and cancels pairs by symmetric rules."""
+        out = TargetPath(self.graph, self.end())
+        out.segs = tuple(seg_reverse(self.graph, s) for s in reversed(self.segs))
+        return out
 
     def concat(self, other):
         if self.end() != other.start:

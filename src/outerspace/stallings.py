@@ -14,7 +14,8 @@ also carries a word over another alphabet, and an arc with no letters
 identifies its ends.  Two vertices folded together go into the least
 id, so a basepoint 0 stays put and the folded graph's ids do not depend
 on the order of the arcs.  ``fold_labeled_graph`` is the plain entry
-point, with trivial words: it builds subgroup cores (``core_graph``),
+point, with trivial words; ``folded_core`` trims its output to the core
+before building the graph, and builds subgroup cores (``core_graph``),
 subgraph factors and immersed covers of marked graphs.  With words,
 ``express_in_generators`` folds a wedge of loops and reads targets as
 words in the loops; that inverts automorphisms
@@ -99,12 +100,15 @@ class SubgroupCoreGraph:
 
 
 def _mul(*words):
-    letters = [x for w in words for x in w]
-    return tuple(free_reduce(letters)) if letters else ()
+    """The reduced product of reduced words."""
+    words = [w for w in words if w]
+    if len(words) < 2:
+        return tuple(words[0]) if words else ()
+    return tuple(free_reduce([x for w in words for x in w]))
 
 
 def _inv(u):
-    return tuple([-x for x in reversed(u)])
+    return tuple([-x for x in reversed(u)]) if u else ()
 
 
 def _fold(arcs):
@@ -112,8 +116,8 @@ def _fold(arcs):
 
     arcs: (origin, target, letters, word) with integer ends.  An arc
     becomes one edge per letter, through new vertices numbered above
-    every given end, and its first edge carries the word; an arc with
-    no letters identifies its two ends.
+    every given end, and its first edge carries the word, a reduced
+    tuple; an arc with no letters identifies its two ends.
 
     Folding two equally labeled edges v -> y1 (word u1) and v -> y2
     (word u2) puts the larger of y1, y2 into the smaller and regauges
@@ -148,7 +152,8 @@ def _fold(arcs):
         g = ()
         while v in alias:
             v, h = alias[v]
-            g = _mul(h, g)
+            if h:
+                g = _mul(h, g)
         return v, g
 
     while stack:
@@ -197,21 +202,34 @@ def fold_labeled_graph(alphabet_size, arcs, basepoint=None):
     return SubgroupCoreGraph(alphabet_size, out, edges, bp)
 
 
-def trim_to_core(graph, keep_basepoint=True):
-    """The core of graph: valence-<2 vertices removed until none is left.
+def folded_core(alphabet_size, arcs, basepoint=None):
+    """The core of the folded graph of arcs (origin, target, letters).
 
-    The basepoint stays if asked.  One worklist prunes: removing a
-    vertex lowers the degree of each neighbour it reaches through
-    ``graph.out``, and a neighbour whose degree falls below 2 is removed
-    in turn.  A graph pruned away entirely (trivial subgroup) keeps one
-    vertex, the basepoint or else 0.  The graph is built once, at the end.
+    The same graph as ``trim_to_core(fold_labeled_graph(...))`` with the
+    basepoint kept, or ``cyclic_core`` of it without one, but the fold
+    output is trimmed before the graph is built, so each edge is built
+    and checked once.
     """
-    keep = graph.basepoint if keep_basepoint else None
-    far_ends = {v: [] for v in graph.vertices}
-    for (v, _), w in graph.out.items():
-        far_ends[v].append(w)
+    out, find = _fold((o, t, letters, ()) for o, t, letters in arcs)
+    bp = None if basepoint is None else find(basepoint)[0]
+    gone = _pruned({v: [w for w, _ in row.values()] for v, row in out.items()},
+                   bp)
+    edges = [(v, w, a) for v, row in out.items() if v not in gone
+             for a, (w, _) in row.items() if a > 0 and w not in gone]
+    return SubgroupCoreGraph(alphabet_size, out.keys() - gone or {0}, edges,
+                             bp)
+
+
+def _pruned(far_ends, keep):
+    """The vertices that trimming to the core removes.
+
+    far_ends maps each vertex to the far ends of its oriented edges.
+    One worklist prunes: removing a vertex lowers the degree of each
+    neighbour it reaches, and a neighbour whose degree falls below 2 is
+    removed in turn.  The vertex keep (or None) is never removed.
+    """
     deg = {v: len(ends) for v, ends in far_ends.items()}
-    stack = [v for v in graph.vertices if deg[v] < 2 and v != keep]
+    stack = [v for v, d in deg.items() if d < 2 and v != keep]
     gone = set(stack)
     while stack:
         for w in far_ends[stack.pop()]:
@@ -221,6 +239,20 @@ def trim_to_core(graph, keep_basepoint=True):
             if deg[w] < 2 and w != keep:
                 gone.add(w)
                 stack.append(w)
+    return gone
+
+
+def trim_to_core(graph, keep_basepoint=True):
+    """The core of graph: valence-<2 vertices removed until none is left.
+
+    The basepoint stays if asked.  A graph pruned away entirely (trivial
+    subgroup) keeps one vertex, the basepoint or else 0.  The graph is
+    built once, at the end.
+    """
+    far_ends = {v: [] for v in graph.vertices}
+    for (v, _), w in graph.out.items():
+        far_ends[v].append(w)
+    gone = _pruned(far_ends, graph.basepoint if keep_basepoint else None)
     verts = graph.vertices - gone
     edges = {(o, t, lab) for (o, t, lab) in graph.edges
              if o not in gone and t not in gone}
@@ -238,9 +270,8 @@ def core_graph(generators, based=True):
     gens = [g for g in generators if len(g) > 0]
     if not gens:
         raise ValueError("empty generator list")
-    folded = fold_labeled_graph(gens[0].group.rank,
-                                [(0, 0, g.letters) for g in gens], basepoint=0)
-    return trim_to_core(folded) if based else cyclic_core(folded)
+    return folded_core(gens[0].group.rank, [(0, 0, g.letters) for g in gens],
+                       0 if based else None)
 
 
 def cyclic_core(graph):
@@ -329,11 +360,12 @@ def conjugate_into(H, K):
     return vmap is not None, vmap
 
 
-def _bfs_rows(out, signed, start):
-    """The rows of a BFS from start, one per vertex in the order met:
-    for each signed label, the number of the vertex it leads to, or -1."""
-    number = {start: 0}
-    order = [start]
+def _bfs_rows(out, signed, order):
+    """The rows of a BFS, one per vertex in the order met: for each
+    signed label, the number of the vertex it leads to, or -1.
+
+    order holds the start; the BFS appends the vertices it meets."""
+    number = {order[0]: 0}
     for v in order:
         row = []
         for lab in signed:
@@ -354,17 +386,48 @@ def canonical_code(graph):
     BFS with label-sorted edge exploration; the lexicographically least
     serialization over all start vertices wins.  A start's first row
     depends only on its own out-edges, so the BFS runs on past the first
-    row only from starts whose first row is least.
+    row only from starts whose first row is least.  When two starts give
+    the same least code, pairing their BFS orders is a label-preserving
+    map that carries each start to a start of the same code; starts in
+    the orbit of a start already run, under the maps found so far, are
+    skipped.
     """
     if not graph.vertices:
         return b"empty"
     labels = sorted({lab for (_, _, lab) in graph.edges})
     signed = [s * l for l in labels for s in (1, -1)]
-    walks = [_bfs_rows(graph.out, signed, v) for v in graph.vertices]
+    orders = [[v] for v in graph.vertices]
+    walks = [_bfs_rows(graph.out, signed, order) for order in orders]
     firsts = [next(rows) for rows in walks]
     least = min(firsts)
-    best = min((least, *rows)
-               for first, rows in zip(firsts, walks) if first == least)
+    starts = [k for k, first in enumerate(firsts) if first == least]
+    if len(starts) == 1:
+        return repr((tuple(labels), (least, *walks[starts[0]]))).encode()
+    parent = {}             # union-find over the orbits of the maps found
+    done = set()            # roots of the orbits of starts already run
+
+    def root(v):
+        while v in parent:
+            parent[v] = parent.get(parent[v], parent[v])
+            v = parent[v]
+        return v
+
+    best = first = None
+    for k in starts:
+        if root(orders[k][0]) in done:
+            continue
+        code = (least, *walks[k])
+        if best is None or code < best:
+            best, first = code, orders[k]
+        elif code == best:
+            for v, w in zip(first, orders[k]):
+                v, w = root(v), root(w)
+                if v != w:
+                    parent[w] = v
+                    if w in done:
+                        done.discard(w)
+                        done.add(v)
+        done.add(root(orders[k][0]))
     return repr((tuple(labels), best)).encode()
 
 

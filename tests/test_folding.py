@@ -12,6 +12,7 @@ from outerspace.folding import (standard_geodesic, folding_path, fold_step,
 from outerspace.randomgen import (random_marked_graph, random_cyclic_word,
                                   random_word)
 from outerspace.stallings import core_graph
+from outerspace.paths import TargetPath, seg_reverse
 
 
 F3 = FreeGroup(3)
@@ -338,3 +339,34 @@ def test_core_chains_match_keyed_walk_on_probe_cores(monkeypatch):
         assert path_statistics(path, probe_subgroups=probes) == rows
         monkeypatch.undo()
     assert compared > 100 and two_cycles > 0
+
+
+def _pushed_reverse(p):
+    """The reverse of a path with every reversed segment pushed through
+    ``TargetPath._push``, as the path constructor builds it."""
+    return TargetPath(p.graph, p.end(),
+                      [seg_reverse(p.graph, s) for s in reversed(p.segs)])
+
+
+def test_germs_and_reverses_of_optimal_maps_and_residuals():
+    rng = random.Random(1203)
+    maps = []
+    for rank in (3, 4, 5):
+        group = FreeGroup(rank)
+        for _ in range(3):
+            G, Gp = (random_marked_graph(rng, group, 3) for _ in range(2))
+            maps.append(optimal_map(G, Gp))
+            maps += [ev.residual for ev in standard_geodesic(G, Gp).path.events]
+    points = 0
+    for f in maps:
+        for e, p in f.edge_images.items():
+            points += p.is_point()
+            back = p.reverse()
+            ref = _pushed_reverse(p)
+            assert (back.start, back.segs) == (ref.start, ref.segs)
+            assert back.reverse() == p
+            assert f.germ(e) == p.first_germ()
+            assert f.germ(-e) == ref.first_germ()
+            assert f.germ(-e) == f.image_of_direction(-e).first_germ()
+    # collapsed edges: point images, whose germ is None
+    assert points > 0

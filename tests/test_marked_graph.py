@@ -266,6 +266,28 @@ def _core_reduce_factors(G):
     return list(handles.values())
 
 
+def _twisted(rng, F, ends):
+    """A graph on the given edges, its standard marking twisted by a random
+    automorphism so that tree edges spell nontrivial words too."""
+    from outerspace.randomgen import random_automorphism
+    verts = {v for e in ends.values() for v in e}
+    G = standard_marking(F, verts, ends, {e: Fr(1, len(ends)) for e in ends},
+                         min(verts))
+    return G.remark(*random_automorphism(rng, F, 3))
+
+
+# Graphs with loops, multi-edges and valence-2 chains; in the last, the
+# chain 0-4-5-1 runs over edges 5, 2 and 7, whose ids are far apart.
+_ODD_GRAPHS = (
+    (3, {1: (0, 0), 2: (0, 1), 3: (0, 1), 4: (1, 1)}),
+    (3, {1: (0, 1), 2: (1, 2), 3: (2, 0), 4: (0, 3), 5: (3, 1), 6: (1, 2)}),
+    (5, {1: (0, 0), 2: (0, 1), 3: (1, 2), 4: (2, 0), 5: (0, 2), 6: (1, 1),
+         7: (2, 3), 8: (3, 2)}),
+    (4, {5: (0, 4), 2: (4, 5), 7: (5, 1), 1: (0, 1), 8: (1, 0), 3: (0, 0),
+         4: (1, 2), 6: (2, 1)}),
+)
+
+
 def test_subgraph_factors_match_core_reduce_reference():
     from outerspace.folding import standard_geodesic
     graphs = []
@@ -273,11 +295,35 @@ def test_subgraph_factors_match_core_reduce_reference():
         F = FreeGroup(rank)
         rng = random.Random(800 + rank)
         graphs += [random_marked_graph(rng, F, 2 + k) for k in range(3)]
-    # fold snapshots add valence-2 vertices
+    rng = random.Random(809)
+    for rank, ends in _ODD_GRAPHS:
+        graphs += [_twisted(rng, FreeGroup(rank), ends) for _ in range(2)]
+    # fold snapshots add valence-2 vertices: every event of one standard
+    # geodesic at each of ranks 3, 4 and 5
     rng = random.Random(810)
-    G, Gp = (random_marked_graph(rng, FreeGroup(4), 3) for _ in range(2))
-    graphs += [ev.graph for ev in standard_geodesic(G, Gp).path.events]
+    for rank in (3, 4, 5):
+        G, Gp = (random_marked_graph(rng, FreeGroup(rank), 3) for _ in range(2))
+        graphs += [ev.graph for ev in standard_geodesic(G, Gp).path.events]
     for G in graphs:
         got, ref = G.subgraph_factors(), _core_reduce_factors(G)
         assert [h.code for h in got] == [h.code for h in ref]
         assert [h.core.to_json() for h in got] == [h.core.to_json() for h in ref]
+
+
+def test_subgraph_factors_of_a_subdivided_rose():
+    # a rank-3 rose with each petal cut into 8 edges: 24 edges, so a loop
+    # over every edge subset would take 2^24 steps
+    import time
+    ends = {}
+    for p in range(3):
+        chain = [0, *range(7 * p + 1, 7 * p + 8), 0]
+        for k in range(8):
+            ends[8 * p + k + 1] = (chain[k], chain[k + 1])
+    G = standard_marking(F3, set(range(22)), ends,
+                         {e: Fr(1, 24) for e in ends}, 0)
+    t0 = time.process_time()
+    handles = G.subgraph_factors()
+    assert time.process_time() - t0 < 5
+    assert sorted(h.rank for h in handles) == [1, 1, 1, 2, 2, 2]
+    assert ({h.code for h in handles}
+            == {h.code for h in rose(F3).subgraph_factors()})

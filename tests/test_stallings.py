@@ -421,6 +421,21 @@ def test_canonical_code_from_least_first_rows_matches_every_start():
         gens = [random_word(rng, F3, rng.randint(1, 8)) for _ in range(2)]
         cores.append(core_graph([g for g in gens if len(g)] or [F3.word("a")],
                                 based=False))
+    # cycles whose starts all look alike: the cyclic cores of (ab)^n at
+    # 150, 300 and 600 vertices
+    cores += [core_graph([F3.word("ab" * n)], based=False)
+              for n in (75, 150, 300)]
     assert max(len(core.vertices) for core in cores) >= 5
     for core in cores:
         assert canonical_code(core) == _code_from_every_start(core)
+
+
+def test_canonical_code_skips_starts_in_one_orbit():
+    # the 300 starts of (ab)^300's 600-vertex cycle that have the least
+    # first row are one orbit of its rotations; a BFS from each of them
+    # took 0.2 s
+    import time
+    core = core_graph([F3.word("ab" * 300)], based=False)
+    t0 = time.process_time()
+    canonical_code(core)
+    assert time.process_time() - t0 < 0.1
