@@ -4,8 +4,8 @@ Subcommands: dist, optimal-map, fold, standard-geodesic, project, ball,
 ffdist, simple, reduce, whitehead-graph, qg-check, experiment.
 
 Exit codes: 0 success, 1 a property violation was found, a
-construction failed to certify its answer or an oracle ran out of its
-budget, 2 usage error.
+construction failed to certify its answer, an oracle ran out of its
+budget or the reader closed standard output early, 2 usage error.
 Reports are deterministic for a fixed seed: instances derive their own
 generators from (seed, index), results are collected in index order, and
 JSON is emitted with sorted keys.
@@ -18,6 +18,7 @@ import csv
 import functools
 import json
 import multiprocessing
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -598,7 +599,14 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

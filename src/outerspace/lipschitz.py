@@ -4,12 +4,22 @@ The stretch factor of a pair is the maximum, over the finite candidate
 family (embedded circles, figure-eights, barbells), of target length
 over source length.  Each candidate is built once: every embedded circle
 is met from its least edge, crossed forwards, and one pass over the
-pairs of circles builds the figure-eights and barbells.  An optimal map
-realizing the stretch exactly is then built by convex descent.  The
-vertex images of a straight map range over a product of copies of the
-target's universal-cover tree, and the maximal slope is convex there
-with minimum the stretch factor (Francaviglia-Martino, "Metric
-properties of Outer space").  Starting from the tree-collapse
+pairs of circles builds the figure-eights and barbells.
+
+One kernel gives the candidates' lengths in both graphs, to the stretch
+factor and to the in-simplex minimizer.  The target image loop of each
+oriented source edge is built and checked once; a candidate's image is
+the concatenation of its edges' images, freely reduced on one stack and
+trimmed cyclically.  Lengths add as integers over the lcm of each
+graph's denominators, and ratios compare by cross-multiplying.  The word
+route (``class_of_loop``, then ``MarkedMetricGraph.translation_length``)
+stays as the independent check of the kernel.
+
+An optimal map realizing the stretch exactly is built by convex
+descent.  The vertex images of a straight map range over a product of
+copies of the target's universal-cover tree, and the maximal slope is
+convex there with minimum the stretch factor (Francaviglia-Martino,
+"Metric properties of Outer space").  Starting from the tree-collapse
 difference-of-markings map, each step solves an exact LP in a closed
 cell around the current vertex images and moves to its optimum, until
 the maximal slope equals the known stretch factor.
@@ -18,6 +28,7 @@ the maximal slope equals the known stretch factor.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .words import CyclicWord, least_rotation
@@ -182,18 +193,73 @@ def class_of_loop(graph, edges):
     return CyclicWord(graph.group, w.letters)
 
 
-def stretch_factor(G, Gp):
-    """(lambda, witness): max over candidates of target/source length."""
+def _scaled_lengths(graph):
+    """Edge lengths as integers over the lcm of their denominators, keyed
+    by oriented edge; returns (lengths, lcm)."""
+    scale = math.lcm(*(l.denominator for l in graph.lengths.values()))
+    ints = {}
+    for e, l in graph.lengths.items():
+        ints[e] = ints[-e] = l.numerator * (scale // l.denominator)
+    return ints, scale
+
+
+def _candidate_lengths(G, Gp, cands):
+    """The length of each candidate loop of G in G and in Gp, exactly.
+
+    Returns (pairs, scale, scale_p): pairs[k] holds the two lengths of
+    cands[k] as integers over scale (G) and scale_p (Gp).  The image
+    loop of each oriented edge of G is built and checked once; a loop's
+    image is the concatenation of its edges' images, freely reduced on
+    one stack and trimmed cyclically.  The images are closed at Gp's
+    basepoint, so the concatenation is an edge path, and its cyclic
+    reduction is the immersed loop of the class.
+    """
     if G.group.rank != Gp.group.rank:
         raise ValueError("rank mismatch")
-    best = witness = None
-    for cand in candidates(G):
-        lg = cand.length_in(G)
-        lt = Gp.translation_length(class_of_loop(G, cand.edges))
-        ratio = lt / lg
-        if best is None or ratio > best:
-            best, witness = ratio, cand
-    return best, witness
+    images = {}
+    for d in G.oriented_edges():
+        loop = Gp.based_loop_of(G.label_word(d))
+        Gp.check_path(loop)
+        if loop and not (Gp.origin(loop[0]) == Gp.terminus(loop[-1])
+                         == Gp.basepoint):
+            raise ValueError(f"image of edge {d} is not a loop at the "
+                             "basepoint")
+        images[d] = loop
+    source, scale = _scaled_lengths(G)
+    target, scale_p = _scaled_lengths(Gp)
+    pairs = []
+    for cand in cands:
+        path = []
+        for d in cand.edges:
+            img = images[d]
+            k = 0
+            while path and k < len(img) and path[-1] == -img[k]:
+                path.pop()
+                k += 1
+            path.extend(img[k:])   # an image is reduced: no more cancels
+        i, j = 0, len(path) - 1
+        while i < j and path[i] == -path[j]:
+            i += 1
+            j -= 1
+        pairs.append((sum(map(source.__getitem__, cand.edges)),
+                      sum(map(target.__getitem__, path[i:j + 1]))))
+    return pairs, scale, scale_p
+
+
+def stretch_factor(G, Gp):
+    """(lambda, witness): max over candidates of target/source length.
+
+    Ratios compare by cross-multiplying integer lengths, in candidate
+    order with a strict >, so the witness is the first maximum.
+    """
+    cands = candidates(G)
+    pairs, scale, scale_p = _candidate_lengths(G, Gp, cands)
+    best = 0
+    lg, lt = pairs[0]
+    for k, (sg, tg) in enumerate(pairs):
+        if tg * lg > lt * sg:
+            best, lg, lt = k, sg, tg
+    return Fraction(lt * scale, lg * scale_p), cands[best]
 
 
 def distance(G, Gp):
@@ -529,13 +595,12 @@ def optimize_in_simplex(G, Gp):
     a boundary optimum (caller misuse or degenerate target).
     """
     cands = candidates(G)
+    pairs, _, scale_p = _candidate_lengths(G, Gp, cands)
+    target_lengths = [Fraction(lt, scale_p) for _, lt in pairs]
     edges = sorted(G.edge_ends)
     n = len(edges)
-    target_lengths = []
     mults = []
     for cand in cands:
-        lt = Gp.translation_length(class_of_loop(G, cand.edges))
-        target_lengths.append(lt)
         counts = cand.crossing_counts()
         mults.append([Fraction(counts.get(e, 0)) for e in edges])
     # variables: x_1..x_{n-1}, t  (x_n = 1 - sum of the others)

@@ -86,6 +86,11 @@ class MarkedMetricGraph:
         self.marking_out = dict(marking_out)       # e>0 -> Word
         self.basepoint = basepoint
         self.subdivided = subdivided
+        # v -> oriented edges leaving v, in oriented_edges() order; no
+        # code changes vertices or edge_ends after construction
+        self._leaving = {v: [] for v in self.vertices}
+        for e in self.oriented_edges():
+            self._leaving.setdefault(self.origin(e), []).append(e)
 
     # -- basic incidence ------------------------------------------------
 
@@ -100,8 +105,9 @@ class MarkedMetricGraph:
         return [s * e for e in sorted(self.edge_ends) for s in (1, -1)]
 
     def directions_at(self, v):
-        """Oriented edges leaving v."""
-        return [e for e in self.oriented_edges() if self.origin(e) == v]
+        """Oriented edges leaving v, in oriented_edges() order (the list
+        is the graph's own; do not change it)."""
+        return self._leaving.get(v, [])
 
     def degree(self, v):
         return len(self.directions_at(v))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as Fr
 
@@ -495,3 +498,20 @@ def test_ball_out_directory_fails_fast(tmp_path, capsys):
     assert main(["ball", "--out", str(tmp_path)]) == 2
     assert time.perf_counter() - t0 < 0.5
     assert "Is a directory" in _one_line_usage_error(capsys)
+
+
+def test_closed_stdout_exits_1_without_traceback(graph_files):
+    # the reader of stdout is gone before the command writes (as with
+    # `outerspace project --json G.json | head -c 10` on a long output)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "outerspace.cli", "project", "--json",
+         graph_files[0]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

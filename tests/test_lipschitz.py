@@ -389,3 +389,71 @@ def test_optimal_map_error_carries_state(monkeypatch):
     assert err.lam == lam and err.sigma > lam
     assert err.steps == 0 and err.cells > 0
     assert f"{err.cells} cell LPs" in str(err)
+
+
+@pytest.fixture(scope="module")
+def geodesic_snapshots():
+    """rank -> the fold snapshots of each of some seeded standard
+    geodesics at that rank."""
+    from outerspace.folding import standard_geodesic
+    paths = {}
+    for rank, count in ((2, 4), (3, 2), (4, 4), (5, 2)):
+        group = FreeGroup(rank)
+        paths[rank] = []
+        for i in range(count):
+            rng = random.Random(f"kernel:{rank}:{i}")
+            G = random_marked_graph(rng, group, 3)
+            Gp = random_marked_graph(rng, group, 3)
+            paths[rank].append([ev.graph for ev in
+                                standard_geodesic(G, Gp).path.events])
+    return paths
+
+
+def _word_route_stretch(G, Gp):
+    """The max over candidates by the word route, first maximum kept."""
+    best = witness = None
+    for cand in candidates(G):
+        ratio = (Gp.translation_length(class_of_loop(G, cand.edges))
+                 / cand.length_in(G))
+        if best is None or ratio > best:
+            best, witness = ratio, cand
+    return best, witness
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_stretch_kernel_matches_word_route(geodesic_snapshots, rank):
+    # every ordered pair of the rank's snapshots, across paths too
+    snaps = [G for path in geodesic_snapshots[rank] for G in path]
+    for G in snaps:
+        for Gp in snaps:
+            lam, wit = stretch_factor(G, Gp)
+            ref, ref_wit = _word_route_stretch(G, Gp)
+            assert lam == ref
+            assert (wit.shape, wit.edges) == (ref_wit.shape, ref_wit.edges)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_stretch_kernel_matches_brute_force(geodesic_snapshots, rank):
+    for path in geodesic_snapshots[rank]:
+        for G in path:
+            for Gp in path:
+                assert stretch_factor(G, Gp)[0] == brute_stretch(G, Gp)[0]
+
+
+def _with_loop(G, i, loop):
+    marking_in = dict(G.marking_in)
+    marking_in[i] = loop
+    return type(G)(G.group, G.vertices, G.edge_ends, G.lengths, marking_in,
+                   G.marking_out, G.basepoint, G.subdivided)
+
+
+@pytest.mark.parametrize("bad", [
+    _with_loop(R_unit(), 2, (2, 9)),      # a rose loop through no edge 9
+    _with_loop(theta4(), 1, (1, 2)),      # 1 ends where 2 does not start
+])
+def test_stretch_rejects_a_non_incident_marking(bad):
+    assert bad.validate()
+    with pytest.raises(ValueError):
+        stretch_factor(R_skew(), bad)
+    with pytest.raises(ValueError):
+        optimize_in_simplex(theta4(), bad)

@@ -327,3 +327,39 @@ def test_subgraph_factors_of_a_subdivided_rose():
     assert sorted(h.rank for h in handles) == [1, 1, 1, 2, 2, 2]
     assert ({h.code for h in handles}
             == {h.code for h in rose(F3).subgraph_factors()})
+
+
+def _scanned_directions(G, v):
+    """Directions at v by scanning every oriented edge."""
+    return [e for e in G.oriented_edges() if G.origin(e) == v]
+
+
+def _scanned_spanning_tree(G, root):
+    parent, order, queue = {root: None}, [root], [root]
+    while queue:
+        v = queue.pop(0)
+        for e in _scanned_directions(G, v):
+            w = G.terminus(e)
+            if w not in parent:
+                parent[w] = e
+                order.append(w)
+                queue.append(w)
+    return parent, order
+
+
+def test_incidence_table_matches_edge_scan():
+    from outerspace.folding import standard_geodesic
+    graphs = []
+    for rank in (2, 3, 4, 5):
+        group = FreeGroup(rank)
+        for i in range(10):
+            rng = random.Random(f"incidence:{rank}:{i}")
+            G = random_marked_graph(rng, group, 3)
+            Gp = random_marked_graph(rng, group, 3)
+            graphs += [G] + [ev.graph for ev in
+                             standard_geodesic(G, Gp).path.events]
+    for G in graphs:
+        for v in G.vertices:
+            assert G.directions_at(v) == _scanned_directions(G, v)
+            assert G.degree(v) == len(_scanned_directions(G, v))
+            assert G.spanning_tree(v) == _scanned_spanning_tree(G, v)
