@@ -22,7 +22,7 @@ G = rose(F, [Fr(1, 3)] * 3)
 H = random_marked_graph(rng, F, twist_length=4)
 
 lam, wit = stretch_factor(G, H)
-f = optimal_map(G, H, lam, wit)
+f = optimal_map(G, H, lam)
 print(f"stretch {lam}; slopes per edge: "
       f"{ {e: str(s) for e, s in f.slopes().items()} }")
 print(f"tension graph: {sorted(tension_graph(f))}")

@@ -17,8 +17,7 @@ from .words import (FreeGroup, Word, CyclicWord, Automorphism,
                     RankMismatchError)
 from .marked_graph import MarkedMetricGraph, EdgePath, rose, standard_marking
 from .stallings import (SubgroupCoreGraph, FactorHandle, core_graph,
-                        cyclic_core, contains_element, conjugate_into,
-                        canonical_code)
+                        contains_element, conjugate_into, canonical_code)
 from .lipschitz import (candidates, stretch_factor, distance, optimal_map,
                         tension_graph, gates, optimize_in_simplex, GraphMap,
                         Candidate, OptimalMapError, BoundaryOptimumError)

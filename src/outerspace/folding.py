@@ -10,13 +10,17 @@ represented by its event snapshots:
 * an event time is the least metric common-prefix length over all
   same-gate direction pairs (at most half the length for edges folding at
   both ends);
-* executing an event subdivides the participating edges, glues the
-  gate stubs, rewrites the marking through the fold, and recomputes the
-  residual map.
+* executing an event subdivides the participating edges and glues the
+  gate stubs into plain cells (ends, length, image).  On the cells it
+  merges every vertex other than the basepoint with two directions on
+  distinct edges with distinct germs (a legal degree-2 vertex), then
+  builds the marked graph, with its marking pushed through the fold,
+  and the residual map once.
 
 A standard geodesic precomposes this with a segment inside the source
 simplex: the edge lengths move to the pullback lengths of an optimal
-map, after which the residual map has slope one everywhere.
+map, after which the residual map has slope one everywhere.  Its
+collapsed edges are quotiented away by the same cell routine.
 """
 
 from __future__ import annotations
@@ -28,8 +32,13 @@ from .words import free_reduce
 from .marked_graph import MarkedMetricGraph
 from .lipschitz import (GraphMap, optimal_map, stretch_factor,
                         OptimalMapError)
-from .paths import edge_point
+from .paths import edge_point, direction_germ
 from .traintrack import illegal_turn_count
+
+
+# Every event lowers the volume; a path with more events than this is
+# taken for a loop that makes no progress.
+MAX_EVENTS = 5000
 
 
 class FoldTerminationError(RuntimeError):
@@ -50,7 +59,6 @@ class FoldingPath:
     source: MarkedMetricGraph
     target: MarkedMetricGraph
     events: list                    # list of FoldEvent; events[0].time == 0
-    parametrization: str = "natural"
 
     def times(self):
         return [ev.time for ev in self.events]
@@ -101,6 +109,12 @@ def _substitute(path, sub):
     a composite gives the same path as reducing once at the end.
     """
     return tuple(free_reduce([x for d in path for x in sub[d]]))
+
+
+def _far(cells, d):
+    """The terminus of oriented edge d of the cells."""
+    o, t = cells[abs(d)][:2]
+    return t if d > 0 else o
 
 
 def _marked_quotient(G, vertices, edge_ends, lengths, sub, basepoint):
@@ -160,7 +174,7 @@ def fold_step(state_graph, f, gates=None, tau=None):
     f must have slope exactly 1 on every edge of state_graph and at
     least two gates at every vertex.
     """
-    G, Gp = state_graph, f.target
+    G = state_graph
     if gates is None:
         gates = _multi_gates(f)
     if not gates:
@@ -169,166 +183,130 @@ def fold_step(state_graph, f, gates=None, tau=None):
         tau = _event_depth(f, gates)
     folding_dirs = {d for (_, dirs) in gates for d in dirs}
 
-    # subdivision: per positive edge, the cut positions
-    cuts = {}
-    for e in sorted(G.edge_ends):
-        cs = set()
-        L = G.lengths[e]
-        if e in folding_dirs and tau < L:
-            cs.add(tau)
-        if -e in folding_dirs and tau < L:
-            cs.add(L - tau)
-        cuts[e] = sorted(cs)
-
+    # subdivision: each edge cut tau from each folding end, into pieces
     next_vertex = max(G.vertices) + 1
     next_edge = max(G.edge_ends) + 1
-    new_vertices = set(G.vertices)
-    piece_ends = {}      # piece id -> (origin, target)
-    piece_len = {}
-    piece_image = {}
+    vertices = set(G.vertices)
+    cells = {}           # piece id -> (origin, terminus, length, image)
     pieces_of = {}       # positive old edge -> list of piece ids, in order
     for e in sorted(G.edge_ends):
         o, t = G.edge_ends[e]
         L = G.lengths[e]
-        marks = [Fraction(0)] + cuts[e] + [L]
-        ids = []
-        prev_v = o
+        cuts = {c for d, c in ((e, tau), (-e, L - tau))
+                if d in folding_dirs and tau < L}
+        marks = [Fraction(0)] + sorted(cuts) + [L]
         img = f.edge_images[e]
-        for k in range(len(marks) - 1):
-            a, b = marks[k], marks[k + 1]
-            if k == len(marks) - 2:
+        pieces_of[e] = []
+        for a, b in zip(marks, marks[1:]):
+            if b == L:
                 nv = t
             else:
                 nv = next_vertex
                 next_vertex += 1
-                new_vertices.add(nv)
-            pid = next_edge
-            next_edge += 1
+                vertices.add(nv)
             head, img = img.split_at(b - a)
-            piece_ends[pid] = (prev_v, nv)
-            piece_len[pid] = b - a
-            piece_image[pid] = head
-            ids.append(pid)
-            prev_v = nv
-        pieces_of[e] = ids
+            cells[next_edge] = (o, nv, b - a, head)
+            pieces_of[e].append(next_edge)
+            next_edge += 1
+            o = nv
 
-    # gate gluing: identify stubs and their endpoints
+    # gate gluing: each stub is identified with its gate's first stub,
+    # whose image it shares
     glued = []           # (canonical stub end, stub end) pairs to identify
     edge_sub = {}        # oriented piece id -> oriented replacement id
-    drop_pieces = set()
-
-    def far_end(p):      # the end of oriented piece p
-        return piece_ends[p][1] if p > 0 else piece_ends[-p][0]
 
     def segs(p):         # the image segments of oriented piece p
-        return piece_image[p].segs if p > 0 else piece_image[-p].reverse().segs
+        return cells[p][3].segs if p > 0 else cells[-p][3].reverse().segs
 
     for (v, dirs) in gates:
         # each stub oriented away from v: a first piece or a reversed last one
         stubs = [pieces_of[d][0] if d > 0 else -pieces_of[-d][-1] for d in dirs]
         canon = stubs[0]
-        # identify all stubs with the first one, which carries the same image
         for sp in stubs[1:]:
             if segs(sp) != segs(canon):
                 raise FoldTerminationError("gate stubs have unequal prefixes")
-            glued.append((far_end(canon), far_end(sp)))
+            glued.append((_far(cells, canon), _far(cells, sp)))
             edge_sub[sp] = canon
             edge_sub[-sp] = -canon
-            drop_pieces.add(abs(sp))
-
-    # assemble quotient graph
-    vmap = _classes(new_vertices, glued)
-    verts = set(vmap.values())
-    edge_ends = {}
-    lengths = {}
-    images = {}
-    for pid in sorted(piece_ends):
-        if pid in drop_pieces:
-            continue
-        o, t = piece_ends[pid]
-        edge_ends[pid] = (vmap[o], vmap[t])
-        lengths[pid] = piece_len[pid]
-        images[pid] = piece_image[pid]
+            del cells[abs(sp)]
 
     # fold map on oriented edges
     edge_map = {}
     for e in sorted(G.edge_ends):
-        seq = []
-        for pid in pieces_of[e]:
-            seq.append(edge_sub.get(pid, pid))
-        edge_map[e] = tuple(seq)
+        seq = tuple(edge_sub.get(pid, pid) for pid in pieces_of[e])
+        edge_map[e] = seq
         edge_map[-e] = tuple(-x for x in reversed(seq))
 
-    new_graph = _marked_quotient(G, verts, edge_ends, lengths, edge_map,
-                                 vmap[G.basepoint])
-    vertex_images = {}
-    for pid, (o, t) in edge_ends.items():
-        vertex_images[o] = images[pid].start
-        vertex_images[t] = images[pid].end()
-    residual = GraphMap(new_graph, Gp, vertex_images, images)
-
-    # simplify: merge legal degree-2 vertices (not the basepoint)
-    new_graph, residual, merge_map = _merge_degree_two(new_graph, residual)
-    if merge_map is not None:
-        edge_map = {d: _substitute(path, merge_map)
-                    for d, path in edge_map.items()}
+    vmap = _classes(vertices, glued)
+    new_graph, residual, edge_map = _quotient(G, f.target, cells, vmap,
+                                              edge_map)
     vertex_map = {v: vmap[v] for v in G.vertices}
     return tau, new_graph, residual, edge_map, vertex_map
 
 
-def _merge_degree_two(G, f):
-    """Merge degree-2 vertices whose two directions make a legal turn."""
-    merge_map = {d: (d,) for d in G.oriented_edges()}
-    changed = False
-    while True:
-        victim = None
-        for v in sorted(G.vertices):
-            if v == G.basepoint:
-                continue
-            dirs = G.directions_at(v)
-            if len(dirs) != 2:
-                continue
-            d1, d2 = dirs
-            if abs(d1) == abs(d2):
-                continue   # loop at a valence-2 vertex: leave for folding
-            if f.germ(d1) == f.germ(d2):
-                continue   # illegal turn: the next event folds here
-            victim = (v, d1, d2)
-            break
-        if victim is None:
-            break
-        changed = True
-        v, d1, d2 = victim
+def _quotient(G, Gp, cells, vmap, sub):
+    """The marked graph on the cells, its residual map to Gp, and the edge
+    substitution from G's oriented edges, with legal degree-2 vertices
+    merged away.
+
+    cells: edge id -> (origin, terminus, length, image), the ends before
+    the vertex classes vmap are taken; sub: oriented edge of G -> edge
+    path over the cells.  Each vertex other than the basepoint, least
+    first, whose two directions d1, d2 (in oriented_edges() order) lie on
+    distinct edges with distinct germs is merged: the path (-d1, d2)
+    becomes one new edge max + 1, and sub is composed with the merge.
+    The marked graph and the residual are built once, at the end.
+    """
+    cells = {e: (vmap[o], vmap[t], L, img)
+             for e, (o, t, L, img) in cells.items()}
+    vertices = set(vmap.values())
+    basepoint = vmap[G.basepoint]
+
+    leaving = {v: [] for v in vertices}     # as directions_at() lists them
+    for e in sorted(cells):
+        leaving[cells[e][0]].append(e)
+        leaving[cells[e][1]].append(-e)
+
+    def image(d):
+        img = cells[abs(d)][3]
+        return img if d > 0 else img.reverse()
+
+    for v in sorted(vertices - {basepoint}):
+        if len(leaving[v]) != 2:
+            continue
+        d1, d2 = leaving[v]
+        if abs(d1) == abs(d2):
+            continue   # loop at a valence-2 vertex: leave for folding
+        if (direction_germ(cells[abs(d1)][3], d1)
+                == direction_germ(cells[abs(d2)][3], d2)):
+            continue   # illegal turn: the next event folds here
         # new edge E: terminus(d1) -> terminus(d2), path = (-d1) . d2
-        E = max(G.edge_ends) + 1
-        o, t = G.terminus(d1), G.terminus(d2)
-        img = f.image_of_direction(d1).reverse().concat(f.image_of_direction(d2))
-        new_ends = {e: G.edge_ends[e] for e in G.edge_ends
-                    if e not in (abs(d1), abs(d2))}
-        new_ends[E] = (o, t)
-        new_lengths = {e: G.lengths[e] for e in new_ends if e != E}
-        new_lengths[E] = G.lengths[abs(d1)] + G.lengths[abs(d2)]
-        sub = {d: (d,) for d in G.oriented_edges()
-               if abs(d) not in (abs(d1), abs(d2))}
-        sub[-d1] = (E,)
-        sub[d2] = ()      # absorbed: (-d1).(d2) = E, so d2 alone maps through v
-        sub[d1] = (-E,)
-        sub[-d2] = ()
-        # rewriting: every path through v crosses (-d1, d2) or (-d2, d1);
-        # substituting -d1 -> E, d2 -> (), d1 -> -E, -d2 -> () realizes both.
-        verts = set(G.vertices) - {v}
-        new_graph = _marked_quotient(G, verts, new_ends, new_lengths, sub,
-                                     G.basepoint)
-        new_images = {e: f.edge_images[e] for e in new_ends if e != E}
-        new_images[E] = img
-        vertex_images = {w: f.vertex_images[w] for w in verts}
-        f = GraphMap(new_graph, f.target, vertex_images, new_images)
-        merge_map = {d: _substitute(path, sub)
-                     for d, path in merge_map.items()}
-        G = new_graph
-    if not changed:
-        return G, f, None
-    return G, f, merge_map
+        E = max(cells) + 1
+        o, t = _far(cells, d1), _far(cells, d2)
+        step = {d: (d,) for e in cells for d in (e, -e)}
+        step.update({-d1: (E,), d1: (-E,), d2: (), -d2: ()})
+        cells[E] = (o, t, cells[abs(d1)][2] + cells[abs(d2)][2],
+                    image(-d1).concat(image(d2)))
+        del cells[abs(d1)], cells[abs(d2)]
+        vertices.remove(v)
+        # E is the greatest id, so its directions go last
+        leaving[o].remove(-d1)
+        leaving[o].append(E)
+        leaving[t].remove(-d2)
+        leaving[t].append(-E)
+        # every path through v crosses (-d1, d2) or (-d2, d1)
+        sub = {d: _substitute(path, step) for d, path in sub.items()}
+
+    graph = _marked_quotient(G, vertices, {e: c[:2] for e, c in cells.items()},
+                             {e: c[2] for e, c in cells.items()}, sub,
+                             basepoint)
+    vertex_images = {}
+    for o, t, _, img in cells.values():
+        vertex_images[o] = img.start
+        vertex_images[t] = img.end()
+    residual = GraphMap(graph, Gp, vertex_images,
+                        {e: c[3] for e, c in cells.items()})
+    return graph, residual, sub
 
 
 def _is_marking_isometry(f):
@@ -351,7 +329,7 @@ def _is_marking_isometry(f):
     return True
 
 
-def folding_path(G, f, max_events=5000):
+def folding_path(G, f):
     """Iterate fold events until the residual map is an isometry onto the target.
 
     G: marked graph rescaled so that f has slope 1 on every edge;
@@ -367,21 +345,21 @@ def folding_path(G, f, max_events=5000):
     events = [FoldEvent(Fraction(0), G, f, None, None)]
     t = Fraction(0)
     current_graph, current_map = G, f
-    for _ in range(max_events):
+    for _ in range(MAX_EVENTS):
         step = fold_step(current_graph, current_map)
         if step is None:
             if not _is_marking_isometry(current_map):
                 raise FoldTerminationError(
                     "no foldable gate but the residual is not an isometry")
-            path = FoldingPath(G, f.target, events)
-            return path
+            return FoldingPath(G, f.target, events)
         tau, new_graph, new_map, edge_map, vertex_map = step
         if new_graph.volume() >= current_graph.volume():
             raise FoldTerminationError("volume failed to decrease")
         t += tau
         events.append(FoldEvent(t, new_graph, new_map, edge_map, vertex_map))
         current_graph, current_map = new_graph, new_map
-    raise FoldTerminationError("event cap exceeded")
+    raise FoldTerminationError(f"event cap MAX_EVENTS = {MAX_EVENTS} "
+                               "exceeded")
 
 
 @dataclass
@@ -449,11 +427,10 @@ def _tighten_plain(f):
             return f
 
 
-def standard_geodesic(G, Gp, max_events=5000):
+def standard_geodesic(G, Gp):
     """Simplex segment to the pullback lengths, then the folding path."""
-    lam, wit = stretch_factor(G, Gp)
-    f = optimal_map(G, Gp, lam, wit)
-    f = _tighten_plain(f)
+    lam, _ = stretch_factor(G, Gp)
+    f = _tighten_plain(optimal_map(G, Gp, lam))
     if f.sigma() != lam:
         raise OptimalMapError("tightening broke optimality")
     pullback = {e: f.edge_images[e].length() for e in sorted(G.edge_ends)}
@@ -461,23 +438,14 @@ def standard_geodesic(G, Gp, max_events=5000):
     mid_vol = sum(pullback.values())
     lengths_end = {e: l / mid_vol for e, l in pullback.items()}
 
-    # quotient collapsed edges to build the graph the fold runs on
+    # the graph the fold runs on: collapsed edges quotiented away
+    cells = {e: (o, t, pullback[e], f.edge_images[e])
+             for e, (o, t) in G.edge_ends.items() if e not in collapsed}
     vmap = _classes(G.vertices, [G.edge_ends[e] for e in collapsed])
-    edge_ends = {e: (vmap[o], vmap[t]) for e, (o, t) in G.edge_ends.items()
-                 if e not in collapsed}
-    lengths = {e: pullback[e] for e in edge_ends}
     sub = {d: () if abs(d) in collapsed else (d,) for d in G.oriented_edges()}
-    mid = _marked_quotient(G, set(vmap.values()), edge_ends, lengths, sub,
-                           vmap[G.basepoint])
-    vertex_images = {}
-    for v in G.vertices:
-        vertex_images[vmap[v]] = f.vertex_images[v]
-    images = {e: f.edge_images[e] for e in edge_ends}
-    residual = GraphMap(mid, Gp, vertex_images, images)
-    mid2, residual2, _ = _merge_degree_two(mid, residual)
-    path = folding_path(mid2, residual2, max_events=max_events)
+    mid, residual, _ = _quotient(G, Gp, cells, vmap, sub)
     return StandardGeodesic(G, Gp, dict(G.lengths), lengths_end, collapsed,
-                            mid2, path)
+                            mid, folding_path(mid, residual))
 
 
 # -- statistics ----------------------------------------------------------------

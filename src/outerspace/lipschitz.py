@@ -32,7 +32,8 @@ import math
 from fractions import Fraction
 
 from .words import CyclicWord, least_rotation
-from .paths import TargetPath, vertex_point, edge_point, seg_reverse
+from .paths import (TargetPath, vertex_point, edge_point, seg_reverse,
+                    direction_germ)
 from .traintrack import TrainTrackStructure
 from . import simplex_lp
 
@@ -299,12 +300,8 @@ class GraphMap:
 
     def germ(self, d):
         """The first germ of the image of direction d, or None for a point
-        image; read off the edge image without reversing it."""
-        segs = self.edge_images[abs(d)].segs
-        if not segs:
-            return None
-        e, a, _ = segs[0] if d > 0 else seg_reverse(self.target, segs[-1])
-        return (e, a)
+        image."""
+        return direction_germ(self.edge_images[abs(d)], d)
 
     def gates(self, restrict_edges=None):
         """Train track structure by first-germ partition.
@@ -378,10 +375,10 @@ def initial_difference_of_markings(G, Gp):
     return GraphMap(G, Gp, vertex_images, edge_images)
 
 
-def optimal_map(G, Gp, lam=None, witness=None):
+def optimal_map(G, Gp, lam=None):
     """An optimal difference-of-markings map: sigma(f) = stretch exactly.
 
-    lam/witness are recomputed if not supplied.  A straight map is fixed
+    lam is recomputed if not supplied.  A straight map is fixed
     by its vertex images, which range over a product of copies of the
     universal-cover tree of Gp; each edge image length is a tree
     distance, so the maximal slope sigma is convex on that product and
@@ -400,7 +397,7 @@ def optimal_map(G, Gp, lam=None, witness=None):
     on valid inputs).
     """
     if lam is None:
-        lam, witness = stretch_factor(G, Gp)
+        lam, _ = stretch_factor(G, Gp)
     f = initial_difference_of_markings(G, Gp)
     steps = cells = 0
     try:

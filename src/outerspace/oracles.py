@@ -116,7 +116,7 @@ def subgroup_elements_up_to(gen_words, max_length, slack=None):
     return {ls for ls in seen if len(ls) <= max_length}
 
 
-def conjugate_into_bruteforce(H_words, K_words, conjugator_length, member_length=16):
+def conjugate_into_bruteforce(H_words, K_words, conjugator_length):
     """Is g^-1 <H> g <= <K> for some |g| <= conjugator_length?  Word search."""
     from .words import Word
     from . import stallings

@@ -51,6 +51,17 @@ def seg_reverse(graph, seg):
     return (-e, L - b, L - a)
 
 
+def direction_germ(image, d):
+    """The first germ (signed edge, start parameter) of the image of
+    oriented edge d, given the image of the edge |d|; None for a point.
+    Read off the edge image without reversing it."""
+    if not image.segs:
+        return None
+    e, a, _ = (image.segs[0] if d > 0
+               else seg_reverse(image.graph, image.segs[-1]))
+    return (e, a)
+
+
 class TargetPath:
     """Tight PL path; may be a single point (empty segment list)."""
 

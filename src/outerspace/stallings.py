@@ -205,10 +205,11 @@ def fold_labeled_graph(alphabet_size, arcs, basepoint=None):
 def folded_core(alphabet_size, arcs, basepoint=None):
     """The core of the folded graph of arcs (origin, target, letters).
 
-    The same graph as ``trim_to_core(fold_labeled_graph(...))`` with the
-    basepoint kept, or ``cyclic_core`` of it without one, but the fold
-    output is trimmed before the graph is built, so each edge is built
-    and checked once.
+    The folded graph loses every vertex of valence less than 2, until
+    none is left; the basepoint, if one is given, stays, and a graph
+    pruned away entirely keeps the one vertex 0.  The fold output is
+    trimmed before the graph is built, so each edge is built and
+    checked once.
     """
     out, find = _fold((o, t, letters, ()) for o, t, letters in arcs)
     bp = None if basepoint is None else find(basepoint)[0]
@@ -242,25 +243,6 @@ def _pruned(far_ends, keep):
     return gone
 
 
-def trim_to_core(graph, keep_basepoint=True):
-    """The core of graph: valence-<2 vertices removed until none is left.
-
-    The basepoint stays if asked.  A graph pruned away entirely (trivial
-    subgroup) keeps one vertex, the basepoint or else 0.  The graph is
-    built once, at the end.
-    """
-    far_ends = {v: [] for v in graph.vertices}
-    for (v, _), w in graph.out.items():
-        far_ends[v].append(w)
-    gone = _pruned(far_ends, graph.basepoint if keep_basepoint else None)
-    verts = graph.vertices - gone
-    edges = {(o, t, lab) for (o, t, lab) in graph.edges
-             if o not in gone and t not in gone}
-    if not verts:
-        verts = {graph.basepoint} if graph.basepoint is not None else {0}
-    return SubgroupCoreGraph(graph.alphabet_size, verts, edges, graph.basepoint)
-
-
 def core_graph(generators, based=True):
     """Folded core of the subgroup generated by the given Words.
 
@@ -272,13 +254,6 @@ def core_graph(generators, based=True):
         raise ValueError("empty generator list")
     return folded_core(gens[0].group.rank, [(0, 0, g.letters) for g in gens],
                        0 if based else None)
-
-
-def cyclic_core(graph):
-    """Basepoint-free core of a based subgroup graph."""
-    g = trim_to_core(graph, keep_basepoint=False)
-    g.basepoint = None
-    return g
 
 
 def contains_element(H, g):

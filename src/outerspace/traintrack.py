@@ -86,7 +86,7 @@ class TrainTrackStructure:
         return "\n".join(lines)
 
 
-def turns_of_path(graph, edges, cyclic=False):
+def turns_of_path(edges, cyclic=False):
     """Turns crossed by an edge path: pairs (reverse of incoming, outgoing)."""
     pairs = list(zip(edges, edges[1:]))
     if cyclic and edges:
@@ -99,7 +99,7 @@ def illegal_turn_count(tt, edges, cyclic=False):
         cyclic = edges.cyclic
         edges = edges.edges
     count = 0
-    for d1, d2 in turns_of_path(tt.graph, edges, cyclic):
+    for d1, d2 in turns_of_path(edges, cyclic):
         if tt.is_illegal_turn(d1, d2):
             count += 1
     return count

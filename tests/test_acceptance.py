@@ -50,7 +50,7 @@ def optimal_maps(seeded_pairs):
     out = []
     for G, Gp in seeded_pairs:
         lam, wit = stretch_factor(G, Gp)
-        out.append((G, Gp, lam, wit, optimal_map(G, Gp, lam, wit)))
+        out.append((G, Gp, lam, wit, optimal_map(G, Gp, lam)))
     return out
 
 
@@ -223,7 +223,7 @@ def test_08_recurrence_classification():
         X = base.with_lengths(lengths)
         lamX, witX = stretch_factor(X, Gp)
         assert lamX == lam_star
-        f = optimal_map(X, Gp, lamX, witX)
+        f = optimal_map(X, Gp, lamX)
         assert tension_graph(f) == set(X.edge_ends)
         tt = f.gates(set(X.edge_ends))
         verdict = classify_recurrence(tt)

@@ -71,21 +71,65 @@ def test_connecting_maps_compose():
     assert all(m_ii[d] == (d,) for d in m_ii)
 
 
-def test_marking_loops_transport_through_folds():
-    rng = random.Random(54)
-    G = random_marked_graph(rng, F3, 3)
-    Gp = random_marked_graph(rng, F3, 3)
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_marking_loops_transport_through_folds(rank):
+    F = FreeGroup(rank)
+    rng = random.Random(51 + rank)
+    G = random_marked_graph(rng, F, 3)
+    Gp = random_marked_graph(rng, F, 3)
     sg = standard_geodesic(G, Gp)
     path = sg.path
     n = len(path.events)
+    assert n >= 3
     from outerspace.words import free_reduce
     for j in range(1, n):
         m = path.connecting_edge_map(0, j)
         start = path.events[0].graph
         end = path.events[j].graph
-        for i in range(1, F3.rank + 1):
+        for i in range(1, F.rank + 1):
             loop = [x for d in start.marking_in[i] for x in m[d]]
             assert tuple(free_reduce(loop)) == end.marking_in[i]
+
+
+def test_no_legal_degree_two_vertex_survives_a_quotient(monkeypatch):
+    # every quotient merges each vertex other than the basepoint whose two
+    # directions lie on distinct edges with distinct germs; some merge
+    # two or more at once, composing their substitutions
+    merged = []
+    quotient = folding._quotient
+
+    def spy(G, Gp, cells, vmap, sub):
+        out = quotient(G, Gp, cells, vmap, sub)
+        merged.append(len(set(vmap.values())) - len(out[0].vertices))
+        return out
+
+    monkeypatch.setattr(folding, "_quotient", spy)
+    from outerspace.words import free_reduce
+    for rank in (3, 4, 5):
+        F = FreeGroup(rank)
+        rng = random.Random(1400 + rank)
+        for _ in range(3):
+            G = random_marked_graph(rng, F, 3)
+            Gp = random_marked_graph(rng, F, 3)
+            sg = standard_geodesic(G, Gp)
+            assert sg.mid is sg.path.events[0].graph
+            prev = None
+            for ev in sg.path.events:
+                g, f = ev.graph, ev.residual
+                for v in g.vertices - {g.basepoint}:
+                    dirs = g.directions_at(v)
+                    if len(dirs) == 2 and abs(dirs[0]) != abs(dirs[1]):
+                        assert f.germ(dirs[0]) == f.germ(dirs[1])
+                if prev is not None:
+                    # the composed edge map carries the marking loops
+                    for path in ev.fold_edge_map.values():
+                        g.check_path(path)
+                    for i in range(1, rank + 1):
+                        loop = [x for d in prev.marking_in[i]
+                                for x in ev.fold_edge_map[d]]
+                        assert tuple(free_reduce(loop)) == g.marking_in[i]
+                prev = g
+    assert len(merged) > 9 and max(merged) >= 2
 
 
 def test_geodesic_additivity_exact():

@@ -252,7 +252,7 @@ def test_optimal_map_certification_random():
         G = random_marked_graph(rng, F3, 3)
         Gp = random_marked_graph(rng, F3, 3)
         lam, wit = stretch_factor(G, Gp)
-        f = optimal_map(G, Gp, lam, wit)
+        f = optimal_map(G, Gp, lam)
         assert f.sigma() == lam
         assert f.is_difference_of_markings()
         f.check_consistency()
@@ -342,7 +342,7 @@ def test_optimal_map_certification_higher_rank(rank, twist):
         G = random_marked_graph(rng, group, twist)
         Gp = random_marked_graph(rng, group, twist)
         lam, wit = stretch_factor(G, Gp)
-        _assert_certified(G, Gp, lam, wit, optimal_map(G, Gp, lam, wit))
+        _assert_certified(G, Gp, lam, wit, optimal_map(G, Gp, lam))
 
 
 def _rose_pair_needing_minus_e():
@@ -358,7 +358,7 @@ def test_optimal_map_leaves_rose_vertex_along_minus_e(monkeypatch):
     G, Gp = _rose_pair_needing_minus_e()
     assert len(G.vertices) == 3
     lam, wit = stretch_factor(G, Gp)
-    _assert_certified(G, Gp, lam, wit, optimal_map(G, Gp, lam, wit))
+    _assert_certified(G, Gp, lam, wit, optimal_map(G, Gp, lam))
 
     star = lipschitz._star
 
@@ -369,7 +369,7 @@ def test_optimal_map_leaves_rose_vertex_along_minus_e(monkeypatch):
 
     monkeypatch.setattr(lipschitz, "_star", plus_e_only)
     with pytest.raises(OptimalMapError):
-        optimal_map(G, Gp, lam, wit)
+        optimal_map(G, Gp, lam)
 
 
 def test_optimal_map_deterministic():
@@ -384,7 +384,7 @@ def test_optimal_map_error_carries_state(monkeypatch):
     lam, wit = stretch_factor(G, Gp)
     monkeypatch.setattr(lipschitz, "_try_cell_lp", lambda f, sigma, combo: False)
     with pytest.raises(OptimalMapError) as info:
-        optimal_map(G, Gp, lam, wit)
+        optimal_map(G, Gp, lam)
     err = info.value
     assert err.lam == lam and err.sigma > lam
     assert err.steps == 0 and err.cells > 0

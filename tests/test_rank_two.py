@@ -24,7 +24,7 @@ def test_rank_two_candidates_and_stretch():
     assert len(cs) == 4      # 2 petals + 2 figure-eights
     lam, wit = stretch_factor(G, H)
     assert lam == Fr(4, 3)
-    f = optimal_map(G, H, lam, wit)
+    f = optimal_map(G, H, lam)
     assert f.sigma() == lam
 
 

@@ -345,9 +345,10 @@ def _trim_by_rounds(graph, keep_basepoint):
 
 
 @pytest.mark.parametrize("keep_basepoint", [True, False])
-def test_trim_to_core_matches_rounds(keep_basepoint):
-    # random folded graphs with hairs, trees and several components
-    from outerspace.stallings import fold_labeled_graph, trim_to_core
+def test_folded_core_matches_rounds(keep_basepoint):
+    # random folded graphs with hairs, trees and several components; the
+    # basepoint is kept if given, so the cyclic case folds without one
+    from outerspace.stallings import fold_labeled_graph, folded_core
     rng = random.Random(41)
     trivial = 0
     for _ in range(300):
@@ -356,21 +357,24 @@ def test_trim_to_core_matches_rounds(keep_basepoint):
                        for _ in range(rng.randint(0, 3))))
                 for _ in range(rng.randint(1, 6))]
         arcs.append((0, rng.randrange(10), (rng.choice([1, 2, 3]),)))
-        g = fold_labeled_graph(3, arcs, basepoint=rng.choice([None, 0]))
-        got = trim_to_core(g, keep_basepoint=keep_basepoint)
-        ref = _trim_by_rounds(g, keep_basepoint)
-        assert got is not g
+        bp = rng.choice([None, 0]) if keep_basepoint else None
+        got = folded_core(3, arcs, bp)
+        ref = _trim_by_rounds(fold_labeled_graph(3, arcs, basepoint=bp),
+                              keep_basepoint)
         assert (got.vertices, got.edges, got.out, got.basepoint) == \
             (ref.vertices, ref.edges, ref.out, ref.basepoint)
         trivial += not got.edges
     assert trivial > 0
 
 
-def test_cyclic_core_of_a_tree_is_one_vertex():
-    from outerspace.stallings import fold_labeled_graph, cyclic_core
-    g = fold_labeled_graph(3, [(0, 1, (1, 2)), (0, 2, (3,))], basepoint=0)
-    core = cyclic_core(g)
+def test_folded_core_of_a_tree_is_one_vertex():
+    from outerspace.stallings import fold_labeled_graph, folded_core
+    arcs = [(0, 1, (1, 2)), (0, 2, (3,))]
+    core = folded_core(3, arcs)
     assert (core.vertices, core.edges, core.basepoint) == ({0}, set(), None)
+    ref = _trim_by_rounds(fold_labeled_graph(3, arcs), False)
+    assert (core.vertices, core.edges, core.basepoint) == \
+        (ref.vertices, ref.edges, ref.basepoint)
 
 
 def _code_from_every_start(graph):
