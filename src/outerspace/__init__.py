@@ -30,7 +30,7 @@ from .folding import (fold_step, folding_path, standard_geodesic,
 from .whitehead import (WhiteheadGraph, WhiteheadAutomorphism,
                         whitehead_graph, connectivity_report,
                         apply_whitehead, reduce_to_minimal, is_simple,
-                        all_type_ii_automorphisms,
+                        all_type_ii_automorphisms, outer_moves,
                         SimplicityCertificateError)
 from .factor_complex import (ProjectionImage, FactorBall, project,
                              build_ball, check_reparam_quasigeodesic,

@@ -243,7 +243,8 @@ def cmd_ball(args):
     }
     with open(args.out, "w") as fh:
         _json_dump(data, fh)
-    print(f"ball with {len(ball.handles)} factors written to {args.out}")
+    note = f"; truncated at --cap {args.cap}" if ball.truncated else ""
+    print(f"ball with {len(ball.handles)} factors written to {args.out}{note}")
     return 0
 
 
@@ -355,6 +356,8 @@ def cmd_qg_check(args):
     ball = factor_complex.build_ball(group, seeds=list(seeds.values()),
                                      bound=args.bound,
                                      aut_product_length=args.products)
+    if ball.truncated:
+        print(f"factor ball truncated at {len(ball.handles)} factors")
     report = factor_complex.check_reparam_quasigeodesic(images, args.K, ball)
     if not report.ok:
         print(f"window failure at index {report.failed_window[0]}: "
@@ -428,7 +431,7 @@ def _suite_qg_check(seed, index, rank, twist, K, bound, **_):
     return {"index": index, "events": len(images) - 1,
             "certified": report.ok,
             "breakpoints": len(report.breakpoints or []),
-            "consistent": report.consistent}
+            "consistent": report.consistent, "truncated": ball.truncated}
 
 
 SUITES = {   # name -> (instance function, least rank it serves)

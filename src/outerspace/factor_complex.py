@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import stallings
 from .stallings import FactorHandle
-from .whitehead import all_type_ii_automorphisms
+from .whitehead import outer_moves
 
 
 class ProjectionImage:
@@ -154,7 +154,13 @@ class SeedExceedsBound(ValueError):
 def build_ball(group, seeds=(), bound=6, aut_product_length=3,
                vertex_cap=4000):
     """Enumerate small-core factors: sub-bases of the standard basis, their
-    images under products of Whitehead automorphisms, plus the seeds."""
+    images under products of Whitehead automorphisms, plus the seeds.
+
+    A handle is a conjugacy class, so one move per outer class
+    (whitehead.outer_moves) meets every handle that all type-II moves
+    meet, and meets it first at the same move: handles are added, and
+    the ball is truncated at vertex_cap, in the same order.
+    """
     ball = FactorBall(bound=bound)
     for h in seeds:
         if h.edge_count() > bound:
@@ -175,7 +181,7 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
     # A handle depends only on the generated subgroup, so a generating
     # set seen before lands on a handle already added or already rejected.
     seen = {frozenset(gens) for gens in base_factors}
-    moves = [t.automorphism() for t in all_type_ii_automorphisms(group)]
+    moves = [t.automorphism() for t in outer_moves(group)]
     for _ in range(aut_product_length):
         nxt = []
         for gens in frontier:

@@ -47,6 +47,14 @@ class FoldTerminationError(RuntimeError):
 
 @dataclass
 class FoldEvent:
+    """One event of a folding path.
+
+    fold_vertex_map holds only the old vertices whose class is still a
+    vertex of graph: a class that the degree-2 merge removed lies inside
+    a merged edge and is left out.  The basepoint is never merged, so it
+    is always mapped, and so is a vertex carrying an unfolded gate (two
+    directions with one germ: an illegal turn, which the merge keeps).
+    """
     time: Fraction                  # accumulated natural time
     graph: MarkedMetricGraph        # snapshot after the event
     residual: GraphMap              # snapshot -> target
@@ -240,7 +248,8 @@ def fold_step(state_graph, f, gates=None, tau=None):
     vmap = _classes(vertices, glued)
     new_graph, residual, edge_map = _quotient(G, f.target, cells, vmap,
                                               edge_map)
-    vertex_map = {v: vmap[v] for v in G.vertices}
+    vertex_map = {v: vmap[v] for v in G.vertices
+                  if vmap[v] in new_graph.vertices}
     return tau, new_graph, residual, edge_map, vertex_map
 
 

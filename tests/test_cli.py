@@ -123,7 +123,29 @@ def test_qg_check_command(graph_files, tmp_path, capsys):
     main(["fold", "--from", g1, "--to", g2, "--emit-events", str(events)])
     capsys.readouterr()
     assert main(["qg-check", "--path", str(events), "--K", "6"]) == 0
-    assert "certificate" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "certificate" in out and "truncated" not in out
+
+
+def test_truncated_balls_are_reported(graph_files, tmp_path, capsys,
+                                      monkeypatch):
+    ball = tmp_path / "ball.json"
+    assert main(["ball", "--bound", "4", "--products", "2", "--cap", "10",
+                 "--out", str(ball)]) == 0
+    assert capsys.readouterr().out == \
+        f"ball with 10 factors written to {ball}; truncated at --cap 10\n"
+    assert json.loads(ball.read_text())["truncated"]
+    g1, g2 = graph_files
+    events = tmp_path / "events.jsonl"
+    main(["fold", "--from", g1, "--to", g2, "--emit-events", str(events)])
+    build = factor_complex.build_ball
+    monkeypatch.setattr(factor_complex, "build_ball",
+                        lambda *a, **kw: build(*a, **kw, vertex_cap=30))
+    capsys.readouterr()
+    assert main(["qg-check", "--path", str(events), "--K", "6"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "factor ball truncated at 30 factors"
+    assert out[1].startswith("certificate") and len(out) == 2
 
 
 def test_usage_error_exit_code():
@@ -312,7 +334,9 @@ def test_rank_4_factor_window_certifies():
     summary, report = run_experiment("qg-check", seed=3, instances=1,
                                      rank=4, bound=12)
     assert summary["violations"] == 0
-    assert json.loads(report)["certified"]
+    line = json.loads(report)
+    assert line["certified"]
+    assert line["truncated"]   # the ball stops at the 4,000-factor cap
 
 
 def _one_line_usage_error(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from outerspace import factor_complex
 from outerspace.words import FreeGroup
 from outerspace.marked_graph import rose, standard_marking
 from outerspace.stallings import FactorHandle
@@ -11,6 +12,7 @@ from outerspace.factor_complex import (project, build_ball, ProjectionImage,
                                        _image_distance)
 from outerspace.randomgen import random_marked_graph
 from outerspace.folding import standard_geodesic
+from outerspace.whitehead import all_type_ii_automorphisms
 
 
 F3 = FreeGroup(3)
@@ -111,6 +113,38 @@ def test_turn_filtered_adjacency_equals_every_pair(rank, bound, products,
 def test_turn_filtered_adjacency_on_full_small_ball(small_ball):
     assert not small_ball.truncated
     assert small_ball.adjacency == _reference_adjacency(small_ball)
+
+
+@pytest.fixture(scope="module")
+def path_images():
+    rng = random.Random(85)
+    G = random_marked_graph(rng, F3, 4)
+    Gp = random_marked_graph(rng, F3, 4)
+    return [project(ev.graph) for ev in standard_geodesic(G, Gp).path.events]
+
+
+def _ball_state(ball):
+    return list(ball.handles), ball.adjacency, ball.truncated
+
+
+@pytest.mark.parametrize("rank, events, bound, cap", [
+    (3, 1, 4, 1), (3, 1, 4, 6), (3, 1, 6, 7), (3, 1, 8, 50),
+    (3, None, 4, 1), (3, None, 5, 6), (3, None, 6, 7), (3, None, 8, 50),
+    (3, None, 7, 300), (3, 2, 4, 4000), (4, 0, 8, 500),
+])
+def test_ball_over_outer_moves_equals_every_move(monkeypatch, path_images,
+                                                 rank, events, bound, cap):
+    # a handle is a conjugacy class, so the moves outer_moves drops meet
+    # no handle first: same handles in the same order, same truncation
+    seeds = list({h.code: h for img in path_images[:events] for h in img
+                  if h.edge_count() <= bound}.values()) if rank == 3 else []
+    kw = dict(seeds=seeds, bound=bound, aut_product_length=3, vertex_cap=cap)
+    fast = build_ball(FreeGroup(rank), **kw)
+    monkeypatch.setattr(factor_complex, "outer_moves",
+                        all_type_ii_automorphisms)
+    full = build_ball(FreeGroup(rank), **kw)
+    assert _ball_state(fast) == _ball_state(full)
+    assert len(fast.handles) > len(seeds)
 
 
 def test_ball_ranks_proper(small_ball):

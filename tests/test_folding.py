@@ -132,6 +132,30 @@ def test_no_legal_degree_two_vertex_survives_a_quotient(monkeypatch):
     assert len(merged) > 9 and max(merged) >= 2
 
 
+def test_fold_vertex_map_lands_on_snapshot_vertices():
+    # the degree-2 merge removes vertices; fold_vertex_map keeps only the
+    # old vertices whose class survives, the basepoint always among them
+    dropped = 0
+    for rank in (3, 4, 5):
+        F = FreeGroup(rank)
+        rng = random.Random(1500 + rank)
+        for _ in range(4):
+            G = random_marked_graph(rng, F, 3)
+            Gp = random_marked_graph(rng, F, 3)
+            events = standard_geodesic(G, Gp).path.events
+            for prev, ev in zip(events, events[1:]):
+                old, g, vmap = prev.graph, ev.graph, ev.fold_vertex_map
+                assert set(vmap) <= old.vertices
+                assert set(vmap.values()) <= g.vertices
+                assert vmap[old.basepoint] == g.basepoint
+                dropped += len(old.vertices) - len(vmap)
+                for d in old.oriented_edges():
+                    if old.origin(d) in vmap and ev.fold_edge_map[d]:
+                        assert g.origin(ev.fold_edge_map[d][0]) == \
+                            vmap[old.origin(d)]
+    assert dropped > 0
+
+
 def test_geodesic_additivity_exact():
     rng = random.Random(55)
     for _ in range(4):

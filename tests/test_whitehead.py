@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from outerspace.words import FreeGroup, CyclicWord
+from outerspace import whitehead
+from outerspace.words import FreeGroup, CyclicWord, Word
 from outerspace.cli import main
 from outerspace.whitehead import (whitehead_graph, connectivity_report,
                                   WhiteheadAutomorphism, apply_whitehead,
                                   reduce_to_minimal, is_simple,
-                                  all_type_ii_automorphisms, length_changes)
+                                  all_type_ii_automorphisms, outer_moves,
+                                  greedy_descent, length_changes)
 from outerspace.oracles import (whitehead_simple_oracle, minimal_level_set,
                                 OracleBudgetExceeded)
 from outerspace.randomgen import random_automorphism, random_cyclic_word
@@ -215,6 +217,46 @@ def _planted_rank4(rng, simple):
         base = (1, 1, 2, 2, 3, 3, 4, 4)
     phi, _ = random_automorphism(rng, F4, rng.randint(1, 8))
     return phi.apply(CyclicWord(F4, base))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_outer_moves_keep_one_move_per_inner_class(rank):
+    # every dropped move is inner or the conjugate, by its special letter
+    # v, of a move kept before it: x -> v tau(x) v^-1, image by image
+    group = FreeGroup(rank)
+    every = all_type_ii_automorphisms(group)
+    kept = outer_moves(group)
+    assert len(kept) == (len(every) - 2 * rank) // 2
+    position = {t.sort_key(): k for k, t in enumerate(every)}
+    order = [position[t.sort_key()] for t in kept]
+    assert order == sorted(set(order))
+    assert all(every[k] is t for k, t in zip(order, kept))
+    kept_keys = {t.sort_key() for t in kept}
+    conjugates = set()   # images of the kept moves so far, conjugated
+    inner = dropped = 0
+    for t in every:
+        v, images = t.special, t.automorphism().images
+        if t.sort_key() in kept_keys:
+            conjugates.add(tuple(Word(group, (v,) + im.letters + (-v,))
+                                 for im in images))
+        elif images == tuple(Word(group, (-v, i, v))
+                             for i in range(1, rank + 1)):
+            inner += 1
+        else:
+            assert images in conjugates, t
+            dropped += 1
+    assert inner == 2 * rank and dropped == len(kept)
+
+
+def test_greedy_descent_over_outer_moves_equals_every_move(monkeypatch):
+    rng = random.Random(79)
+    words = [random_cyclic_word(rng, F3, rng.randint(1, 14))
+             for _ in range(40)]
+    words += [_planted_rank4(rng, k % 2 == 0) for k in range(30)]
+    chains = [greedy_descent(w) for w in words]
+    assert sum(len(c) > 2 for c in chains) >= 10
+    monkeypatch.setattr(whitehead, "outer_moves", all_type_ii_automorphisms)
+    assert [greedy_descent(w) for w in words] == chains
 
 
 def test_rank4_planted_verdicts():
