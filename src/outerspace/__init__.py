@@ -13,8 +13,7 @@ of each capability.
 """
 
 from .words import (FreeGroup, Word, CyclicWord, Automorphism,
-                    reduce_word, cyclic_normal_form, apply_automorphism,
-                    RankMismatchError)
+                    reduce_word, cyclic_normal_form, RankMismatchError)
 from .marked_graph import MarkedMetricGraph, EdgePath, rose, standard_marking
 from .stallings import (SubgroupCoreGraph, FactorHandle, core_graph,
                         contains_element, conjugate_into, canonical_code)

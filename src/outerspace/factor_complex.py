@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from . import stallings
 from .stallings import FactorHandle
 from .whitehead import outer_moves
+from .words import free_reduce
 
 
 class ProjectionImage:
@@ -80,7 +81,8 @@ class FactorBall:
         A containment is a label-preserving immersion core(lo) ->
         core(hi), which sends every turn of lo to a turn of hi, so a
         pair is replayed only when turns(lo) is a subset of turns(hi).
-        Each handle's walk and turns are built once.
+        Each handle's walk and turns are built once, and each higher
+        core's vertices are sorted once.
         """
         codes = sorted(self.handles)
         self.adjacency = {c: set() for c in codes}
@@ -91,13 +93,15 @@ class FactorBall:
             by_rank.setdefault(self.handles[c].rank, []).append(c)
         ranks = sorted(by_rank)
         for i, r in enumerate(ranks):
-            higher = [(c, walks[c][2], self.handles[c].core)
+            higher = [(c, walks[c][2], self.handles[c].core,
+                       sorted(self.handles[c].core.vertices))
                       for r2 in ranks[i + 1:] for c in by_rank[r2]]
             for lo in by_rank[r]:
                 h0, walk, turns = walks[lo]
-                for hi, hi_turns, hi_core in higher:
+                for hi, hi_turns, hi_core, hi_seeds in higher:
                     if (not turns & ~hi_turns
-                            and stallings._replay(h0, walk, hi_core)):
+                            and stallings._replay(h0, walk, hi_core,
+                                                  hi_seeds)):
                         self.adjacency[lo].add(hi)
                         self.adjacency[hi].add(lo)
 
@@ -159,7 +163,9 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
     A handle is a conjugacy class, so one move per outer class
     (whitehead.outer_moves) meets every handle that all type-II moves
     meet, and meets it first at the same move: handles are added, and
-    the ball is truncated at vertex_cap, in the same order.
+    the ball is truncated at vertex_cap, in the same order.  Generating
+    sets are lists of letter tuples, and each move is turned once into
+    a table of the images of the signed letters.
     """
     ball = FactorBall(bound=bound)
     for h in seeds:
@@ -167,30 +173,37 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
             raise SeedExceedsBound(h.edge_count(), bound)
         ball.add(h)
     n = group.rank
-    base_factors = []
-    for mask in range(1, 1 << n):
-        gens = [group.generator(i + 1) for i in range(n) if mask >> i & 1]
-        if len(gens) >= n:
-            continue
-        base_factors.append(gens)
+
+    def handle(gens):
+        return FactorHandle(
+            stallings.folded_core(n, [(0, 0, g) for g in gens]), n)
+
+    base_factors = [[(i + 1,) for i in range(n) if mask >> i & 1]
+                    for mask in range(1, (1 << n) - 1)]
     frontier = []
     for gens in base_factors:
-        h = FactorHandle.from_words(gens, ambient_rank=n)
-        if ball.add(h):
+        if ball.add(handle(gens)):
             frontier.append(gens)
     # A handle depends only on the generated subgroup, so a generating
     # set seen before lands on a handle already added or already rejected.
     seen = {frozenset(gens) for gens in base_factors}
-    moves = [t.automorphism() for t in outer_moves(group)]
+    tables = []
+    for t in outer_moves(group):
+        table = {}
+        for i, im in enumerate(t.automorphism().images, start=1):
+            table[i] = im.letters
+            table[-i] = tuple(-x for x in reversed(im.letters))
+        tables.append(table)
     for _ in range(aut_product_length):
         nxt = []
         for gens in frontier:
-            for phi in moves:
-                imgs = [phi.apply(g) for g in gens]
+            for table in tables:
+                imgs = [tuple(free_reduce([y for x in g for y in table[x]]))
+                        for g in gens]
                 key = frozenset(imgs)
                 if key not in seen:
                     seen.add(key)
-                    h = FactorHandle.from_words(imgs, ambient_rank=n)
+                    h = handle(imgs)
                     if h.edge_count() <= bound and h.code not in ball.handles:
                         ball.add(h)
                         nxt.append(imgs)
@@ -213,7 +226,9 @@ class QuasiGeodesicReport:
     window_diameters: list = None
     failed_window: tuple = None    # (start index, reason)
     progress_table: list = None    # (i, j, |i-j|, distance bound)
-    consistent: bool = None        # |i-j| <= d_upper(t_i,t_j) + 2 under upper bounds
+    # b - a <= d_upper + 2 on every pair of breakpoints a < b; False
+    # refutes b - a <= d + 2, since d <= d_upper; True does not prove it
+    consistent: bool = None
 
 
 def _image_distance(ball, img1, img2):
@@ -234,10 +249,12 @@ def check_reparam_quasigeodesic(images, K, ball):
     images: list of ProjectionImage along the path.  Windows are grown
     while the diameter of the union of their projections stays <= K
     (diameters measured by ball distance_upper, conservative for the
-    window condition).  The index condition |i-j| <= d(t_i,t_j) + 2 is
-    then checked with the same upper bounds and REPORTED as consistent
-    or not: an upper bound cannot refute it, so the verdict certifies
-    the subdivision, not the proposition.
+    window condition).  The index condition b - a <= d(t_a, t_b) + 2, on
+    breakpoints numbered a < b, is then checked with the same upper
+    bounds and reported as ``consistent``.  An upper bound can refute
+    it: b - a > d_upper + 2 >= d + 2.  It cannot certify it, so
+    ``consistent`` True does not prove the condition, and ``ok``
+    certifies the subdivision, not the proposition.
     """
     for img in images:
         for h in img:

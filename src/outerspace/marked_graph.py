@@ -86,20 +86,25 @@ class MarkedMetricGraph:
         self.marking_out = dict(marking_out)       # e>0 -> Word
         self.basepoint = basepoint
         self.subdivided = subdivided
-        # v -> oriented edges leaving v, in oriented_edges() order; no
-        # code changes vertices or edge_ends after construction
+        # v -> oriented edges leaving v, in oriented_edges() order, and
+        # oriented edge -> (origin, terminus); no code changes vertices
+        # or edge_ends after construction
         self._leaving = {v: [] for v in self.vertices}
+        self._ends = {}
         for e in self.oriented_edges():
-            self._leaving.setdefault(self.origin(e), []).append(e)
+            o, t = self.edge_ends[abs(e)]
+            if e < 0:
+                o, t = t, o
+            self._ends[e] = (o, t)
+            self._leaving.setdefault(o, []).append(e)
 
     # -- basic incidence ------------------------------------------------
 
     def origin(self, e):
-        o, t = self.edge_ends[abs(e)]
-        return o if e > 0 else t
+        return self._ends[e][0]
 
     def terminus(self, e):
-        return self.origin(-e)
+        return self._ends[e][1]
 
     def oriented_edges(self):
         return [s * e for e in sorted(self.edge_ends) for s in (1, -1)]

@@ -6,21 +6,29 @@ alphabet is the generator index set).  Folded means: at each vertex, at
 most one outgoing edge per signed label.  Reading edge labels along
 paths from the basepoint spells subgroup elements.
 
-Every graph here is folded by one worklist fold, ``_fold`` (Stallings,
-"Topology of finite graphs", 1983; Touikan, "A fast algorithm for
-Stallings' folding process", 2006).  Its arcs are (origin, target,
-letters, word): an arc is a path spelling its letters whose first edge
-also carries a word over another alphabet, and an arc with no letters
-identifies its ends.  Two vertices folded together go into the least
-id, so a basepoint 0 stays put and the folded graph's ids do not depend
-on the order of the arcs.  ``fold_labeled_graph`` is the plain entry
-point, with trivial words; ``folded_core`` trims its output to the core
-before building the graph, and builds subgroup cores (``core_graph``),
-subgraph factors and immersed covers of marked graphs.  With words,
-``express_in_generators`` folds a wedge of loops and reads targets as
-words in the loops; that inverts automorphisms
+Graphs are folded by a worklist fold (Stallings, "Topology of finite
+graphs", 1983; Touikan, "A fast algorithm for Stallings' folding
+process", 2006) whose arcs are paths: (origin, target, letters), and an
+arc with no letters identifies its ends.  Two vertices folded together
+go into the least id, so a basepoint 0 stays put and the folded graph's
+ids do not depend on the order of the arcs.  ``_fold`` is the plain
+fold.  ``fold_labeled_graph`` returns its graph; ``folded_core`` trims
+its output to the core before building the graph, and builds subgroup
+cores (``core_graph``), subgraph factors, factor-ball images and
+immersed covers of marked graphs.
+
+``_fold_words`` is the same fold for arcs whose first edge also carries
+a word over another alphabet; it keeps a gauge on every merge.  Its one
+caller, ``express_in_generators``, folds a wedge of loops and reads
+targets as words in the loops; that inverts automorphisms
 (``Automorphism.inverse``) and rewrites based loops in marking loops
-(``recompute_marking_out``).
+(``recompute_marking_out``).  The plain folds are kept apart because
+their cores are tiny and the fixed cost of each call sets their price:
+on the 47,288 folds of the geodesic benchmark's seed-1 set (6.7 letters
+each) the plain fold took 1.20 s, one fold keeping nonempty words and
+gauges in a sparse side table took 1.69 s, and the word-carrying fold
+with empty words 1.91 s, all with identical cores (process time, best
+of five, Python 3.11 on a 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -99,6 +107,67 @@ class SubgroupCoreGraph:
                 f"E={len(self.edges)}, rank={self.rank()})")
 
 
+def _fold(arcs, basepoint=None):
+    """Stallings-fold arcs (origin, target, letters) with integer ends.
+
+    An arc becomes one edge per letter, through new vertices numbered
+    above every given end; an arc with no letters identifies its two
+    ends.  Folding two equally labeled edges v -> y1 and v -> y2 puts
+    the larger of y1, y2 into the smaller, so the least id of each class
+    of vertices survives and the folded graph's vertex ids do not depend
+    on the order of the arcs.
+
+    Returns (out, bp): out maps each vertex of the folded graph to
+    {signed letter: far end}; bp is the vertex that basepoint (an arc
+    end, or None) went into.
+    """
+    arcs = list(arcs)
+    fresh = 1 + max((x for arc in arcs for x in arc[:2]), default=0)
+    out = {}                # vertex -> {signed letter: far end}
+    alias = {}              # merged vertex -> vertex it went into
+    # edges (origin, letter, end) to insert; letter 0 joins the ends
+    stack = []
+    for o, t, letters in arcs:
+        ends = [o, *range(fresh, fresh + len(letters) - 1), t]
+        fresh += max(len(letters) - 1, 0)
+        for v in ends:
+            out.setdefault(v, {})
+        if not letters:
+            stack.append((o, 0, t))
+        for k, a in enumerate(letters):
+            stack.append((ends[k], a, ends[k + 1]))
+    while stack:
+        v, a, w = stack.pop()
+        while v in alias:
+            v = alias[v]
+        while w in alias:
+            w = alias[w]
+        if not a:
+            y1, y2 = v, w
+        elif a in out[v]:
+            y1, y2 = out[v][a], w
+        elif -a in out[w]:
+            y1, y2 = out[w][-a], v
+        else:
+            out[v][a] = w
+            out[w][-a] = v
+            continue
+        if y1 == y2:
+            continue
+        if y1 > y2:
+            y1, y2 = y2, y1
+        alias[y2] = y1
+        for b, x in out.pop(y2).items():
+            if x != y2:
+                del out[x][-b]
+            stack.append((y2, b, x))
+        if a:
+            stack.append((v, a, w))
+    while basepoint in alias:
+        basepoint = alias[basepoint]
+    return out, basepoint
+
+
 def _mul(*words):
     """The reduced product of reduced words."""
     words = [w for w in words if w]
@@ -111,26 +180,20 @@ def _inv(u):
     return tuple([-x for x in reversed(u)]) if u else ()
 
 
-def _fold(arcs):
-    """Stallings-fold arcs that carry words over some other alphabet.
+def _fold_words(arcs):
+    """``_fold`` for arcs that carry words over some other alphabet.
 
-    arcs: (origin, target, letters, word) with integer ends.  An arc
-    becomes one edge per letter, through new vertices numbered above
-    every given end, and its first edge carries the word, a reduced
-    tuple; an arc with no letters identifies its two ends.
+    arcs: (origin, target, letters, word); an arc's first edge carries
+    the word, a reduced tuple, and an arc with no letters identifies its
+    ends.  Folding two equally labeled edges v -> y1 (word u1) and
+    v -> y2 (word u2) puts the larger of y1, y2 into the smaller and
+    regauges it, so both edges carry the same word; the least id of each
+    class survives, never regauged.  With y1 == y2 and u1 != u2 the fold
+    would kill a nontrivial word: then the words are not a free basis of
+    the subgroup they generate, and ValueError is raised.
 
-    Folding two equally labeled edges v -> y1 (word u1) and v -> y2
-    (word u2) puts the larger of y1, y2 into the smaller and regauges
-    it, so both edges carry the same word.  The least id of each class
-    of vertices survives, never regauged, so the folded graph's vertex
-    ids do not depend on the order of the arcs.  With y1 == y2 and
-    u1 != u2 the fold would kill a nontrivial word: then the words are
-    not a free basis of the subgroup they generate, and ValueError is
-    raised.
-
-    Returns (out, find): out maps each vertex of the folded graph to
-    {signed letter: (far end, word)}; find maps an arc end to its
-    vertex in the folded graph and its gauge.
+    Returns out, which maps each vertex of the folded graph to
+    {signed letter: (far end, word)}.
     """
     arcs = list(arcs)
     fresh = 1 + max((x for arc in arcs for x in arc[:2]), default=0)
@@ -186,7 +249,7 @@ def _fold(arcs):
             stack.append((y2, b, x, ub))
         if a:
             stack.append((v, a, w, u))
-    return out, find
+    return out
 
 
 def fold_labeled_graph(alphabet_size, arcs, basepoint=None):
@@ -195,10 +258,9 @@ def fold_labeled_graph(alphabet_size, arcs, basepoint=None):
     Each arc is a path spelling its letters.  The result is not trimmed;
     it is based at the image of basepoint (an arc end), if one is given.
     """
-    out, find = _fold((o, t, letters, ()) for o, t, letters in arcs)
-    bp = None if basepoint is None else find(basepoint)[0]
+    out, bp = _fold(arcs, basepoint)
     edges = [(v, w, a) for v, row in out.items()
-             for a, (w, _) in row.items() if a > 0]
+             for a, w in row.items() if a > 0]
     return SubgroupCoreGraph(alphabet_size, out, edges, bp)
 
 
@@ -211,12 +273,10 @@ def folded_core(alphabet_size, arcs, basepoint=None):
     trimmed before the graph is built, so each edge is built and
     checked once.
     """
-    out, find = _fold((o, t, letters, ()) for o, t, letters in arcs)
-    bp = None if basepoint is None else find(basepoint)[0]
-    gone = _pruned({v: [w for w, _ in row.values()] for v, row in out.items()},
-                   bp)
+    out, bp = _fold(arcs, basepoint)
+    gone = _pruned({v: list(row.values()) for v, row in out.items()}, bp)
     edges = [(v, w, a) for v, row in out.items() if v not in gone
-             for a, (w, _) in row.items() if a > 0 and w not in gone]
+             for a, w in row.items() if a > 0 and w not in gone]
     return SubgroupCoreGraph(alphabet_size, out.keys() - gone or {0}, edges,
                              bp)
 
@@ -301,15 +361,16 @@ def _walk(H):
     return h0, (walk if len(reached) == len(H.vertices) else None), turns
 
 
-def _replay(h0, walk, K):
+def _replay(h0, walk, K, seeds):
     """The vertex map of H into K that follows H's walk, or None.
 
     K is folded, so the map is fixed by the image of h0; every vertex
-    of K is tried as that image, least first.
+    of K is tried as that image, in the order of seeds, which lists
+    K's vertices least first.
     """
     if walk is None:
         return None
-    for seed in sorted(K.vertices):
+    for seed in seeds:
         vmap = {h0: seed}
         for (v, lab, w) in walk:
             img = K.out.get((vmap[v], lab))
@@ -331,7 +392,7 @@ def conjugate_into(H, K):
     if not H.vertices:
         return True, {}
     h0, walk, _ = _walk(H)
-    vmap = _replay(h0, walk, K)
+    vmap = _replay(h0, walk, K, sorted(K.vertices))
     return vmap is not None, vmap
 
 
@@ -452,7 +513,7 @@ def express_in_generators(loop_words, targets, group_rank):
     must be a free basis of the subgroup they generate in the ambient
     free group on that alphabet; every target must lie in that subgroup.
 
-    One fold (``_fold``) of the wedge of the loops at basepoint 0, in
+    One fold (``_fold_words``) of the wedge of the loops at basepoint 0, in
     which loop ``i`` carries generator ``i``.  The folded graph reads
     each target from the basepoint; the product of the words met on the
     way is the target's unique expression in the loops.
@@ -463,8 +524,8 @@ def express_in_generators(loop_words, targets, group_rank):
     loops are not a free basis, or a target is not in their subgroup.
     """
     F_n = FreeGroup(len(loop_words))
-    out, _ = _fold((0, 0, loop, (i,))
-                   for i, loop in enumerate(loop_words, start=1))
+    out = _fold_words((0, 0, loop, (i,))
+                      for i, loop in enumerate(loop_words, start=1))
     results = []
     for t in targets:
         v, letters = 0, []

@@ -262,11 +262,6 @@ def cyclic_normal_form(word):
     return CyclicWord(word.group, word.letters)
 
 
-def apply_automorphism(phi, w):
-    """Image of a (cyclic) word under an automorphism."""
-    return phi.apply(w)
-
-
 class Automorphism:
     """An automorphism given by generator images.
 

@@ -12,7 +12,7 @@ from outerspace.factor_complex import (project, build_ball, ProjectionImage,
                                        _image_distance)
 from outerspace.randomgen import random_marked_graph
 from outerspace.folding import standard_geodesic
-from outerspace.whitehead import all_type_ii_automorphisms
+from outerspace.whitehead import all_type_ii_automorphisms, outer_moves
 
 
 F3 = FreeGroup(3)
@@ -145,6 +145,58 @@ def test_ball_over_outer_moves_equals_every_move(monkeypatch, path_images,
     full = build_ball(FreeGroup(rank), **kw)
     assert _ball_state(fast) == _ball_state(full)
     assert len(fast.handles) > len(seeds)
+
+
+def _reference_ball(group, seeds, bound, products, cap):
+    """Handles in insertion order and truncation of build_ball, by Word
+    arithmetic: Automorphism.apply on generating sets of Words, handles
+    by FactorHandle.from_words."""
+    n = group.rank
+    handles = {h.code: h for h in seeds}
+    frontier, seen = [], set()
+    for mask in range(1, (1 << n) - 1):
+        gens = [group.generator(i + 1) for i in range(n) if mask >> i & 1]
+        seen.add(frozenset(gens))
+        h = FactorHandle.from_words(gens, ambient_rank=n)
+        if h.edge_count() <= bound:
+            handles.setdefault(h.code, h)
+            frontier.append(gens)
+    moves = [t.automorphism() for t in outer_moves(group)]
+    for _ in range(products):
+        nxt = []
+        for gens in frontier:
+            for phi in moves:
+                imgs = [phi.apply(g) for g in gens]
+                if frozenset(imgs) not in seen:
+                    seen.add(frozenset(imgs))
+                    h = FactorHandle.from_words(imgs, ambient_rank=n)
+                    if h.edge_count() <= bound and h.code not in handles:
+                        handles[h.code] = h
+                        nxt.append(imgs)
+                if len(handles) >= cap:
+                    return list(handles), True
+        frontier = nxt
+    return list(handles), False
+
+
+@pytest.mark.parametrize("rank, events, bound, products, cap, truncated", [
+    (3, None, 8, 2, 4000, False),
+    (3, 2, 6, 2, 4000, False),
+    (3, None, 8, 3, 400, True),
+    (4, 0, 8, 3, 60, True),
+    (4, 0, 8, 3, 200, True),
+])
+def test_ball_equals_word_reference(path_images, rank, events, bound,
+                                    products, cap, truncated):
+    seeds = list({h.code: h for img in path_images[:events] for h in img
+                  if h.edge_count() <= bound}.values()) if rank == 3 else []
+    ball = build_ball(FreeGroup(rank), seeds=seeds, bound=bound,
+                      aut_product_length=products, vertex_cap=cap)
+    assert (list(ball.handles), ball.truncated) == \
+        _reference_ball(FreeGroup(rank), seeds, bound, products, cap)
+    assert ball.truncated == truncated
+    assert ball.adjacency == _reference_adjacency(ball)
+    assert len(ball.handles) > len(seeds)
 
 
 def test_ball_ranks_proper(small_ball):

@@ -377,6 +377,53 @@ def test_folded_core_of_a_tree_is_one_vertex():
         (ref.vertices, ref.edges, ref.basepoint)
 
 
+def _word_fold_graph(arcs, basepoint):
+    """The folded graph of arcs by the word-carrying fold with empty
+    words, the reference for the plain fold.  basepoint is 0 or None;
+    0 is the least id, so its class keeps it."""
+    from outerspace.stallings import SubgroupCoreGraph, _fold_words
+    out = _fold_words((o, t, letters, ()) for o, t, letters in arcs)
+    assert all(u == () for row in out.values() for _, u in row.values())
+    edges = [(v, w, a) for v, row in out.items()
+             for a, (w, _) in row.items() if a > 0]
+    return SubgroupCoreGraph(3, out, edges, basepoint)
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+def test_plain_fold_matches_word_fold(seed):
+    # long, empty and single-letter arcs, unreduced, on up to three
+    # components with disjoint vertex ids
+    from outerspace.stallings import fold_labeled_graph, folded_core
+    rng = random.Random(seed)
+    merged = several = 0
+    for _ in range(150):
+        components = rng.randint(1, 3)
+        arcs = []
+        for c in range(components):
+            for _ in range(rng.randint(1, 5)):
+                length = rng.choice([0, 0, 1, 3, rng.randint(6, 16)])
+                arcs.append((10 * c + rng.randrange(5),
+                             10 * c + rng.randrange(5),
+                             tuple(rng.choice([1, -1, 2, -2, 3, -3])
+                                   for _ in range(length))))
+        arcs.append((0, rng.randrange(5), (rng.choice([1, 2, 3]),)))
+        bp = rng.choice([None, 0])
+        ref = _word_fold_graph(arcs, bp)
+        got = fold_labeled_graph(3, arcs, bp)
+        assert (got.vertices, got.edges, got.out, got.basepoint) == \
+            (ref.vertices, ref.edges, ref.out, ref.basepoint)
+        core = folded_core(3, arcs, bp)
+        ref_core = _trim_by_rounds(ref, bp is not None)
+        assert (core.vertices, core.edges, core.out, core.basepoint) == \
+            (ref_core.vertices, ref_core.edges, ref_core.out,
+             ref_core.basepoint)
+        naive = 1 + max(x for arc in arcs for x in arc[:2]) + sum(
+            max(len(letters) - 1, 0) for _, _, letters in arcs)
+        merged += len(got.vertices) < naive
+        several += components > 1
+    assert merged > 100 and several > 50
+
+
 def _code_from_every_start(graph):
     """canonical_code with a full BFS from every start vertex."""
     if not graph.vertices:
