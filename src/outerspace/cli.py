@@ -253,23 +253,33 @@ def _factor_from_words(group, text):
     not proper is a usage error."""
     words = [_word_arg(group, t, nonempty=True) for t in text.split(",")]
     try:
-        return stallings.FactorHandle.from_words(words, ambient_rank=group.rank)
+        return stallings.FactorHandle.from_words(words)
     except ValueError as exc:
         raise UsageError(f"factor {text!r}: {exc}") from None
 
 
 def _load_ball(group, path):
-    """The FactorBall in a `ball` output file; anything else is a usage error."""
+    """The FactorBall in a `ball` output file; anything else is a usage
+    error, as is a handle whose core's code is not its key, or an
+    adjacency that is not a symmetric relation on the handles."""
     try:
         with open(path) as fh:
             data = json.load(fh)
         ball = factor_complex.FactorBall(bound=data["bound"])
-        for core_json in data["handles"].values():
-            h = stallings.FactorHandle(_core_from_json(group, core_json),
-                                       group.rank)
+        for key, core_json in data["handles"].items():
+            h = stallings.FactorHandle(stallings.SubgroupCoreGraph.from_json(
+                core_json, group.rank), group.rank)
+            if h.code.hex() != key:
+                raise ValueError(f"handle {key[:16]}... has a core of "
+                                 "another code")
             ball.handles[h.code] = h
-        ball.adjacency = {bytes.fromhex(c): {bytes.fromhex(x) for x in adj}
-                          for c, adj in data["adjacency"].items()}
+        adj = {bytes.fromhex(c): {bytes.fromhex(x) for x in row}
+               for c, row in data["adjacency"].items()}
+        if adj.keys() != ball.handles.keys() or any(
+                c not in adj.get(x, ()) for c in adj for x in adj[c]):
+            raise ValueError("the adjacency is not a symmetric relation on "
+                             "the handles")
+        ball.adjacency = adj
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         raise UsageError(f"{path} does not hold a factor ball "
                          f"({type(exc).__name__}: {exc})") from None
@@ -291,15 +301,6 @@ def cmd_ffdist(args):
         return 0
     print(f"distance upper bound: {d}")
     return 0
-
-
-def _core_from_json(group, data):
-    edges = set()
-    for e in data["edges"]:
-        lab = parse_letters(e["label"])[0]
-        edges.add((e["from"], e["to"], lab))
-    return stallings.SubgroupCoreGraph(group.rank, set(data["vertices"]),
-                                       edges, data.get("basepoint"))
 
 
 def cmd_simple(args):

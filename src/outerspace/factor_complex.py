@@ -34,9 +34,6 @@ class ProjectionImage:
             raise ValueError("empty projection")
         self.handles = {h.code: h for h in handles}
 
-    def codes(self):
-        return set(self.handles)
-
     def __iter__(self):
         return iter(self.handles.values())
 
@@ -175,8 +172,8 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
     n = group.rank
 
     def handle(gens):
-        return FactorHandle(
-            stallings.folded_core(n, [(0, 0, g) for g in gens]), n)
+        core = stallings.folded_core([(0, 0, g) for g in gens])
+        return FactorHandle(core, n)
 
     base_factors = [[(i + 1,) for i in range(n) if mask >> i & 1]
                     for mask in range(1, (1 << n) - 1)]

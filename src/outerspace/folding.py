@@ -71,10 +71,6 @@ class FoldingPath:
     def times(self):
         return [ev.time for ev in self.events]
 
-    def snapshot(self, index, normalized=False):
-        g = self.events[index].graph
-        return g.normalize() if normalized else g
-
     def connecting_edge_map(self, i, j):
         """Composite fold map (oriented edge -> edge path) from event i to j."""
         if not 0 <= i <= j < len(self.events):

@@ -283,10 +283,10 @@ class MarkedMetricGraph:
         keys = sorted(self.edge_ends)
         for e in keys:
             targets.append(tuple(free_reduce(list(self.tree_loop(parent, e)))))
-        exprs = stallings.express_in_generators(loops, targets, self.group.rank)
+        exprs = stallings.express_in_generators(loops, targets)
         # u_e := word of the tree-conjugated edge loop; tree edges come out
         # trivial, and products along based loops telescope to the right word.
-        self.marking_out = {e: Word(self.group, w.letters)
+        self.marking_out = {e: Word(self.group, w)
                             for e, w in zip(keys, exprs)}
         return self
 
@@ -323,8 +323,8 @@ class MarkedMetricGraph:
         if len(reached) != len(adjacent):
             return None
         core = stallings.folded_core(
-            self.group.rank, [(*self.edge_ends[e], self.marking_out[e].letters)
-                              for e in sorted(edge_subset)])
+            [(*self.edge_ends[e], self.marking_out[e].letters)
+             for e in sorted(edge_subset)])
         return stallings.FactorHandle(core, self.group.rank)
 
     def _core_subsets(self):
@@ -398,7 +398,6 @@ class MarkedMetricGraph:
         if H.rank() < 1:
             raise ValueError("trivial subgroup")
         core = stallings.folded_core(
-            max(self.edge_ends),
             [(o, t, self.marking_in[lab]) for (o, t, lab) in sorted(H.edges)])
         vol = sum(self.lengths[lab] for (_, _, lab) in core.edges)
         return core, vol

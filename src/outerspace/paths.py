@@ -166,13 +166,6 @@ class TargetPath:
         out.segs = tuple(out.segs)
         return out
 
-    def first_germ(self):
-        """Direction of departure: (signed edge, start parameter), or None."""
-        if not self.segs:
-            return None
-        e, a, b = self.segs[0]
-        return (e, a)
-
     def split_at(self, dist):
         """Split at arclength `dist`; returns (head, tail)."""
         if dist < 0 or dist > self.length():

@@ -6,6 +6,10 @@ alphabet is the generator index set).  Folded means: at each vertex, at
 most one outgoing edge per signed label.  Reading edge labels along
 paths from the basepoint spells subgroup elements.
 
+A graph is the fold's table of rows ``vertex -> {signed label: far
+end}``, which every reader uses; data from outside is checked by
+``SubgroupCoreGraph.from_edges`` (and ``from_json``, its JSON reader).
+
 Graphs are folded by a worklist fold (Stallings, "Topology of finite
 graphs", 1983; Touikan, "A fast algorithm for Stallings' folding
 process", 2006) whose arcs are paths: (origin, target, letters), and an
@@ -13,9 +17,9 @@ arc with no letters identifies its ends.  Two vertices folded together
 go into the least id, so a basepoint 0 stays put and the folded graph's
 ids do not depend on the order of the arcs.  ``_fold`` is the plain
 fold.  ``fold_labeled_graph`` returns its graph; ``folded_core`` trims
-its output to the core before building the graph, and builds subgroup
-cores (``core_graph``), subgraph factors, factor-ball images and
-immersed covers of marked graphs.
+its rows to the core, and builds subgroup cores (``core_graph``),
+subgraph factors, factor-ball images and immersed covers of marked
+graphs.
 
 ``_fold_words`` is the same fold for arcs whose first edge also carries
 a word over another alphabet; it keeps a gauge on every merge.  Its one
@@ -33,41 +37,45 @@ of five, Python 3.11 on a 2-core Xeon).
 
 from __future__ import annotations
 
-from .words import Word, free_reduce, letter_str, FreeGroup
+from .words import free_reduce, letter_str, FreeGroup
 
 
 class SubgroupCoreGraph:
     """Folded, labeled core graph; based or basepoint-free (cyclic core).
 
-    vertices: set of ints; edges: set of (origin, target, label>0);
-    out: dict (vertex, signed label) -> vertex.
+    rows: dict vertex -> {signed label: far end}, trusted, with edge
+    v -a-> w as rows[v][a] == w and rows[w][-a] == v; vertices: set of
+    ints; edges: set of (origin, target, label>0), derived from rows.
     """
 
-    def __init__(self, alphabet_size, vertices, edges, basepoint=None):
-        self.alphabet_size = alphabet_size
-        self.vertices = set(vertices)
-        self.edges = set()
-        self.out = {}
-        for (o, t, lab) in edges:
-            self._add_edge(o, t, lab)
+    def __init__(self, rows, basepoint=None):
+        self.rows = rows
+        self.vertices = set(rows)
+        self.edges = {(v, w, a) for v, row in rows.items()
+                      for a, w in row.items() if a > 0}
         self.basepoint = basepoint
 
-    def _add_edge(self, o, t, lab):
-        if lab <= 0:
-            o, t, lab = t, o, -lab
-        key_f, key_b = (o, lab), (t, -lab)
-        if self.out.get(key_f, t) != t or self.out.get(key_b, o) != o:
-            raise ValueError("not folded: duplicate label at vertex")
-        self.edges.add((o, t, lab))
-        self.out[key_f] = t
-        self.out[key_b] = o
+    @classmethod
+    def from_edges(cls, vertices, edges, basepoint=None):
+        """The graph of edges (origin, target, nonzero label) on vertices.
+
+        Raises ValueError if an edge or the basepoint names a vertex
+        that is not listed, or the graph is not folded.
+        """
+        rows = {v: {} for v in vertices}
+        for (o, t, lab) in edges:
+            if o not in rows or t not in rows:
+                raise ValueError(f"edge {o} -> {t} names a vertex that is "
+                                 "not listed")
+            if rows[o].setdefault(lab, t) != t or \
+                    rows[t].setdefault(-lab, o) != o:
+                raise ValueError("not folded: duplicate label at vertex")
+        if basepoint is not None and basepoint not in rows:
+            raise ValueError(f"basepoint {basepoint} is not listed")
+        return cls(rows, basepoint)
 
     def degrees(self):
-        deg = {v: 0 for v in self.vertices}
-        for (o, t, lab) in self.edges:
-            deg[o] += 1
-            deg[t] += 1
-        return deg
+        return {v: len(row) for v, row in self.rows.items()}
 
     def rank(self):
         return len(self.edges) - len(self.vertices) + 1
@@ -75,8 +83,9 @@ class SubgroupCoreGraph:
     def trace(self, letters, start=None):
         """Follow a letter sequence from start (default basepoint); None if it leaves."""
         v = self.basepoint if start is None else start
+        rows = self.rows
         for x in letters:
-            v = self.out.get((v, x))
+            v = rows[v].get(x)
             if v is None:
                 return None
         return v
@@ -90,6 +99,22 @@ class SubgroupCoreGraph:
         if self.basepoint is not None:
             data["basepoint"] = self.basepoint
         return data
+
+    @classmethod
+    def from_json(cls, data, rank):
+        """The graph in ``to_json`` data, labeled by letters of rank rank.
+
+        Raises ValueError if a label is not one letter of that rank, or
+        ``from_edges`` rejects the graph.
+        """
+        letters = {letter_str(x): x for x in FreeGroup(rank).all_letters()}
+        edges = []
+        for e in data["edges"]:
+            if e["label"] not in letters:
+                raise ValueError(f"label {e['label']!r} is not a letter of "
+                                 f"rank {rank}")
+            edges.append((e["from"], e["to"], letters[e["label"]]))
+        return cls.from_edges(data["vertices"], edges, data.get("basepoint"))
 
     def to_dot(self, name="core"):
         lines = [f"digraph {name} {{"]
@@ -252,48 +277,43 @@ def _fold_words(arcs):
     return out
 
 
-def fold_labeled_graph(alphabet_size, arcs, basepoint=None):
+def fold_labeled_graph(arcs, basepoint=None):
     """The folded SubgroupCoreGraph of arcs (origin, target, letters).
 
     Each arc is a path spelling its letters.  The result is not trimmed;
     it is based at the image of basepoint (an arc end), if one is given.
     """
-    out, bp = _fold(arcs, basepoint)
-    edges = [(v, w, a) for v, row in out.items()
-             for a, w in row.items() if a > 0]
-    return SubgroupCoreGraph(alphabet_size, out, edges, bp)
+    return SubgroupCoreGraph(*_fold(arcs, basepoint))
 
 
-def folded_core(alphabet_size, arcs, basepoint=None):
+def folded_core(arcs, basepoint=None):
     """The core of the folded graph of arcs (origin, target, letters).
 
     The folded graph loses every vertex of valence less than 2, until
     none is left; the basepoint, if one is given, stays, and a graph
-    pruned away entirely keeps the one vertex 0.  The fold output is
-    trimmed before the graph is built, so each edge is built and
-    checked once.
+    pruned away entirely keeps the one vertex 0.  The fold's rows lose
+    the pruned vertices and the entries that lead to them, and become
+    the graph's rows.
     """
-    out, bp = _fold(arcs, basepoint)
-    gone = _pruned({v: list(row.values()) for v, row in out.items()}, bp)
-    edges = [(v, w, a) for v, row in out.items() if v not in gone
-             for a, w in row.items() if a > 0 and w not in gone]
-    return SubgroupCoreGraph(alphabet_size, out.keys() - gone or {0}, edges,
-                             bp)
+    rows, bp = _fold(arcs, basepoint)
+    gone = _pruned(rows, bp)
+    rows = {v: {a: w for a, w in row.items() if w not in gone}
+            for v, row in rows.items() if v not in gone}
+    return SubgroupCoreGraph(rows or {0: {}}, bp)
 
 
-def _pruned(far_ends, keep):
+def _pruned(rows, keep):
     """The vertices that trimming to the core removes.
 
-    far_ends maps each vertex to the far ends of its oriented edges.
     One worklist prunes: removing a vertex lowers the degree of each
-    neighbour it reaches, and a neighbour whose degree falls below 2 is
-    removed in turn.  The vertex keep (or None) is never removed.
+    neighbour its row reaches, and a neighbour whose degree falls below
+    2 is removed in turn.  The vertex keep (or None) is never removed.
     """
-    deg = {v: len(ends) for v, ends in far_ends.items()}
+    deg = {v: len(row) for v, row in rows.items()}
     stack = [v for v, d in deg.items() if d < 2 and v != keep]
     gone = set(stack)
     while stack:
-        for w in far_ends[stack.pop()]:
+        for w in rows[stack.pop()].values():
             if w in gone:
                 continue
             deg[w] -= 1
@@ -312,8 +332,7 @@ def core_graph(generators, based=True):
     gens = [g for g in generators if len(g) > 0]
     if not gens:
         raise ValueError("empty generator list")
-    return folded_core(gens[0].group.rank, [(0, 0, g.letters) for g in gens],
-                       0 if based else None)
+    return folded_core([(0, 0, g.letters) for g in gens], 0 if based else None)
 
 
 def contains_element(H, g):
@@ -329,23 +348,20 @@ def _walk(H):
     """H's least vertex, the walk ``_replay`` follows, and H's turns.
 
     Returns (h0, walk, turns).  walk lists (v, signed label, w) for
-    every oriented edge of H in BFS order from h0, or is None when H is
-    not connected.  turns has one bit per turn of H, an unordered pair
-    of signed labels leaving one vertex.  A label-preserving morphism
-    of H into a folded K is an immersion, so it sends every turn of H
-    to a turn of K: ``turns & ~K_turns`` is nonzero only if H does not
-    conjugate into K.
+    every oriented edge of H in BFS order from h0, each row in its own
+    order, or is None when H is not connected.  turns has one bit per
+    turn of H, an unordered pair of signed labels leaving one vertex.
+    A label-preserving morphism of H into a folded K is an immersion,
+    so it sends every turn of H to a turn of K: ``turns & ~K_turns`` is
+    nonzero only if H does not conjugate into K.
     """
     h0 = min(H.vertices)
-    labels = {}             # vertex -> its signed labels, in H.out order
-    for (v, lab) in H.out:
-        labels.setdefault(v, []).append(lab)
+    rows = H.rows
     walk = []
     reached = {h0}
     queue = [h0]
     for v in queue:
-        for lab in labels.get(v, ()):
-            w = H.out[(v, lab)]
+        for lab, w in rows[v].items():
             walk.append((v, lab, w))
             if w not in reached:
                 reached.add(w)
@@ -353,12 +369,12 @@ def _walk(H):
     # signed labels are numbered 0, 1, 2, ...; the turn {i, k} with
     # i < k is bit k (k - 1) / 2 + i
     turns = 0
-    for labs in labels.values():
-        ks = sorted(2 * abs(lab) - 2 + (lab < 0) for lab in labs)
+    for row in rows.values():
+        ks = sorted(2 * abs(lab) - 2 + (lab < 0) for lab in row)
         for j, k in enumerate(ks):
             for i in ks[:j]:
                 turns |= 1 << (k * (k - 1) // 2 + i)
-    return h0, (walk if len(reached) == len(H.vertices) else None), turns
+    return h0, (walk if len(reached) == len(rows) else None), turns
 
 
 def _replay(h0, walk, K, seeds):
@@ -370,10 +386,11 @@ def _replay(h0, walk, K, seeds):
     """
     if walk is None:
         return None
+    rows = K.rows
     for seed in seeds:
         vmap = {h0: seed}
         for (v, lab, w) in walk:
-            img = K.out.get((vmap[v], lab))
+            img = rows[vmap[v]].get(lab)
             if img is None or vmap.setdefault(w, img) != img:
                 break
         else:
@@ -396,24 +413,25 @@ def conjugate_into(H, K):
     return vmap is not None, vmap
 
 
-def _bfs_rows(out, signed, order):
+def _bfs_rows(rows, signed, order):
     """The rows of a BFS, one per vertex in the order met: for each
     signed label, the number of the vertex it leads to, or -1.
 
     order holds the start; the BFS appends the vertices it meets."""
     number = {order[0]: 0}
     for v in order:
-        row = []
+        row = rows[v]
+        code = []
         for lab in signed:
-            w = out.get((v, lab))
+            w = row.get(lab)
             if w is None:
-                row.append(-1)
+                code.append(-1)
                 continue
             if w not in number:
                 number[w] = len(order)
                 order.append(w)
-            row.append(number[w])
-        yield tuple(row)
+            code.append(number[w])
+        yield tuple(code)
 
 
 def canonical_code(graph):
@@ -433,7 +451,7 @@ def canonical_code(graph):
     labels = sorted({lab for (_, _, lab) in graph.edges})
     signed = [s * l for l in labels for s in (1, -1)]
     orders = [[v] for v in graph.vertices]
-    walks = [_bfs_rows(graph.out, signed, order) for order in orders]
+    walks = [_bfs_rows(graph.rows, signed, order) for order in orders]
     firsts = [next(rows) for rows in walks]
     least = min(firsts)
     starts = [k for k, first in enumerate(firsts) if first == least]
@@ -472,26 +490,25 @@ class FactorHandle:
 
     Handles do not verify free-factor-ness; they are built only through
     provenance-safe constructors (subgraph factors, automorphism images
-    of coordinate factors, explicit sub-bases).
+    of coordinate factors, explicit sub-bases).  FactorHandle(core, n)
+    takes the cyclic core of a factor of F_n and checks only that its
+    rank is between 1 and n - 1.
     """
 
-    __slots__ = ("core", "code", "rank", "ambient_rank")
+    __slots__ = ("core", "code", "rank")
 
-    def __init__(self, core, ambient_rank):
+    def __init__(self, core, n):
         if core.rank() < 1:
             raise ValueError("factor must have rank >= 1")
-        if core.rank() >= ambient_rank:
+        if core.rank() >= n:
             raise ValueError("factor must be proper")
         self.core = core
         self.code = canonical_code(core)
         self.rank = core.rank()
-        self.ambient_rank = ambient_rank
 
     @classmethod
-    def from_words(cls, words, ambient_rank=None):
-        group = words[0].group
-        return cls(core_graph(words, based=False),
-                   group.rank if ambient_rank is None else ambient_rank)
+    def from_words(cls, words):
+        return cls(core_graph(words, based=False), words[0].group.rank)
 
     def edge_count(self):
         return len(self.core.edges)
@@ -506,7 +523,7 @@ class FactorHandle:
         return f"FactorHandle(rank={self.rank}, edges={self.edge_count()})"
 
 
-def express_in_generators(loop_words, targets, group_rank):
+def express_in_generators(loop_words, targets):
     """Rewrite target letter-tuples as words in the given generating loops.
 
     loop_words: list of letter tuples over some signed alphabet, which
@@ -518,12 +535,12 @@ def express_in_generators(loop_words, targets, group_rank):
     each target from the basepoint; the product of the words met on the
     way is the target's unique expression in the loops.
 
-    Returns a list of Words over FreeGroup(len(loop_words)), one per
-    target, such that substituting loop_words into them and reducing
-    gives back the targets.  Raises ValueError if a loop is empty, the
-    loops are not a free basis, or a target is not in their subgroup.
+    Returns one reduced letter tuple per target, over the generators
+    1..len(loop_words), such that substituting loop_words into it and
+    reducing gives back the target.  Raises ValueError if a loop is
+    empty, the loops are not a free basis, or a target is not in their
+    subgroup.
     """
-    F_n = FreeGroup(len(loop_words))
     out = _fold_words((0, 0, loop, (i,))
                       for i, loop in enumerate(loop_words, start=1))
     results = []
@@ -536,5 +553,5 @@ def express_in_generators(loop_words, targets, group_rank):
             letters.extend(u)
         if v != 0:
             raise ValueError("target is not a loop at the basepoint")
-        results.append(Word(F_n, letters))
+        results.append(tuple(free_reduce(letters)))
     return results

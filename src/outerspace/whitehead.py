@@ -87,9 +87,6 @@ class WhiteheadGraph:
         key = frozenset((x, y)) if x != y else frozenset((x,))
         return self.edges.get(key, 0)
 
-    def total_multiplicity(self):
-        return sum(self.edges.values())
-
     def neighbors(self, v):
         out = set()
         for e in self.edges:

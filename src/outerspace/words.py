@@ -235,10 +235,6 @@ class CyclicWord:
     def word(self):
         return Word(self.group, self.letters)
 
-    def rotations(self):
-        n = len(self.letters)
-        return [tuple(self.letters[(r + i) % n] for i in range(n)) for r in range(n)]
-
     def support(self):
         """Set of generator indices occurring (either sign)."""
         return {abs(x) for x in self.letters}
@@ -322,8 +318,9 @@ class Automorphism:
             from .stallings import express_in_generators
             n = self.group.rank
             inv = express_in_generators([im.letters for im in self.images],
-                                        [(j,) for j in range(1, n + 1)], n)
-            object.__setattr__(self, "_inverse_cache", Automorphism(self.group, inv))
+                                        [(j,) for j in range(1, n + 1)])
+            object.__setattr__(self, "_inverse_cache", Automorphism(
+                self.group, [Word(self.group, w) for w in inv]))
         return self._inverse_cache
 
     def __eq__(self, other):

@@ -117,6 +117,50 @@ def test_ffdist_bad_ball_file_exits_2(content, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def _unlisted_vertex(data, key):
+    core = data["handles"][key]
+    core["edges"][0]["to"] = max(core["vertices"]) + 1
+
+
+def _label(text):
+    def corrupt(data, key):
+        data["handles"][key]["edges"][0]["label"] = text
+    return corrupt
+
+
+def _swapped_core(data, key):
+    handles = data["handles"]
+    other = next(k for k in handles if k != key)
+    handles[key], handles[other] = handles[other], handles[key]
+
+
+def _unknown_neighbour(data, key):
+    data["adjacency"][key].append("00ff")
+
+
+def _one_way_edge(data, key):
+    other = data["adjacency"][key].pop()
+    assert key in data["adjacency"][other]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _unlisted_vertex, _label("z"), _label("ab"), _swapped_core,
+    _unknown_neighbour, _one_way_edge,
+], ids=["unlisted-vertex", "label-outside-rank", "two-letter-label",
+        "code-not-key", "unknown-neighbour", "one-way-edge"])
+def test_ffdist_invalid_ball_file_exits_2(corrupt, tmp_path, capsys):
+    ball = tmp_path / "ball.json"
+    assert main(["ball", "--bound", "4", "--products", "1",
+                 "--out", str(ball)]) == 0
+    data = json.loads(ball.read_text())
+    corrupt(data, max(data["handles"]))
+    ball.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["ffdist", "a", "a,b", "--ball", str(ball)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "ball.json" in err
+
+
 def test_qg_check_command(graph_files, tmp_path, capsys):
     g1, g2 = graph_files
     events = tmp_path / "events.jsonl"

@@ -19,8 +19,7 @@ F3 = FreeGroup(3)
 
 
 def handle(*texts):
-    return FactorHandle.from_words([F3.word(t) for t in texts],
-                                   ambient_rank=3)
+    return FactorHandle.from_words([F3.word(t) for t in texts])
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +156,7 @@ def _reference_ball(group, seeds, bound, products, cap):
     for mask in range(1, (1 << n) - 1):
         gens = [group.generator(i + 1) for i in range(n) if mask >> i & 1]
         seen.add(frozenset(gens))
-        h = FactorHandle.from_words(gens, ambient_rank=n)
+        h = FactorHandle.from_words(gens)
         if h.edge_count() <= bound:
             handles.setdefault(h.code, h)
             frontier.append(gens)
@@ -169,7 +168,7 @@ def _reference_ball(group, seeds, bound, products, cap):
                 imgs = [phi.apply(g) for g in gens]
                 if frozenset(imgs) not in seen:
                     seen.add(frozenset(imgs))
-                    h = FactorHandle.from_words(imgs, ambient_rank=n)
+                    h = FactorHandle.from_words(imgs)
                     if h.edge_count() <= bound and h.code not in handles:
                         handles[h.code] = h
                         nxt.append(imgs)

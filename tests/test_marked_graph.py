@@ -202,7 +202,7 @@ def _reference_factor_codes(G):
             tree = {abs(e) for e in parent.values() if e is not None}
             words = [G.path_word(G.tree_loop(parent, e))
                      for e in subset if e not in tree]
-            codes.add(FactorHandle.from_words(words, G.group.rank).code)
+            codes.add(FactorHandle.from_words(words).code)
     return codes
 
 
@@ -228,7 +228,7 @@ def test_trivial_subgroup_has_no_cover_core():
     from outerspace.stallings import SubgroupCoreGraph
     R = rose(F3, [Fr(1, 3)] * 3)
     with pytest.raises(ValueError):
-        R.subgroup_core_in_graph(SubgroupCoreGraph(3, {0}, set()))
+        R.subgroup_core_in_graph(SubgroupCoreGraph({0: {}}))
 
 
 def _core_reduce_factors(G):

@@ -106,7 +106,8 @@ def test_morphism_is_label_preserving_and_locally_injective():
     ok, vmap = conjugate_into(H, K)
     assert ok
     for (o, t, lab) in H.edges:
-        assert K.out.get((vmap[o], lab)) == vmap[t]
+        assert K.rows[vmap[o]].get(lab) == vmap[t]
+        assert K.rows[vmap[t]].get(-lab) == vmap[o]
 
 
 def test_conjugate_into_reflexive_transitive():
@@ -128,11 +129,8 @@ def test_conjugate_into_reflexive_transitive():
 
 def _turns(core):
     """The turns of a core: pairs of signed labels leaving one vertex."""
-    at = {}
-    for (v, lab) in core.out:
-        at.setdefault(v, set()).add(lab)
-    return {frozenset((x, y)) for labs in at.values()
-            for x in labs for y in labs if x != y}
+    return {frozenset((x, y)) for row in core.rows.values()
+            for x in row for y in row if x != y}
 
 
 def _random_cores(rng, group, count):
@@ -171,19 +169,20 @@ def test_containment_needs_nested_turns(rank):
 
 def _reference_conjugate_into(H, K):
     """The vertex map found by a walk from H's least vertex, tried from
-    every vertex of K in order, least first."""
+    every vertex of K in order, least first.  The walk reads each row in
+    label order, not in the row's own order as ``_walk`` does: in a
+    folded K the map is fixed by the image of the least vertex."""
     h0 = min(H.vertices)
     walk, queue = [], [h0]
     for v in queue:
-        for (x, lab), w in H.out.items():
-            if x == v:
-                walk.append((v, lab, w))
-                if w not in queue:
-                    queue.append(w)
+        for lab, w in sorted(H.rows[v].items()):
+            walk.append((v, lab, w))
+            if w not in queue:
+                queue.append(w)
     for seed in sorted(K.vertices):
         vmap = {h0: seed}
         for (v, lab, w) in walk:
-            img = K.out.get((vmap[v], lab))
+            img = K.rows[vmap[v]].get(lab)
             if img is None or vmap.setdefault(w, img) != img:
                 break
         else:
@@ -254,10 +253,10 @@ def test_folding_confluent_under_generator_permutation():
 def test_express_in_generators_roundtrip():
     loops = [(1, 2), (2,), (3, -1)]
     targets = [(1,), (3,), (1, 2, 3)]
-    exprs = express_in_generators(loops, targets, 3)
+    exprs = express_in_generators(loops, targets)
     for target, expr in zip(targets, exprs):
         letters = []
-        for x in expr.letters:
+        for x in expr:
             w = loops[abs(x) - 1]
             letters.extend(w if x > 0 else [-t for t in reversed(w)])
         from outerspace.words import free_reduce
@@ -270,12 +269,54 @@ def test_empty_generators_rejected():
 
 
 def test_json_and_dot_exports():
+    from outerspace.stallings import SubgroupCoreGraph, folded_core
     H = core_graph([F3.word("a"), F3.word([2, 1, -2])], based=True)
     data = H.to_json()
     assert data["basepoint"] == H.basepoint
     assert len(data["edges"]) == 3
     dot = H.to_dot()
     assert "digraph" in dot
+    # based and cyclic cores, and the one-vertex core of a tree, read
+    # back from their JSON
+    graphs = [H, core_graph([F3.word("abAc"), F3.word("bb")], based=False),
+              folded_core([(0, 1, (1, 2)), (0, 2, (3,))])]
+    assert graphs[2].vertices == {0} and not graphs[2].edges
+    for g in graphs:
+        back = SubgroupCoreGraph.from_json(g.to_json(), 3)
+        assert (back.vertices, back.edges, back.rows, back.basepoint) == \
+            (g.vertices, g.edges, g.rows, g.basepoint)
+        assert back.to_json() == g.to_json()
+
+
+@pytest.mark.parametrize("vertices, edges, basepoint", [
+    ([0, 1], [(0, 2, "a")], None),           # an edge names an unlisted vertex
+    ([0], [(0, 0, "z")], None),              # a label outside rank 3
+    ([0], [(0, 0, "ab")], None),             # a label of two letters
+    ([0, 1], [(0, 0, "a"), (0, 1, "a")], None),   # not folded
+    ([0, 1, 2], [(0, 1, "a"), (2, 1, "a")], None),   # not folded at 1
+    ([0], [(0, 0, "a")], 1),                 # an unlisted basepoint
+], ids=["unlisted-vertex", "label-outside-rank", "two-letter-label",
+        "unfolded-at-0", "unfolded-at-1", "unlisted-basepoint"])
+def test_from_json_rejects(vertices, edges, basepoint):
+    from outerspace.stallings import SubgroupCoreGraph
+    data = {"vertices": vertices,
+            "edges": [{"from": o, "to": t, "label": lab}
+                      for (o, t, lab) in edges]}
+    if basepoint is not None:
+        data["basepoint"] = basepoint
+    with pytest.raises(ValueError):
+        SubgroupCoreGraph.from_json(data, 3)
+
+
+def test_from_edges_rejects_unfolded_pairs():
+    from outerspace.stallings import SubgroupCoreGraph
+    for edges in ([(0, 1, 1), (0, 2, 1)], [(1, 0, 2), (2, 0, 2)],
+                  [(0, 0, 1), (0, 1, -1)]):
+        with pytest.raises(ValueError):
+            SubgroupCoreGraph.from_edges({0, 1, 2}, edges)
+    # the same edge twice is one edge
+    g = SubgroupCoreGraph.from_edges({0, 1}, [(0, 1, 1), (1, 0, -1)])
+    assert g.edges == {(0, 1, 1)} and g.rows == {0: {1: 1}, 1: {-1: 0}}
 
 
 @pytest.mark.parametrize("loops, targets", [
@@ -286,7 +327,7 @@ def test_json_and_dot_exports():
 ])
 def test_express_in_generators_rejects(loops, targets):
     with pytest.raises(ValueError):
-        express_in_generators(loops, targets, 3)
+        express_in_generators(loops, targets)
 
 
 def test_express_in_generators_inverts_automorphisms():
@@ -297,10 +338,8 @@ def test_express_in_generators_inverts_automorphisms():
         for k in range(20):
             phi, phi_inv = random_automorphism(rng, F, k % 9)
             exprs = express_in_generators([im.letters for im in phi.images],
-                                          [(j,) for j in range(1, rank + 1)],
-                                          rank)
-            assert [w.letters for w in exprs] == \
-                [w.letters for w in phi_inv.images]
+                                          [(j,) for j in range(1, rank + 1)])
+            assert exprs == [w.letters for w in phi_inv.images]
 
 
 def test_fold_names_vertices_by_least_id():
@@ -313,14 +352,28 @@ def test_fold_names_vertices_by_least_id():
                  rng.choice([(), (1,), (-1,), (2,), (-2,)]))
                 for _ in range(rng.randint(1, 12))]
         arcs.append((0, rng.randrange(9), (3,)))
-        first = fold_labeled_graph(3, arcs, basepoint=0)
+        first = fold_labeled_graph(arcs, basepoint=0)
         assert first.basepoint == 0
+        _assert_rows_hold_edges(first)
         for _ in range(5):
             rng.shuffle(arcs)
-            again = fold_labeled_graph(3, arcs, basepoint=0)
+            again = fold_labeled_graph(arcs, basepoint=0)
             assert again.vertices == first.vertices
             assert again.edges == first.edges
-            assert again.out == first.out
+            assert again.rows == first.rows
+
+
+def _assert_rows_hold_edges(graph):
+    """rows[v][a] == w exactly when rows[w][-a] == v, and the entries
+    with a > 0 are the edges."""
+    rows = graph.rows
+    assert set(rows) == graph.vertices
+    for v, row in rows.items():
+        for a, w in row.items():
+            assert a and rows[w].get(-a) == v
+    assert {(v, w, a) for v, row in rows.items() for a, w in row.items()
+            if a > 0} == graph.edges
+    assert sum(map(len, rows.values())) == 2 * len(graph.edges)
 
 
 def _trim_by_rounds(graph, keep_basepoint):
@@ -338,10 +391,9 @@ def _trim_by_rounds(graph, keep_basepoint):
         edges = {(o, t, lab) for (o, t, lab) in g.edges
                  if o not in victims and t not in victims}
         if not verts:
-            return SubgroupCoreGraph(g.alphabet_size,
-                                     {0 if g.basepoint is None else g.basepoint},
-                                     set(), g.basepoint)
-        g = SubgroupCoreGraph(g.alphabet_size, verts, edges, g.basepoint)
+            return SubgroupCoreGraph.from_edges(
+                {0 if g.basepoint is None else g.basepoint}, set(), g.basepoint)
+        g = SubgroupCoreGraph.from_edges(verts, edges, g.basepoint)
 
 
 @pytest.mark.parametrize("keep_basepoint", [True, False])
@@ -358,11 +410,12 @@ def test_folded_core_matches_rounds(keep_basepoint):
                 for _ in range(rng.randint(1, 6))]
         arcs.append((0, rng.randrange(10), (rng.choice([1, 2, 3]),)))
         bp = rng.choice([None, 0]) if keep_basepoint else None
-        got = folded_core(3, arcs, bp)
-        ref = _trim_by_rounds(fold_labeled_graph(3, arcs, basepoint=bp),
+        got = folded_core(arcs, bp)
+        ref = _trim_by_rounds(fold_labeled_graph(arcs, basepoint=bp),
                               keep_basepoint)
-        assert (got.vertices, got.edges, got.out, got.basepoint) == \
-            (ref.vertices, ref.edges, ref.out, ref.basepoint)
+        assert (got.vertices, got.edges, got.rows, got.basepoint) == \
+            (ref.vertices, ref.edges, ref.rows, ref.basepoint)
+        _assert_rows_hold_edges(got)
         trivial += not got.edges
     assert trivial > 0
 
@@ -370,9 +423,9 @@ def test_folded_core_matches_rounds(keep_basepoint):
 def test_folded_core_of_a_tree_is_one_vertex():
     from outerspace.stallings import fold_labeled_graph, folded_core
     arcs = [(0, 1, (1, 2)), (0, 2, (3,))]
-    core = folded_core(3, arcs)
+    core = folded_core(arcs)
     assert (core.vertices, core.edges, core.basepoint) == ({0}, set(), None)
-    ref = _trim_by_rounds(fold_labeled_graph(3, arcs), False)
+    ref = _trim_by_rounds(fold_labeled_graph(arcs), False)
     assert (core.vertices, core.edges, core.basepoint) == \
         (ref.vertices, ref.edges, ref.basepoint)
 
@@ -386,7 +439,7 @@ def _word_fold_graph(arcs, basepoint):
     assert all(u == () for row in out.values() for _, u in row.values())
     edges = [(v, w, a) for v, row in out.items()
              for a, (w, _) in row.items() if a > 0]
-    return SubgroupCoreGraph(3, out, edges, basepoint)
+    return SubgroupCoreGraph.from_edges(out, edges, basepoint)
 
 
 @pytest.mark.parametrize("seed", [51, 52, 53])
@@ -409,14 +462,16 @@ def test_plain_fold_matches_word_fold(seed):
         arcs.append((0, rng.randrange(5), (rng.choice([1, 2, 3]),)))
         bp = rng.choice([None, 0])
         ref = _word_fold_graph(arcs, bp)
-        got = fold_labeled_graph(3, arcs, bp)
-        assert (got.vertices, got.edges, got.out, got.basepoint) == \
-            (ref.vertices, ref.edges, ref.out, ref.basepoint)
-        core = folded_core(3, arcs, bp)
+        got = fold_labeled_graph(arcs, bp)
+        assert (got.vertices, got.edges, got.rows, got.basepoint) == \
+            (ref.vertices, ref.edges, ref.rows, ref.basepoint)
+        _assert_rows_hold_edges(got)
+        core = folded_core(arcs, bp)
         ref_core = _trim_by_rounds(ref, bp is not None)
-        assert (core.vertices, core.edges, core.out, core.basepoint) == \
-            (ref_core.vertices, ref_core.edges, ref_core.out,
+        assert (core.vertices, core.edges, core.rows, core.basepoint) == \
+            (ref_core.vertices, ref_core.edges, ref_core.rows,
              ref_core.basepoint)
+        _assert_rows_hold_edges(core)
         naive = 1 + max(x for arc in arcs for x in arc[:2]) + sum(
             max(len(letters) - 1, 0) for _, _, letters in arcs)
         merged += len(got.vertices) < naive
@@ -438,7 +493,7 @@ def _code_from_every_start(graph):
         for v in order:
             row = []
             for lab in signed:
-                w = graph.out.get((v, lab))
+                w = graph.rows[v].get(lab)
                 if w is None:
                     row.append(-1)
                     continue
