@@ -11,8 +11,7 @@ import random
 from fractions import Fraction as Fr
 
 from outerspace import (FreeGroup, rose, stretch_factor, optimal_map,
-                        tension_graph, optimize_in_simplex,
-                        classify_recurrence)
+                        optimize_in_simplex, classify_recurrence)
 from outerspace.randomgen import random_marked_graph
 
 F = FreeGroup(3)
@@ -25,9 +24,9 @@ lam, wit = stretch_factor(G, H)
 f = optimal_map(G, H, lam)
 print(f"stretch {lam}; slopes per edge: "
       f"{ {e: str(s) for e, s in f.slopes().items()} }")
-print(f"tension graph: {sorted(tension_graph(f))}")
+print(f"tension graph: {sorted(f.tension_edges())}")
 
-tt = f.gates(tension_graph(f))
+tt = f.gates(f.tension_edges())
 for v in sorted(tt.gates):
     print(f"gates at vertex {v}: {[sorted(g) for g in tt.gates[v]]}")
 

@@ -30,7 +30,7 @@ ball = build_ball(F, seeds=list(seeds.values()), bound=8,
                   aut_product_length=2)
 print(f"ball: {len(ball.handles)} factors within core bound 8")
 print(f"projection diameter of G in the ball: "
-      f"{ball.diameter_upper(list(img))} (always <= 4)")
+      f"{ball.diameter_upper(img)} (always <= 4)")
 
 report = check_reparam_quasigeodesic(images, K=6, ball=ball)
 print(f"\nquasi-geodesic certificate: breakpoints {report.breakpoints}, "

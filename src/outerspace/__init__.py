@@ -18,8 +18,8 @@ from .marked_graph import MarkedMetricGraph, EdgePath, rose, standard_marking
 from .stallings import (SubgroupCoreGraph, FactorHandle, core_graph,
                         contains_element, conjugate_into, canonical_code)
 from .lipschitz import (candidates, stretch_factor, distance, optimal_map,
-                        tension_graph, gates, optimize_in_simplex, GraphMap,
-                        Candidate, OptimalMapError, BoundaryOptimumError)
+                        optimize_in_simplex, GraphMap, Candidate,
+                        OptimalMapError, BoundaryOptimumError)
 from .traintrack import (TrainTrackStructure, DirectionDigraph,
                          direction_digraph, classify_recurrence,
                          find_spanning_legal_loop, is_legal,
@@ -31,8 +31,7 @@ from .whitehead import (WhiteheadGraph, WhiteheadAutomorphism,
                         apply_whitehead, reduce_to_minimal, is_simple,
                         all_type_ii_automorphisms, outer_moves,
                         SimplicityCertificateError)
-from .factor_complex import (ProjectionImage, FactorBall, project,
-                             build_ball, check_reparam_quasigeodesic,
-                             SeedExceedsBound)
+from .factor_complex import (FactorBall, project, build_ball,
+                             check_reparam_quasigeodesic, SeedExceedsBound)
 
 __version__ = "0.1.0"

@@ -142,7 +142,7 @@ def cmd_optimal_map(args):
     G, Gp = _load_pair(args.source, args.target)
     G, Gp = G.normalize(), Gp.normalize()
     f = lipschitz.optimal_map(G, Gp)
-    tension = sorted(lipschitz.tension_graph(f))
+    tension = sorted(f.tension_edges())
     out = {"sigma": _frac_str(f.sigma()),
            "slopes": {str(e): _frac_str(f.slope(e)) for e in sorted(G.edge_ends)},
            "tension_graph": tension}
@@ -260,15 +260,20 @@ def _factor_from_words(group, text):
 
 def _load_ball(group, path):
     """The FactorBall in a `ball` output file; anything else is a usage
-    error, as is a handle whose core's code is not its key, or an
-    adjacency that is not a symmetric relation on the handles."""
+    error, as is a handle whose core is not a cyclic core (disconnected,
+    or with a vertex of valence below 2) or whose core's code is not its
+    key, or an adjacency that is not a symmetric relation on the
+    handles."""
     try:
         with open(path) as fh:
             data = json.load(fh)
         ball = factor_complex.FactorBall(bound=data["bound"])
         for key, core_json in data["handles"].items():
-            h = stallings.FactorHandle(stallings.SubgroupCoreGraph.from_json(
-                core_json, group.rank), group.rank)
+            core = stallings.SubgroupCoreGraph.from_json(core_json, group.rank)
+            if (stallings._walk(core)[1] is None
+                    or stallings._pruned(core.rows, None)):
+                raise ValueError(f"handle {key[:16]}... is not a cyclic core")
+            h = stallings.FactorHandle(core, group.rank)
             if h.code.hex() != key:
                 raise ValueError(f"handle {key[:16]}... has a core of "
                                  "another code")

@@ -22,30 +22,15 @@ from dataclasses import dataclass, field
 from . import stallings
 from .stallings import FactorHandle
 from .whitehead import outer_moves
-from .words import free_reduce
-
-
-class ProjectionImage:
-    """The set of factors represented by proper core subgraphs of a point."""
-
-    def __init__(self, handles):
-        handles = list(handles)
-        if not handles:
-            raise ValueError("empty projection")
-        self.handles = {h.code: h for h in handles}
-
-    def __iter__(self):
-        return iter(self.handles.values())
-
-    def __len__(self):
-        return len(self.handles)
+from .words import substitute
 
 
 def project(G):
-    """Projection of a marked graph: its subgraph factors, deduplicated."""
+    """Projection of a marked graph: its subgraph factors, one handle per
+    code, as a list."""
     if G.group.rank < 3:
         raise ValueError("the factor graph degenerates below rank 3")
-    return ProjectionImage(G.subgraph_factors())
+    return G.subgraph_factors()
 
 
 @dataclass
@@ -65,9 +50,6 @@ class FactorBall:
             self.handles[handle.code] = handle
             self._hops.clear()
         return True
-
-    def contains(self, handle):
-        return handle.code in self.handles
 
     def compute_adjacency(self):
         """Adjacency = proper conjugate containment in either direction.
@@ -161,8 +143,8 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
     (whitehead.outer_moves) meets every handle that all type-II moves
     meet, and meets it first at the same move: handles are added, and
     the ball is truncated at vertex_cap, in the same order.  Generating
-    sets are lists of letter tuples, and each move is turned once into
-    a table of the images of the signed letters.
+    sets are lists of letter tuples, pushed through each move's signed
+    table (``words.substitute``).
     """
     ball = FactorBall(bound=bound)
     for h in seeds:
@@ -184,19 +166,12 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
     # A handle depends only on the generated subgroup, so a generating
     # set seen before lands on a handle already added or already rejected.
     seen = {frozenset(gens) for gens in base_factors}
-    tables = []
-    for t in outer_moves(group):
-        table = {}
-        for i, im in enumerate(t.automorphism().images, start=1):
-            table[i] = im.letters
-            table[-i] = tuple(-x for x in reversed(im.letters))
-        tables.append(table)
+    tables = [t.automorphism().table for t in outer_moves(group)]
     for _ in range(aut_product_length):
         nxt = []
         for gens in frontier:
             for table in tables:
-                imgs = [tuple(free_reduce([y for x in g for y in table[x]]))
-                        for g in gens]
+                imgs = [substitute(g, table) for g in gens]
                 key = frozenset(imgs)
                 if key not in seen:
                     seen.add(key)
@@ -243,7 +218,7 @@ def _image_distance(ball, img1, img2):
 def check_reparam_quasigeodesic(images, K, ball):
     """Greedy subdivision certificate for a projected path.
 
-    images: list of ProjectionImage along the path.  Windows are grown
+    images: list of projections (lists of handles) along the path.  Windows are grown
     while the diameter of the union of their projections stays <= K
     (diameters measured by ball distance_upper, conservative for the
     window condition).  The index condition b - a <= d(t_a, t_b) + 2, on
@@ -255,7 +230,7 @@ def check_reparam_quasigeodesic(images, K, ball):
     """
     for img in images:
         for h in img:
-            if not ball.contains(h):
+            if h.code not in ball.handles:
                 raise KeyError("projected handle missing from the ball")
     breakpoints = [0]
     diameters = []

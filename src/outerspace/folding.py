@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import free_reduce
+from .words import inverse, substitute
 from .marked_graph import MarkedMetricGraph
 from .lipschitz import (GraphMap, optimal_map, stretch_factor,
                         OptimalMapError)
@@ -78,7 +78,7 @@ class FoldingPath:
         comp = {d: (d,) for d in self.events[i].graph.oriented_edges()}
         for k in range(i + 1, j + 1):
             step = self.events[k].fold_edge_map
-            comp = {d: _substitute(path, step) for d, path in comp.items()}
+            comp = {d: substitute(path, step) for d, path in comp.items()}
         return comp
 
 
@@ -105,16 +105,6 @@ def _classes(vertices, pairs):
     return {v: find(v) for v in vertices}
 
 
-def _substitute(path, sub):
-    """The free reduction of path with each oriented edge d replaced by
-    the edge path sub[d] (a fold map, a merge map, or () to collapse d).
-
-    Free reduction is confluent, so reducing after every substitution of
-    a composite gives the same path as reducing once at the end.
-    """
-    return tuple(free_reduce([x for d in path for x in sub[d]]))
-
-
 def _far(cells, d):
     """The terminus of oriented edge d of the cells."""
     o, t = cells[abs(d)][:2]
@@ -128,7 +118,7 @@ def _marked_quotient(G, vertices, edge_ends, lengths, sub, basepoint):
     Edge labels are trivial; the marking-out words are recomputed from
     the new marking loops.
     """
-    marking_in = {i: _substitute(G.marking_in[i], sub)
+    marking_in = {i: substitute(G.marking_in[i], sub)
                   for i in range(1, G.group.rank + 1)}
     new = MarkedMetricGraph(G.group, vertices, edge_ends, lengths, marking_in,
                             {e: G.group.identity() for e in edge_ends},
@@ -239,7 +229,7 @@ def fold_step(state_graph, f, gates=None, tau=None):
     for e in sorted(G.edge_ends):
         seq = tuple(edge_sub.get(pid, pid) for pid in pieces_of[e])
         edge_map[e] = seq
-        edge_map[-e] = tuple(-x for x in reversed(seq))
+        edge_map[-e] = inverse(seq)
 
     vmap = _classes(vertices, glued)
     new_graph, residual, edge_map = _quotient(G, f.target, cells, vmap,
@@ -300,7 +290,7 @@ def _quotient(G, Gp, cells, vmap, sub):
         leaving[t].remove(-d2)
         leaving[t].append(-E)
         # every path through v crosses (-d1, d2) or (-d2, d1)
-        sub = {d: _substitute(path, step) for d, path in sub.items()}
+        sub = {d: substitute(path, step) for d, path in sub.items()}
 
     graph = _marked_quotient(G, vertices, {e: c[:2] for e, c in cells.items()},
                              {e: c[2] for e, c in cells.items()}, sub,
@@ -419,10 +409,9 @@ def _tighten_plain(f):
                 o, t = G.edge_ends[e]
                 path = f.edge_images[e]
                 if vmap[o] == root and not path.is_point():
-                    path = path.drop_prefix(delta)
+                    path = path.split_at(delta)[1]
                 if vmap[t] == root and not path.is_point():
-                    rev = path.reverse().drop_prefix(delta)
-                    path = rev.reverse()
+                    path = path.split_at(path.length() - delta)[0]
                 f.edge_images[e] = path
             for v in members:
                 f.vertex_images[v] = new_point

@@ -31,9 +31,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .words import CyclicWord, least_rotation
-from .paths import (TargetPath, vertex_point, edge_point, seg_reverse,
-                    direction_germ)
+from .words import CyclicWord, inverse, least_rotation
+from .paths import (TargetPath, vertex_point, edge_point, seg_start,
+                    seg_reverse, direction_germ)
 from .traintrack import TrainTrackStructure
 from . import simplex_lp
 
@@ -100,11 +100,7 @@ class Candidate:
 
 def _loop_canon(edges):
     """Canonical form of a cyclic loop up to rotation AND inversion."""
-    return min(least_rotation(edges), least_rotation(_inverse(edges)))
-
-
-def _inverse(path):
-    return tuple(-e for e in reversed(path))
+    return min(least_rotation(edges), least_rotation(inverse(edges)))
 
 
 def _embedded_circles(graph):
@@ -160,8 +156,8 @@ def candidates(graph):
         for u1, arc, u2 in joins:
             r1 = _rotate_to_vertex(graph, c1, u1)
             r2 = _rotate_to_vertex(graph, c2, u2)
-            for second in (r2, _inverse(r2)):
-                result.append(Candidate(r1 + arc + second + _inverse(arc),
+            for second in (r2, inverse(r2)):
+                result.append(Candidate(r1 + arc + second + inverse(arc),
                                         shape))
     return sorted(result, key=Candidate.canonical_key)
 
@@ -320,7 +316,7 @@ class GraphMap:
     def loop_image(self, edges):
         """Image of a closed edge path as a closed TargetPath."""
         v = self.source.origin(edges[0])
-        path = TargetPath.point(self.target, self.vertex_images[v])
+        path = TargetPath(self.target, self.vertex_images[v])
         for d in edges:
             path = path.concat(self.image_of_direction(d))
         return path
@@ -565,19 +561,11 @@ def _transport(f, combo, x_new):
         o, t = G.edge_ends[eid]
         path = f.edge_images[eid]
         if o in conn:
-            path = path.prepend_segment(seg_reverse(Gp, conn[o]))
+            back = seg_reverse(Gp, conn[o])
+            path = TargetPath(Gp, seg_start(Gp, back), [back]).concat(path)
         if t in conn:
             path = path.concat(TargetPath(Gp, path.end(), [conn[t]]))
         f.edge_images[eid] = path
-
-
-def tension_graph(f):
-    """Edges where the slope equals sigma, by exact comparison."""
-    return f.tension_edges()
-
-
-def gates(f, restrict_edges=None):
-    return f.gates(restrict_edges)
 
 
 # -- in-simplex optimization --------------------------------------------------

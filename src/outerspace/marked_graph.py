@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .words import (Word, CyclicWord, free_reduce, cyclic_reduce, letter_str,
-                    least_rotation)
+from .words import (Word, CyclicWord, free_reduce, cyclic_reduce, inverse,
+                    letter_str, least_rotation, signed_table, substitute)
 from . import stallings
 
 
@@ -86,9 +86,11 @@ class MarkedMetricGraph:
         self.marking_out = dict(marking_out)       # e>0 -> Word
         self.basepoint = basepoint
         self.subdivided = subdivided
-        # v -> oriented edges leaving v, in oriented_edges() order, and
-        # oriented edge -> (origin, terminus); no code changes vertices
-        # or edge_ends after construction
+        # v -> oriented edges leaving v, in oriented_edges() order,
+        # oriented edge -> (origin, terminus), and signed letter ->
+        # marking loop; no code changes vertices, edge_ends or marking_in
+        # after construction
+        self._marking = signed_table(self.marking_in)
         self._leaving = {v: [] for v in self.vertices}
         self._ends = {}
         for e in self.oriented_edges():
@@ -149,11 +151,7 @@ class MarkedMetricGraph:
 
     def based_loop_of(self, word):
         """Based edge-path loop representing a word, via marking-in."""
-        path = []
-        for x in word.letters:
-            loop = self.marking_in[abs(x)]
-            path.extend(loop if x > 0 else [-e for e in reversed(loop)])
-        return tuple(free_reduce(path))
+        return substitute(word.letters, self._marking)
 
     def loop_representative(self, cw):
         """The immersed cyclic edge path of a conjugacy class."""
@@ -215,7 +213,7 @@ class MarkedMetricGraph:
         """Based loop through edge e: tree path to o(e), e, tree path back."""
         back = self.tree_path(parent, self.terminus(e))
         return (self.tree_path(parent, self.origin(e)) + (e,)
-                + tuple(-x for x in reversed(back)))
+                + inverse(back))
 
     # -- validation --------------------------------------------------------
 
@@ -464,22 +462,19 @@ def rose(group, lengths=None):
 
 def standard_marking(group, vertices, edge_ends, lengths, basepoint):
     """Mark a bare graph: spanning-tree edges get the trivial word, the
-    j-th non-tree edge the j-th generator."""
-    g = MarkedMetricGraph(group, vertices, edge_ends, lengths,
-                          {i: () for i in range(1, group.rank + 1)},
-                          {e: group.identity() for e in edge_ends}, basepoint)
-    parent, _ = g.spanning_tree()
+    j-th non-tree edge the j-th generator.  An unmarked copy supplies the
+    spanning tree; the marked graph is built with its markings."""
+    bare = MarkedMetricGraph(group, vertices, edge_ends, lengths, {}, {},
+                             basepoint)
+    parent, _ = bare.spanning_tree()
     tree = {abs(parent[v]) for v in parent if parent[v] is not None}
     nontree = [e for e in sorted(edge_ends) if e not in tree]
     if len(nontree) != group.rank:
         raise ValidationError("graph rank does not match the group rank")
-    marking_out = {}
-    for e in edge_ends:
-        marking_out[e] = group.identity()
+    marking_out = {e: group.identity() for e in edge_ends}
     marking_in = {}
     for j, e in enumerate(nontree, start=1):
         marking_out[e] = group.generator(j)
-        marking_in[j] = tuple(free_reduce(list(g.tree_loop(parent, e))))
-    g.marking_out = marking_out
-    g.marking_in = marking_in
-    return g
+        marking_in[j] = tuple(free_reduce(list(bare.tree_loop(parent, e))))
+    return MarkedMetricGraph(group, vertices, edge_ends, lengths, marking_in,
+                             marking_out, basepoint)

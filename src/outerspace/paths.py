@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .words import cyclic_reduce
+
 
 def vertex_point(v):
     return ("v", v)
@@ -120,10 +122,6 @@ class TargetPath:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def point(cls, graph, pt):
-        return cls(graph, pt)
-
-    @classmethod
     def from_edge_word(cls, graph, edges, start=None):
         """Whole-edge path from a (tight or not) signed edge tuple."""
         if start is None:
@@ -215,74 +213,23 @@ class TargetPath:
                 j += 1
         return total
 
-    def drop_prefix(self, dist):
-        return self.split_at(dist)[1]
-
-    def prepend_segment(self, seg):
-        """New path: seg then self (tightened)."""
-        p = TargetPath(self.graph, seg_start(self.graph, seg), [seg])
-        return p.concat(self)
-
     def closed_class_edges(self):
         """Cyclic signed-edge tuple of the free homotopy class of a closed path.
 
-        The path must be closed.  Returns () for a nullhomotopic path.
+        The path must be closed.  Returns () for a nullhomotopic path.  A
+        start inside an edge moves to that edge's origin: the stub from
+        the origin, the path and the stub back are concatenated, and
+        ``_push`` tightens them into whole edges.
         """
         if self.end() != self.start:
             raise ValueError("path is not closed")
-        if not self.segs:
-            return ()
-        segs = list(self.segs)
-        # normalize across the wrap point: merge same-direction contiguous
-        # pieces and cancel backtracks until neither applies
-        while len(segs) > 1:
-            s1, s2 = segs[-1], segs[0]
-            if s1[0] == s2[0] and s1[2] == s2[1]:
-                segs[0] = (s1[0], s1[1], s2[2])
-                segs.pop()
-                continue
-            if s1[0] == -s2[0]:
-                L = self.graph.lengths[abs(s1[0])]
-                if s2[1] == L - s1[2]:
-                    d = min(s1[2] - s1[1], s2[2] - s2[1])
-                    e1, a1, b1 = s1
-                    e2, a2, b2 = s2
-                    segs.pop()
-                    segs.pop(0)
-                    if b1 - d != a1:
-                        segs.append((e1, a1, b1 - d))
-                    if a2 + d != b2:
-                        segs.insert(0, (e2, a2 + d, b2))
-                    continue
-            break
-        if not segs:
-            return ()
-        if len(segs) == 1:
-            e, a, b = segs[0]
-            L = self.graph.lengths[abs(e)]
-            if a == 0 and b == L:
-                return (e,)   # a full loop edge
-            return ()
-        # rotate to a vertex junction
-        n = len(segs)
-        rot = None
-        for k in range(n):
-            prev = segs[(k - 1) % n]
-            if seg_end(self.graph, prev)[0] == "v":
-                rot = k
-                break
-        if rot is None:
-            return ()
-        segs = segs[rot:] + segs[:rot]
-        edges = []
-        for (e, a, b) in segs:
-            L = self.graph.lengths[abs(e)]
-            if a != 0 or b != L:
-                raise AssertionError("tight closed path has partial segment "
-                                     "after rotation")
-            edges.append(e)
-        from .words import free_reduce, cyclic_reduce
-        core, _ = cyclic_reduce(free_reduce(edges))
+        path = self
+        if self.start[0] == "e":
+            _, e, x = self.start
+            stub = TargetPath(self.graph, vertex_point(self.graph.origin(e)),
+                              [(e, Fraction(0), x)])
+            path = stub.concat(self).concat(stub.reverse())
+        core, _ = cyclic_reduce([e for e, _, _ in path.segs])
         return tuple(core)
 
     def __eq__(self, other):

@@ -37,7 +37,7 @@ of five, Python 3.11 on a 2-core Xeon).
 
 from __future__ import annotations
 
-from .words import free_reduce, letter_str, FreeGroup
+from .words import free_reduce, inverse, letter_str, FreeGroup
 
 
 class SubgroupCoreGraph:
@@ -201,10 +201,6 @@ def _mul(*words):
     return tuple(free_reduce([x for w in words for x in w]))
 
 
-def _inv(u):
-    return tuple([-x for x in reversed(u)]) if u else ()
-
-
 def _fold_words(arcs):
     """``_fold`` for arcs that carry words over some other alphabet.
 
@@ -249,16 +245,16 @@ def _fold_words(arcs):
         v, gv = find(v)
         w, gw = find(w)
         if gv or gw:
-            u = _mul(gv, u, _inv(gw))
+            u = _mul(gv, u, inverse(gw))
         if not a:
             (y1, u1), (y2, u2) = (v, ()), (w, u)
         elif a in out[v]:
             (y1, u1), (y2, u2) = out[v][a], (w, u)
         elif -a in out[w]:
-            (y1, u1), (y2, u2) = out[w][-a], (v, _inv(u))
+            (y1, u1), (y2, u2) = out[w][-a], (v, inverse(u))
         else:
             out[v][a] = (w, u)
-            out[w][-a] = (v, _inv(u))
+            out[w][-a] = (v, inverse(u))
             continue
         if y1 == y2:
             if u1 != u2:
@@ -267,7 +263,7 @@ def _fold_words(arcs):
             continue
         if y1 > y2:
             (y1, u1), (y2, u2) = (y2, u2), (y1, u1)
-        alias[y2] = (y1, _mul(_inv(u1), u2))
+        alias[y2] = (y1, _mul(inverse(u1), u2))
         for b, (x, ub) in out.pop(y2).items():
             if x != y2:
                 del out[x][-b]

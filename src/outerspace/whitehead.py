@@ -314,7 +314,7 @@ def reduce_to_minimal(cw):
     return MinimizationResult(len(descent[-1]), descent)
 
 
-def is_simple(cw, cache=None):
+def is_simple(cw):
     """Is the class contained in a proper free factor?
 
     Runs greedy_descent to its minimum m.  Simple when m omits a
@@ -326,22 +326,17 @@ def is_simple(cw, cache=None):
 
     A word whose support misses a generator is simple outright; at rank
     1 a nontrivial class is not, since Z has no nontrivial proper free
-    factor.  An optional cache dict amortizes sweeps: every word of the
-    greedy chain gets the verdict.
+    factor.
     """
     rank = cw.group.rank
     if cw.is_trivial() or len(cw.support()) < rank:
         return True
     if rank < 2:
         return False
-    if cache is not None and cw in cache:
-        return cache[cw]
     descent = greedy_descent(cw)
     verdict = len(descent[-1].support()) < rank
     if not verdict:
         report = connectivity_report(WhiteheadGraph(descent[-1]))
         if report.kind != "two-connected":
             raise SimplicityCertificateError(cw, descent, report)
-    if cache is not None:
-        cache.update(dict.fromkeys(descent, verdict))
     return verdict

@@ -60,6 +60,32 @@ def free_reduce(letters):
     return out
 
 
+def inverse(symbols):
+    """The inverse of a signed-symbol sequence, as a tuple."""
+    return tuple([-x for x in reversed(symbols)])
+
+
+def signed_table(images):
+    """The table {x: im, -x: inverse(im)} of the positive images {x: im}."""
+    table = {}
+    for x, im in images.items():
+        table[x] = tuple(im)
+        table[-x] = inverse(im)
+    return table
+
+
+def substitute(symbols, table):
+    """The free reduction of symbols with each x replaced by table[x].
+
+    The one substitution of the package: automorphism images, marking
+    loops, fold maps and ball moves all push signed symbols (letters or
+    oriented edges) through a signed table.  Free reduction is
+    confluent, so reducing after each substitution of a composite gives
+    the same tuple as reducing once at the end.
+    """
+    return tuple(free_reduce([y for x in symbols for y in table[x]]))
+
+
 def cyclic_reduce(letters):
     """Cyclically reduce an already freely reduced sequence.
 
@@ -154,7 +180,7 @@ class Word:
         return Word(self.group, list(self.letters) + list(other.letters))
 
     def inverse(self):
-        return Word(self.group, [-x for x in reversed(self.letters)])
+        return Word(self.group, inverse(self.letters))
 
     def __pow__(self, n):
         if n == 0:
@@ -230,7 +256,7 @@ class CyclicWord:
         return not self.letters
 
     def inverse(self):
-        return CyclicWord(self.group, [-x for x in reversed(self.letters)])
+        return CyclicWord(self.group, inverse(self.letters))
 
     def word(self):
         return Word(self.group, self.letters)
@@ -261,13 +287,18 @@ def cyclic_normal_form(word):
 class Automorphism:
     """An automorphism given by generator images.
 
+    ``table`` maps every signed letter to its image (a letter tuple);
+    it is built on first use, since most automorphisms built while
+    composing random ones are never applied, and ``apply`` substitutes
+    through it.
+
     Invertibility is certified lazily: ``inverse()`` folds the wedge of
     the images with word-carrying edges (``stallings.express_in_generators``)
     and reads each generator in the folded graph; it raises ValueError
     if the images do not form a basis.
     """
 
-    __slots__ = ("group", "images", "_inverse_cache")
+    __slots__ = ("group", "images", "_table", "_inverse_cache")
 
     def __init__(self, group, images):
         images = tuple(images)
@@ -278,6 +309,7 @@ class Automorphism:
                 raise RankMismatchError("image in wrong group")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_inverse_cache", None)
 
     def __setattr__(self, *a):
@@ -290,14 +322,17 @@ class Automorphism:
     def identity(cls, group):
         return cls(group, group.generators())
 
+    @property
+    def table(self):
+        if self._table is None:
+            object.__setattr__(self, "_table", signed_table(
+                {i: im.letters for i, im in enumerate(self.images, start=1)}))
+        return self._table
+
     def apply(self, w):
         """Apply to a Word (or CyclicWord, returning a CyclicWord)."""
         _same_group(self, w)
-        letters = []
-        for x in w.letters:
-            img = self.images[abs(x) - 1].letters
-            letters.extend(img if x > 0 else [-y for y in reversed(img)])
-        return type(w)(self.group, letters)
+        return type(w)(self.group, substitute(w.letters, self.table))
 
     def __call__(self, w):
         return self.apply(w)

@@ -14,14 +14,14 @@ import pytest
 
 from outerspace.words import FreeGroup, CyclicWord, Word
 from outerspace.marked_graph import rose
-from outerspace.lipschitz import (stretch_factor, optimal_map, tension_graph,
+from outerspace.lipschitz import (stretch_factor, optimal_map,
                                   optimize_in_simplex)
 from outerspace.traintrack import (TrainTrackStructure, classify_recurrence,
                                    spanning_legal_loop_bruteforce, is_legal,
                                    find_spanning_legal_loop)
 from outerspace.folding import standard_geodesic, path_statistics
 from outerspace.whitehead import is_simple
-from outerspace.factor_complex import (project, build_ball, ProjectionImage,
+from outerspace.factor_complex import (project, build_ball,
                                        check_reparam_quasigeodesic)
 from outerspace.stallings import (core_graph, contains_element, conjugate_into,
                                   FactorHandle)
@@ -81,7 +81,7 @@ def test_02_witness_bound(optimal_maps):
     for G, Gp, lam, wit, f in optimal_maps:
         assert G.volume() == 1
         assert wit.length_in(G) < 2
-        tens = tension_graph(f)
+        tens = f.tension_edges()
         assert all(abs(e) in tens for e in wit.edges)
         tt = f.gates(tens)
         assert is_legal(tt, wit.edges, cyclic=True)
@@ -92,7 +92,7 @@ def test_02_witness_bound(optimal_maps):
 def test_03_optimal_map_certification(optimal_maps):
     for G, Gp, lam, wit, f in optimal_maps:
         assert f.sigma() == lam
-        tens = tension_graph(f)
+        tens = f.tension_edges()
         assert all(abs(e) in tens for e in wit.edges)
     _report(3, "sigma(optimal map) = lambda exactly on 50/50 instances; "
                "tension graph contains the witness")
@@ -162,10 +162,10 @@ def _all_cyclic_classes_up_to(n):
 def test_07_whitehead_oracle_agreement():
     t0 = time.monotonic()
     classes = _all_cyclic_classes_up_to(6)
-    cache_impl, cache_orc = {}, {}
+    cache_orc = {}
     verdicts = {True: 0, False: 0}
     for cw in classes:
-        v = is_simple(cw, cache=cache_impl)
+        v = is_simple(cw)
         o = oracles.whitehead_simple_oracle(cw, cache=cache_orc)
         assert v == o, f"mismatch on {cw}"
         verdicts[v] += 1
@@ -173,7 +173,7 @@ def test_07_whitehead_oracle_agreement():
     for _ in range(100):
         phi, _ = random_automorphism(rng, F3, rng.randint(1, 7))
         w = phi.apply(F3.word("a")).cyclic()
-        assert is_simple(w, cache=cache_impl)
+        assert is_simple(w)
     assert not is_simple(CyclicWord(F3, (1, 1, 2, 2, 3, 3)))
     elapsed = time.monotonic() - t0
     assert elapsed < 600, f"runtime {elapsed:.1f}s exceeds 10 min"
@@ -224,7 +224,7 @@ def test_08_recurrence_classification():
         lamX, witX = stretch_factor(X, Gp)
         assert lamX == lam_star
         f = optimal_map(X, Gp, lamX)
-        assert tension_graph(f) == set(X.edge_ends)
+        assert f.tension_edges() == set(X.edge_ends)
         tt = f.gates(set(X.edge_ends))
         verdict = classify_recurrence(tt)
         assert verdict.kind in ("recurrent", "birecurrent")
@@ -331,8 +331,8 @@ def test_11_quasigeodesic_experiment():
         certified += 1
         progress_rows += len(report.progress_table)
     # the constructed teleporting sequence must fail
-    img_a = ProjectionImage([FactorHandle.from_words([F3.word("a")])])
-    img_b = ProjectionImage([FactorHandle.from_words([F3.word("b")])])
+    img_a = [FactorHandle.from_words([F3.word("a")])]
+    img_b = [FactorHandle.from_words([F3.word("b")])]
     tele_ball = build_ball(F3, bound=4, aut_product_length=2)
     tele = check_reparam_quasigeodesic([img_a, img_b] * 3, K=1, ball=tele_ball)
     assert not tele.ok

@@ -143,11 +143,31 @@ def _one_way_edge(data, key):
     assert key in data["adjacency"][other]
 
 
+def _not_a_core(extra_edge):
+    """Give <c>'s core one more edge (and vertex 1), and re-key the
+    handle and the adjacency by the new graph's own code."""
+    def corrupt(data, key):
+        from outerspace.stallings import FactorHandle, SubgroupCoreGraph
+        old = FactorHandle.from_words([F3.word("c")]).code.hex()
+        core = data["handles"].pop(old)
+        core["vertices"].append(1)
+        core["edges"].append(extra_edge)
+        new = FactorHandle(SubgroupCoreGraph.from_json(core, 3), 3).code.hex()
+        data["handles"][new] = core
+        data["adjacency"][new] = data["adjacency"].pop(old)
+        for row in data["adjacency"].values():
+            row[:] = [new if c == old else c for c in row]
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [
     _unlisted_vertex, _label("z"), _label("ab"), _swapped_core,
     _unknown_neighbour, _one_way_edge,
+    _not_a_core({"from": 0, "label": "b", "to": 1}),
+    _not_a_core({"from": 1, "label": "a", "to": 1}),
 ], ids=["unlisted-vertex", "label-outside-rank", "two-letter-label",
-        "code-not-key", "unknown-neighbour", "one-way-edge"])
+        "code-not-key", "unknown-neighbour", "one-way-edge", "hanging-edge",
+        "two-components"])
 def test_ffdist_invalid_ball_file_exits_2(corrupt, tmp_path, capsys):
     ball = tmp_path / "ball.json"
     assert main(["ball", "--bound", "4", "--products", "1",

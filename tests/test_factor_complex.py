@@ -7,8 +7,8 @@ from outerspace import factor_complex
 from outerspace.words import FreeGroup
 from outerspace.marked_graph import rose, standard_marking
 from outerspace.stallings import FactorHandle
-from outerspace.factor_complex import (project, build_ball, ProjectionImage,
-                                       FactorBall, check_reparam_quasigeodesic,
+from outerspace.factor_complex import (project, build_ball, FactorBall,
+                                       check_reparam_quasigeodesic,
                                        _image_distance)
 from outerspace.randomgen import random_marked_graph
 from outerspace.folding import standard_geodesic
@@ -256,8 +256,8 @@ def test_qg_along_folding_path():
 def test_qg_teleport_fails():
     # a constructed sequence whose single step exceeds any window bound:
     # alternate far factors so even one step has diameter > K
-    img_a = ProjectionImage([handle("a")])
-    img_b = ProjectionImage([handle("b")])
+    img_a = [handle("a")]
+    img_b = [handle("b")]
     ball = build_ball(F3, bound=4, aut_product_length=2)
     report = check_reparam_quasigeodesic([img_a, img_b, img_a, img_b],
                                          K=1, ball=ball)

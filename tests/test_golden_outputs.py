@@ -1,0 +1,52 @@
+"""Experiment reports and ball files are pinned byte for byte.
+
+A change that must leave outputs unchanged (a refactor, a speed-up)
+keeps these digests; a change that means to alter an output updates the
+digest here and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from outerspace.cli import main
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+EXPERIMENTS = {
+    "qg-check": (["--instances", "4", "--seed", "3", "--bound", "12"],
+                 "aa627b1622c63c15b46a9e09475ea2e1dacecb83b2d62d62c229784e26595d28",
+                 "ed45f31429b3b5bf3a5518ab745263d45db43674f65799e41692154dec03cf15"),
+    "fold-additivity": (["--instances", "6", "--seed", "3"],
+                        "04ad61943027b1adffb96b51284b8cc20ec46a12c29cc9af32128f32c44df035",
+                        "ced0eea1d4bd56ad42e1c4e5b52fb56f9250592209cfc0dad27fc8c2a184f558"),
+    "distance-oracle": (["--instances", "8", "--seed", "3"],
+                        "3d099fdd00a754c5c16971969650b1c880e37414bc9380b5732b032149f14067",
+                        "65dd11f97e312a83c543e5164e5c570c55811fa427ed4f67bc649f4cc7e2f4f6"),
+    "whitehead-oracle": (["--instances", "30", "--seed", "3"],
+                         "561c2a161c4de7ee9971c80ce7bf4f9185306fbafa8195d1aa618d69c6998c4c",
+                         "15ca0d95902ea2cd6d573cd636b1b0c6aa516bbbb919419ccae7ab7bec43fd38"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(EXPERIMENTS))
+def test_experiment_report_digests(suite, tmp_path, capsys):
+    flags, report_digest, summary_digest = EXPERIMENTS[suite]
+    out = tmp_path / "report"
+    assert main(["experiment", "--suite", suite, *flags,
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(tmp_path / "report.jsonl") == report_digest
+    assert _sha256(tmp_path / "report.summary.json") == summary_digest
+
+
+def test_ball_file_digest(tmp_path, capsys):
+    out = tmp_path / "ball.json"
+    assert main(["ball", "--rank", "3", "--bound", "6", "--products", "2",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out) == (
+        "5d2a7f799efe072044ef3a391d7b2fb90d411ec37e8873cc7c90102b1853d554")

@@ -7,8 +7,7 @@ from outerspace.words import FreeGroup
 from outerspace.marked_graph import rose, standard_marking
 from outerspace import lipschitz
 from outerspace.lipschitz import (candidates, stretch_factor, distance,
-                                  optimal_map, tension_graph, gates,
-                                  optimize_in_simplex, class_of_loop,
+                                  optimal_map, optimize_in_simplex, class_of_loop,
                                   OptimalMapError)
 from outerspace.oracles import brute_stretch, all_short_loops
 from outerspace.randomgen import random_marked_graph, random_rose
@@ -237,13 +236,13 @@ def test_witness_length_bound():
 def test_optimal_map_rose_pair():
     f = optimal_map(R_unit(), R_skew())
     assert f.slopes() == {1: Fr(3, 2), 2: Fr(3, 4), 3: Fr(3, 4)}
-    assert tension_graph(f) == {1}
+    assert f.tension_edges() == {1}
 
 
 def test_optimal_map_identity_marking():
     f = optimal_map(R_skew(), R_skew())
     assert all(s == 1 for s in f.slopes().values())
-    assert tension_graph(f) == {1, 2, 3}
+    assert f.tension_edges() == {1, 2, 3}
 
 
 def test_optimal_map_certification_random():
@@ -256,7 +255,7 @@ def test_optimal_map_certification_random():
         assert f.sigma() == lam
         assert f.is_difference_of_markings()
         f.check_consistency()
-        tens = tension_graph(f)
+        tens = f.tension_edges()
         assert all(abs(e) in tens for e in wit.edges)
         tt = f.gates(tens)
         assert is_legal(tt, wit.edges, cyclic=True)
@@ -270,7 +269,7 @@ def test_optimal_map_certification_random():
 
 def test_gates_definition_replay():
     f = optimal_map(R_unit(), R_skew())
-    tt = gates(f, set(R_unit().edge_ends))
+    tt = f.gates(set(R_unit().edge_ends))
     for v in tt.gates:
         for g in tt.gates[v]:
             germs = {f.germ(d) for d in g}
@@ -286,7 +285,7 @@ def test_gates_definition_replay():
 def test_gates_collapsed_edge_rejected():
     f = optimal_map(R_unit(), R_skew())
     from outerspace.paths import TargetPath, vertex_point
-    f.edge_images[2] = TargetPath.point(R_skew(), vertex_point(0))
+    f.edge_images[2] = TargetPath(R_skew(), vertex_point(0))
     with pytest.raises(ValueError):
         f.gates({1, 2, 3})
 
@@ -319,7 +318,7 @@ def test_optimize_in_simplex_recurrent_structure():
         lengths, lam_star = optimize_in_simplex(R_unit(), Gp)
         X = R_unit().with_lengths(lengths)
         f = optimal_map(X, Gp)
-        assert tension_graph(f) == set(X.edge_ends)
+        assert f.tension_edges() == set(X.edge_ends)
         tt = f.gates(set(X.edge_ends))
         verdict = classify_recurrence(tt)
         assert verdict.kind in ("recurrent", "birecurrent")
@@ -329,7 +328,7 @@ def _assert_certified(G, Gp, lam, wit, f):
     assert f.sigma() == lam
     assert f.is_difference_of_markings()
     f.check_consistency()
-    tens = tension_graph(f)
+    tens = f.tension_edges()
     assert all(abs(e) in tens for e in wit.edges)
 
 

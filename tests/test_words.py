@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from outerspace.words import (FreeGroup, Word, Automorphism,
+from outerspace.words import (FreeGroup, Word, CyclicWord, Automorphism,
                               reduce_word, cyclic_normal_form,
-                              RankMismatchError, parse_letters)
+                              RankMismatchError, parse_letters, free_reduce,
+                              inverse, signed_table, substitute)
+from outerspace.randomgen import random_automorphism
 
 
 F3 = FreeGroup(3)
@@ -99,6 +101,56 @@ def test_inverse_roundtrip_randomized():
         for _ in range(5):
             w = Word(F3, [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(8)])
             assert inv.apply(phi.apply(w)) == w
+
+
+def test_inverse_of_symbol_sequences():
+    assert inverse(()) == ()
+    assert inverse([1, -2, 3]) == (-3, 2, -1)
+    rng = random.Random(6)
+    for _ in range(50):
+        seq = [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randint(0, 9))]
+        assert inverse(inverse(seq)) == tuple(seq)
+        assert free_reduce(list(seq) + list(inverse(seq))) == []
+
+
+def test_signed_table_pairs_each_image_with_its_inverse():
+    table = signed_table({1: (1, 2), 2: [-3], 3: ()})
+    assert table == {1: (1, 2), -1: (-2, -1), 2: (-3,), -2: (3,),
+                     3: (), -3: ()}
+    assert all(type(im) is tuple for im in table.values())
+
+
+def test_substitute_reduces_after_replacing():
+    table = signed_table({1: (1, 2), 2: (-2,), 3: (3,)})
+    assert substitute((1, 2), table) == (1,)           # a b . B = a
+    assert substitute((1, -1), table) == ()
+    assert substitute((), table) == ()
+    assert substitute((3, 1, 2, -3), table) == (3, 1, -3)
+    # edge substitutions: () collapses a symbol
+    assert substitute((5, 7, -5), {5: (1,), -5: (-1,), 7: (), -7: ()}) == ()
+
+
+def _old_apply(phi, w):
+    """Automorphism.apply as a letter-by-letter loop over the images."""
+    letters = []
+    for x in w.letters:
+        img = phi.images[abs(x) - 1].letters
+        letters.extend(img if x > 0 else [-y for y in reversed(img)])
+    return type(w)(phi.group, letters)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_apply_matches_letter_loop(rank):
+    F = FreeGroup(rank)
+    letters = F.all_letters()
+    rng = random.Random(100 + rank)
+    for _ in range(40):
+        phi, phi_inv = random_automorphism(rng, F, rng.randint(0, 8))
+        for aut in (phi, phi_inv):
+            for _ in range(5):
+                raw = [rng.choice(letters) for _ in range(rng.randint(0, 12))]
+                for w in (Word(F, raw), CyclicWord(F, raw)):
+                    assert aut.apply(w) == _old_apply(aut, w)
 
 
 def test_non_automorphism_rejected():
