@@ -10,7 +10,7 @@ closed under length-preserving moves by the brute-force oracle
 oracles.minimal_level_set.
 """
 
-from outerspace import (FreeGroup, whitehead_graph, connectivity_report,
+from outerspace import (FreeGroup, WhiteheadGraph, connectivity_report,
                         reduce_to_minimal, is_simple)
 from outerspace.oracles import minimal_level_set
 from outerspace.words import CyclicWord
@@ -19,7 +19,7 @@ F = FreeGroup(3)
 
 for text in ("abc", "aabbcc", "abAB", "abacbc"):
     w = CyclicWord(F, F.word(text).letters)
-    W = whitehead_graph(w)
+    W = WhiteheadGraph(w)
     rep = connectivity_report(W)
     res = reduce_to_minimal(w)
     forms = minimal_level_set(res.descent[-1])
@@ -30,4 +30,4 @@ for text in ("abc", "aabbcc", "abAB", "abacbc"):
 print()
 w = CyclicWord(F, F.word("aabbcc").letters)
 print("the Whitehead graph of a^2 b^2 c^2 (a single 6-cycle):")
-print(whitehead_graph(w).to_dot())
+print(WhiteheadGraph(w).to_dot())

@@ -13,7 +13,7 @@ of each capability.
 """
 
 from .words import (FreeGroup, Word, CyclicWord, Automorphism,
-                    reduce_word, cyclic_normal_form, RankMismatchError)
+                    RankMismatchError)
 from .marked_graph import MarkedMetricGraph, EdgePath, rose, standard_marking
 from .stallings import (SubgroupCoreGraph, FactorHandle, core_graph,
                         contains_element, conjugate_into, canonical_code)
@@ -27,7 +27,7 @@ from .traintrack import (TrainTrackStructure, DirectionDigraph,
 from .folding import (fold_step, folding_path, standard_geodesic,
                       path_statistics, FoldingPath, StandardGeodesic)
 from .whitehead import (WhiteheadGraph, WhiteheadAutomorphism,
-                        whitehead_graph, connectivity_report,
+                        connectivity_report,
                         apply_whitehead, reduce_to_minimal, is_simple,
                         all_type_ii_automorphisms, outer_moves,
                         SimplicityCertificateError)

@@ -338,7 +338,7 @@ def cmd_reduce(args):
 
 def cmd_whitehead_graph(args):
     cw = _word_arg(_group(args.rank), args.word, nonempty=True).cyclic()
-    W = whitehead.whitehead_graph(cw)
+    W = whitehead.WhiteheadGraph(cw)
     report = whitehead.connectivity_report(W)
     if args.dot:
         print(W.to_dot())

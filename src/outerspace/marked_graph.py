@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .words import (Word, CyclicWord, free_reduce, cyclic_reduce, inverse,
+from .words import (Word, free_reduce, cyclic_reduce, inverse,
                     letter_str, least_rotation, signed_table, substitute)
 from . import stallings
 
@@ -154,17 +154,14 @@ class MarkedMetricGraph:
         return substitute(word.letters, self._marking)
 
     def loop_representative(self, cw):
-        """The immersed cyclic edge path of a conjugacy class."""
-        if isinstance(cw, Word):
-            cw = CyclicWord(cw.group, cw.letters)
+        """The immersed cyclic edge path of a conjugacy class, a CyclicWord."""
         if cw.is_trivial():
             raise ValueError("trivial class has no immersed representative")
         path = self.based_loop_of(cw.word())
         return EdgePath(self, path, cyclic=True)
 
     def translation_length(self, cw):
-        if isinstance(cw, Word):
-            cw = CyclicWord(cw.group, cw.letters)
+        """The length of the immersed loop of a CyclicWord."""
         if cw.is_trivial():
             return Fraction(0)
         return self.loop_representative(cw).length()

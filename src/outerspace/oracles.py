@@ -4,9 +4,11 @@ These deliberately avoid the candidate machinery, the direction-digraph
 classification, and the greedy Whitehead descent; comparisons against
 them are the backbone of the test suite and of the experiment runner.
 The exhaustive Whitehead searches live here: ``whitehead_simple_oracle``
-and the level-set closure ``minimal_level_set``.  Every search has a
-budget; one that runs out raises OracleBudgetExceeded with the oracle's
-name, its budget and the work done so far, never a partial answer.
+and the level-set closure ``minimal_level_set``; so does the spanning
+legal loop DP ``spanning_legal_loop_bruteforce`` over (direction,
+covered-edge set).  Every open-ended search has a budget; one that
+runs out raises OracleBudgetExceeded with the oracle's name, its budget
+and the work done so far, never a partial answer.
 """
 
 from __future__ import annotations
@@ -84,6 +86,33 @@ def brute_stretch(G, Gp, max_crossings=2):
             best = ratio
             best_loop = loop
     return best, best_loop
+
+
+def spanning_legal_loop_bruteforce(tt):
+    """Independent check: DP over (direction, covered-edge set).
+
+    Returns True iff some legal loop crosses every edge of the support.
+    """
+    from .traintrack import direction_digraph
+
+    D = direction_digraph(tt)
+    edges = sorted(tt.edge_support())
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    full = (1 << len(edges)) - 1
+    for start in sorted(D.nodes):
+        seen = set()
+        frontier = [(start, bit[abs(start)])]
+        seen.add((start, bit[abs(start)]))
+        while frontier:
+            d, mask = frontier.pop()
+            if mask == full and start in D.arcs[d]:
+                return True
+            for d2 in D.arcs[d]:
+                st = (d2, mask | bit[abs(d2)])
+                if st not in seen:
+                    seen.add(st)
+                    frontier.append(st)
+    return False
 
 
 def subgroup_elements_up_to(gen_words, max_length, slack=None):

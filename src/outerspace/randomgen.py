@@ -7,6 +7,7 @@ seed reproduces instances bit-for-bit.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .words import Word, Automorphism
 from .marked_graph import standard_marking, rose
@@ -15,7 +16,7 @@ from .marked_graph import standard_marking, rose
 def random_word(rng, group, length):
     letters = []
     while len(letters) < length:
-        x = rng.choice([s * i for i in range(1, group.rank + 1) for s in (1, -1)])
+        x = rng.choice(group.all_letters())
         if letters and letters[-1] == -x:
             continue
         letters.append(x)
@@ -34,8 +35,10 @@ def random_cyclic_word(rng, group, length):
     return cw
 
 
+@cache
 def elementary_automorphisms(group):
-    """Nielsen moves x_i -> x_i x_j^(+-1) with their inverses, plus inversions."""
+    """Nielsen moves x_i -> x_i x_j^(+-1) with their inverses, plus
+    inversions, as a tuple of pairs built once per rank."""
     pairs = []
     n = group.rank
     for i in range(1, n + 1):
@@ -52,7 +55,7 @@ def elementary_automorphisms(group):
         imgs = [group.generator(k) for k in range(1, n + 1)]
         imgs[i - 1] = Word(group, [-i])
         pairs.append((Automorphism(group, imgs), Automorphism(group, imgs)))
-    return pairs
+    return tuple(pairs)
 
 
 def random_automorphism(rng, group, length):

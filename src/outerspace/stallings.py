@@ -37,7 +37,7 @@ of five, Python 3.11 on a 2-core Xeon).
 
 from __future__ import annotations
 
-from .words import free_reduce, inverse, letter_str, FreeGroup
+from .words import free_reduce, inverse, letter_key, letter_str, FreeGroup
 
 
 class SubgroupCoreGraph:
@@ -362,11 +362,11 @@ def _walk(H):
             if w not in reached:
                 reached.add(w)
                 queue.append(w)
-    # signed labels are numbered 0, 1, 2, ...; the turn {i, k} with
+    # signed labels are numbered by letter_key; the turn {i, k} with
     # i < k is bit k (k - 1) / 2 + i
     turns = 0
     for row in rows.values():
-        ks = sorted(2 * abs(lab) - 2 + (lab < 0) for lab in row)
+        ks = sorted(map(letter_key, row))
         for j, k in enumerate(ks):
             for i in ks[:j]:
                 turns |= 1 << (k * (k - 1) // 2 + i)

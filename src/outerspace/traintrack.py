@@ -5,11 +5,14 @@ each vertex into gates.  A turn is illegal when its two directions lie
 in one gate; a path is legal when it crosses no illegal turn.  The
 recurrence classification works in the direction digraph D whose nodes
 are oriented edges, with an arc e -> e' whenever "e then e'" is a legal
-transition.
+transition.  The arcs out of e are read off the directions leaving the
+terminus of e, and the strongly connected components of D by
+reachability: D has at most 2(3N - 3) nodes at rank N.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .marked_graph import EdgePath
@@ -39,15 +42,11 @@ class TrainTrackStructure:
         for d in directions:
             v = graph.origin(d)
             by_vertex.setdefault(v, {}).setdefault(germ_of(d), []).append(d)
-        gates = {v: [set(g) for g in groups.values()]
-                 for v, groups in by_vertex.items()}
-        return cls(graph, gates)
+        return cls(graph, {v: groups.values()
+                           for v, groups in by_vertex.items()})
 
     def support(self):
         return set(self._gate_of)
-
-    def directions_at(self, v):
-        return [d for g in self.gates.get(v, ()) for d in g]
 
     def gate_of(self, d):
         return self._gate_of[d]
@@ -86,22 +85,16 @@ class TrainTrackStructure:
         return "\n".join(lines)
 
 
-def turns_of_path(edges, cyclic=False):
-    """Turns crossed by an edge path: pairs (reverse of incoming, outgoing)."""
-    pairs = list(zip(edges, edges[1:]))
-    if cyclic and edges:
-        pairs.append((edges[-1], edges[0]))
-    return [(-a, b) for a, b in pairs]
-
-
 def illegal_turn_count(tt, edges, cyclic=False):
+    """The illegal turns of an edge path: (reverse of a, b) for each step a, b."""
     if isinstance(edges, EdgePath):
         cyclic = edges.cyclic
         edges = edges.edges
     count = 0
-    for d1, d2 in turns_of_path(edges, cyclic):
-        if tt.is_illegal_turn(d1, d2):
-            count += 1
+    for a, b in zip(edges, edges[1:]):
+        count += tt.is_illegal_turn(-a, b)
+    if cyclic and edges:
+        count += tt.is_illegal_turn(-edges[-1], edges[0])
     return count
 
 
@@ -116,77 +109,36 @@ class DirectionDigraph:
 
 
 def direction_digraph(tt):
-    graph = tt.graph
-    nodes = set(tt.support())
-    arcs = {n: set() for n in nodes}
-    for e in nodes:
-        v = graph.terminus(e)
-        for e2 in nodes:
-            if graph.origin(e2) != v:
-                continue
-            if tt._gate_of[-e] is not tt._gate_of[e2]:
-                arcs[e].add(e2)
-    return DirectionDigraph(nodes, arcs)
+    """D: an arc e -> e' for each direction e' in the support leaving the
+    terminus of e whose gate is not the gate of the reverse of e."""
+    graph, gate_of = tt.graph, tt._gate_of
+    arcs = {e: {e2 for e2 in graph.directions_at(graph.terminus(e))
+                if e2 in gate_of and gate_of[-e] is not gate_of[e2]}
+            for e in gate_of}
+    return DirectionDigraph(tt.support(), arcs)
 
 
 def strongly_connected_components(D):
-    """Tarjan, iterative.  Returns a list of frozensets of nodes."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-    for root in sorted(D.nodes):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(D.arcs[root])))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+    """The components of D as frozensets, in the order of their least node.
+
+    One search per node: the component of v is the set of nodes that v
+    reaches and that reach v.
+    """
+    reach = {}
+    for v in D.nodes:
+        reach[v] = seen = {v}
+        stack = [v]
+        while stack:
+            for w in D.arcs[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(D.arcs[w]))))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                sccs.append(frozenset(comp))
+    sccs, met = [], set()
+    for v in sorted(D.nodes):
+        if v not in met:
+            sccs.append(frozenset(w for w in reach[v] if v in reach[w]))
+            met |= sccs[-1]
     return sccs
-
-
-def _terminal_sccs(D, sccs):
-    member = {}
-    for c in sccs:
-        for n in c:
-            member[n] = c
-    terminal = []
-    for c in sccs:
-        if all(member[m] is c for n in c for m in D.arcs[n]):
-            terminal.append(c)
-    return terminal
 
 
 def _closed_walk_through(D, scc, targets):
@@ -198,7 +150,6 @@ def _closed_walk_through(D, scc, targets):
 
     def bfs(src, goal_set):
         # shortest path src -> any goal (nonempty move), inside scc
-        from collections import deque
         q = deque([(src, ())])
         seen = {src}
         while q:
@@ -273,7 +224,7 @@ def classify_recurrence(tt):
         if walk is not None:
             return RecurrenceVerdict("recurrent", certificate=tuple(walk))
 
-    terminal = _terminal_sccs(D, sccs)
+    terminal = [c for c in sccs if all(D.arcs[n] <= c for n in c)]
     scc = min(terminal, key=lambda c: tuple(sorted(c)))
     edges = frozenset(abs(d) for d in scc)
     both = all(d in scc and -d in scc for d in scc)
@@ -288,28 +239,3 @@ def find_spanning_legal_loop(tt):
     if verdict.is_recurrent():
         return EdgePath(tt.graph, verdict.certificate, cyclic=True)
     return None
-
-
-def spanning_legal_loop_bruteforce(tt):
-    """Independent check: DP over (direction, covered-edge set).
-
-    Returns True iff some legal loop crosses every edge of the support.
-    """
-    D = direction_digraph(tt)
-    edges = sorted(tt.edge_support())
-    bit = {e: 1 << i for i, e in enumerate(edges)}
-    full = (1 << len(edges)) - 1
-    for start in sorted(D.nodes):
-        seen = set()
-        frontier = [(start, bit[abs(start)])]
-        seen.add((start, bit[abs(start)]))
-        while frontier:
-            d, mask = frontier.pop()
-            if mask == full and start in D.arcs[d]:
-                return True
-            for d2 in D.arcs[d]:
-                st = (d2, mask | bit[abs(d2)])
-                if st not in seen:
-                    seen.add(st)
-                    frontier.append(st)
-    return False

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import Counter
 
-from .words import Word, CyclicWord, Automorphism, letter_str, letter_key
+from .words import Word, Automorphism, letter_str, letter_key
 
 
 class SimplicityCertificateError(RuntimeError):
@@ -52,10 +52,10 @@ class SimplicityCertificateError(RuntimeError):
 
 
 def _letter_bits(letters):
-    """Bit set of signed letters: a, a^-1, b, b^-1, ... -> bits 0, 1, 2, 3, ..."""
+    """Bit set of signed letters, bit letter_key(x) for the letter x."""
     bits = 0
     for x in letters:
-        bits |= 1 << (2 * abs(x) - (2 if x > 0 else 1))
+        bits |= 1 << letter_key(x)
     return bits
 
 
@@ -75,7 +75,7 @@ class WhiteheadGraph:
             self.edges[frozenset((-x, y)) if -x != y else frozenset((y,))] += 1
 
     def vertices(self):
-        return [s * i for i in range(1, self.group.rank + 1) for s in (1, -1)]
+        return self.group.all_letters()
 
     def support_vertices(self):
         sup = set()
@@ -146,10 +146,6 @@ def connectivity_report(W):
         if len(support) > 2 and not connected(support, skip=v):
             return ConnectivityReport("cut-vertex", cut_vertex=v, isolated=isolated)
     return ConnectivityReport("two-connected", isolated=isolated)
-
-
-def whitehead_graph(cw):
-    return WhiteheadGraph(cw)
 
 
 class WhiteheadAutomorphism:
@@ -250,12 +246,8 @@ def outer_moves(group):
 
 
 def apply_whitehead(tau, cw):
-    """Image of a conjugacy class under a Whitehead automorphism."""
-    if isinstance(tau, WhiteheadAutomorphism):
-        phi = tau.automorphism()
-    else:
-        phi = tau
-    return phi.apply(cw if isinstance(cw, CyclicWord) else cw.cyclic())
+    """Image of a CyclicWord under a WhiteheadAutomorphism, a CyclicWord."""
+    return tau.automorphism().apply(cw)
 
 
 @dataclass

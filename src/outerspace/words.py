@@ -20,8 +20,11 @@ class RankMismatchError(ValueError):
 
 
 def letter_key(letter):
-    """Sort key realizing the order a < a^-1 < b < b^-1 < ..."""
-    return (abs(letter), 0 if letter > 0 else 1)
+    """The number of a signed letter: a, a^-1, b, b^-1, ... -> 0, 1, 2, 3, ...
+
+    As a sort key it realizes the order a < a^-1 < b < b^-1 < ...
+    """
+    return 2 * abs(letter) - 2 + (letter < 0)
 
 
 _LOWER = "abcdefghijklmnopqrstuvwxyz"
@@ -229,9 +232,8 @@ class CyclicWord:
             group.check_letter(x)
         core, _ = cyclic_reduce(free_reduce(list(letters)))
         object.__setattr__(self, "group", group)
-        # 2|x| - (x > 0) orders letters as letter_key does
         object.__setattr__(self, "letters", least_rotation(
-            core, [2 * abs(x) - (x > 0) for x in core]))
+            core, [letter_key(x) for x in core]))
 
     def __setattr__(self, *a):
         raise AttributeError("CyclicWord is immutable")
@@ -270,18 +272,6 @@ class CyclicWord:
 
     def __repr__(self):
         return f"CyclicWord({self})"
-
-
-def reduce_word(group, letters):
-    """Raw letters (or a string) -> freely reduced Word."""
-    if isinstance(letters, str):
-        letters = parse_letters(letters)
-    return Word(group, letters)
-
-
-def cyclic_normal_form(word):
-    """Word -> canonical CyclicWord of its conjugacy class."""
-    return CyclicWord(word.group, word.letters)
 
 
 class Automorphism:

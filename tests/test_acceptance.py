@@ -17,8 +17,7 @@ from outerspace.marked_graph import rose
 from outerspace.lipschitz import (stretch_factor, optimal_map,
                                   optimize_in_simplex)
 from outerspace.traintrack import (TrainTrackStructure, classify_recurrence,
-                                   spanning_legal_loop_bruteforce, is_legal,
-                                   find_spanning_legal_loop)
+                                   is_legal, find_spanning_legal_loop)
 from outerspace.folding import standard_geodesic, path_statistics
 from outerspace.whitehead import is_simple
 from outerspace.factor_complex import (project, build_ball,
@@ -203,7 +202,7 @@ def test_08_recurrence_classification():
         tt = _random_tt(rng)
         assert len(tt.edge_support()) <= 8
         verdict = classify_recurrence(tt)
-        expect = spanning_legal_loop_bruteforce(tt)
+        expect = oracles.spanning_legal_loop_bruteforce(tt)
         assert verdict.is_recurrent() == expect
         loop = find_spanning_legal_loop(tt)
         assert (loop is not None) == expect

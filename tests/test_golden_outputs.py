@@ -1,4 +1,5 @@
-"""Experiment reports and ball files are pinned byte for byte.
+"""Experiment reports and ball files are pinned byte for byte, and the
+recurrence verdicts of seeded random gate structures by one digest.
 
 A change that must leave outputs unchanged (a refactor, a speed-up)
 keeps these digests; a change that means to alter an output updates the
@@ -6,10 +7,14 @@ digest here and says why.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from outerspace.cli import main
+from outerspace.randomgen import random_marked_graph
+from outerspace.traintrack import TrainTrackStructure, classify_recurrence
+from outerspace.words import FreeGroup
 
 
 def _sha256(path):
@@ -50,3 +55,34 @@ def test_ball_file_digest(tmp_path, capsys):
     capsys.readouterr()
     assert _sha256(out) == (
         "5d2a7f799efe072044ef3a391d7b2fb90d411ec37e8873cc7c90102b1853d554")
+
+
+def _random_gates(rng, rank):
+    """Random gates on a multi-vertex random marked graph; about two in
+    five keep only the directions of a random set of edges."""
+    G = random_marked_graph(rng, FreeGroup(rank), 2)
+    while len(G.vertices) < 2:
+        G = random_marked_graph(rng, FreeGroup(rank), 2)
+    edges = sorted(G.edge_ends)
+    if rng.random() < 0.4:
+        edges = rng.sample(edges, rng.randint(1, len(edges)))
+    gates = {}
+    for v in sorted(G.vertices):
+        dirs = [d for d in G.directions_at(v) if abs(d) in edges]
+        rng.shuffle(dirs)
+        if dirs:
+            k = rng.randint(1, len(dirs))
+            gates[v] = [dirs[i::k] for i in range(k)]
+    return TrainTrackStructure(G, gates)
+
+
+def test_recurrence_classification_digest():
+    rng = random.Random(19)
+    lines = []
+    for i in range(240):
+        verdict = classify_recurrence(_random_gates(rng, 2 + i % 3))
+        subgraph = verdict.subgraph and sorted(verdict.subgraph)
+        lines.append(repr((verdict.kind, verdict.certificate, subgraph)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "cbe746fa7eb1fb1cfb5e9485d15249956de4e9f547ff4180ed84d474e7a40224")

@@ -5,11 +5,12 @@ import pytest
 
 from outerspace.words import FreeGroup
 from outerspace.marked_graph import rose, standard_marking
+from outerspace.randomgen import random_marked_graph
 from outerspace.traintrack import (TrainTrackStructure, direction_digraph,
                                    classify_recurrence, find_spanning_legal_loop,
                                    is_legal, illegal_turn_count,
-                                   spanning_legal_loop_bruteforce,
                                    strongly_connected_components)
+from outerspace.oracles import spanning_legal_loop_bruteforce
 
 
 F3 = FreeGroup(3)
@@ -46,7 +47,7 @@ def test_is_legal_iff_count_zero_random():
     rng = random.Random(41)
     G = R()
     for _ in range(30):
-        dirs = G.directions_at(0)
+        dirs = list(G.directions_at(0))
         rng.shuffle(dirs)
         k = rng.randint(1, len(dirs))
         cells = [[] for _ in range(k)]
@@ -84,7 +85,7 @@ def test_direction_digraph_definition_replay_random():
     rng = random.Random(42)
     G = R()
     for _ in range(20):
-        dirs = G.directions_at(0)
+        dirs = list(G.directions_at(0))
         rng.shuffle(dirs)
         k = rng.randint(2, len(dirs))
         cells = [[] for _ in range(k)]
@@ -144,7 +145,7 @@ def test_spanning_loop_agrees_with_bruteforce_random():
     G = R()
     agree = 0
     for _ in range(60):
-        dirs = G.directions_at(0)
+        dirs = list(G.directions_at(0))
         rng.shuffle(dirs)
         k = rng.randint(1, 4)
         cells = [[] for _ in range(k)]
@@ -169,7 +170,7 @@ def test_two_gate_condition_excludes_reducible():
     rng = random.Random(44)
     G = R()
     for _ in range(80):
-        dirs = G.directions_at(0)
+        dirs = list(G.directions_at(0))
         rng.shuffle(dirs)
         k = rng.randint(2, 5)
         cells = [[] for _ in range(k)]
@@ -190,6 +191,85 @@ def test_scc_on_two_vertex_structure():
     assert len(sccs) == 1
     verdict = classify_recurrence(tt)
     assert verdict.kind == "birecurrent"
+
+
+def _tarjan(D):
+    """Tarjan, iterative: the reference for strongly_connected_components."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    sccs = []
+    counter = [0]
+    for root in sorted(D.nodes):
+        if root in index:
+            continue
+        work = [(root, iter(sorted(D.arcs[root])))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(sorted(D.arcs[w]))))
+                    advanced = True
+                    break
+                elif w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == index[v]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    if w == v:
+                        break
+                sccs.append(frozenset(comp))
+    return sccs
+
+
+def _random_gates(rng, rank):
+    """Random gates on a multi-vertex random marked graph; about two in
+    five keep only the directions of a random set of edges."""
+    G = random_marked_graph(rng, FreeGroup(rank), 2)
+    while len(G.vertices) < 2:
+        G = random_marked_graph(rng, FreeGroup(rank), 2)
+    edges = sorted(G.edge_ends)
+    if rng.random() < 0.4:
+        edges = rng.sample(edges, rng.randint(1, len(edges)))
+    gates = {}
+    for v in sorted(G.vertices):
+        dirs = [d for d in G.directions_at(v) if abs(d) in edges]
+        rng.shuffle(dirs)
+        if dirs:
+            k = rng.randint(1, len(dirs))
+            gates[v] = [dirs[i::k] for i in range(k)]
+    return TrainTrackStructure(G, gates)
+
+
+def test_components_match_tarjan_random():
+    rng = random.Random(45)
+    sizes = set()
+    for i in range(150):
+        D = direction_digraph(_random_gates(rng, 2 + i % 3))
+        sccs = strongly_connected_components(D)
+        assert set(sccs) == set(_tarjan(D))
+        assert [min(c) for c in sccs] == sorted(min(c) for c in sccs)
+        sizes.add(len(sccs))
+    assert 1 in sizes and max(sizes) > 3
 
 
 def test_dot_export():

@@ -6,7 +6,7 @@ import pytest
 from outerspace import whitehead
 from outerspace.words import FreeGroup, CyclicWord, Word
 from outerspace.cli import main
-from outerspace.whitehead import (whitehead_graph, connectivity_report,
+from outerspace.whitehead import (WhiteheadGraph, connectivity_report,
                                   WhiteheadAutomorphism, apply_whitehead,
                                   reduce_to_minimal, is_simple,
                                   all_type_ii_automorphisms, outer_moves,
@@ -43,7 +43,7 @@ def _omitting(res):
 
 
 def test_graph_of_abc_is_perfect_matching():
-    W = whitehead_graph(cw("abc"))
+    W = WhiteheadGraph(cw("abc"))
     assert W.multiplicity(-1, 2) == 1
     assert W.multiplicity(-2, 3) == 1
     assert W.multiplicity(-3, 1) == 1
@@ -52,7 +52,7 @@ def test_graph_of_abc_is_perfect_matching():
 
 
 def test_graph_of_squares_is_six_cycle():
-    W = whitehead_graph(cw("aabbcc"))
+    W = WhiteheadGraph(cw("aabbcc"))
     expected = [(-1, 1), (-1, 2), (-2, 2), (-2, 3), (-3, 3), (-3, 1)]
     for x, y in expected:
         assert W.multiplicity(x, y) == 1, (x, y)
@@ -61,7 +61,7 @@ def test_graph_of_squares_is_six_cycle():
 
 
 def test_graph_of_single_letter():
-    W = whitehead_graph(cw("a"))
+    W = WhiteheadGraph(cw("a"))
     assert W.multiplicity(-1, 1) == 1
     assert _total_multiplicity(W) == 1
 
@@ -70,25 +70,25 @@ def test_graph_total_multiplicity_is_length():
     rng = random.Random(71)
     for _ in range(20):
         w = random_cyclic_word(rng, F3, rng.randint(1, 8))
-        assert _total_multiplicity(whitehead_graph(w)) == len(w)
+        assert _total_multiplicity(WhiteheadGraph(w)) == len(w)
 
 
 def test_connectivity_cut_vertex_star():
     # b a b c a c: graph has a cut vertex (constructed instance)
     # build a star-like graph from a word where one letter meets all
     for text in ("abAcab", "babcac", "aabac"):
-        W = whitehead_graph(cw(text))
+        W = WhiteheadGraph(cw(text))
         rep = connectivity_report(W)
         assert rep.kind in ("disconnected", "cut-vertex", "two-connected")
     # a disconnected example with an isolated absent letter pair
-    W = whitehead_graph(CyclicWord(F3, (1, 2)))
+    W = WhiteheadGraph(CyclicWord(F3, (1, 2)))
     rep = connectivity_report(W)
     assert set(rep.isolated) == {3, -3}
 
 
 def test_trivial_word_rejected():
     with pytest.raises(ValueError):
-        whitehead_graph(CyclicWord(F3, ()))
+        WhiteheadGraph(CyclicWord(F3, ()))
 
 
 def test_apply_whitehead_inner_preserves_length():
@@ -192,7 +192,7 @@ def test_graph_criterion_on_minimal_level():
     # Whitehead graphs on the tested instances
     for text, simple in (("aabbcc", False), ("abc", True)):
         level = minimal_level_set(reduce_to_minimal(cw(text)).descent[-1])
-        reports = {w: connectivity_report(whitehead_graph(w)) for w in level}
+        reports = {w: connectivity_report(WhiteheadGraph(w)) for w in level}
         has_bad = any(r.kind in ("disconnected", "cut-vertex")
                       or len(w.support()) < 3
                       for w, r in reports.items())
@@ -214,7 +214,7 @@ def test_graph_length_changes_match_rewriting():
         moves = all_type_ii_automorphisms(group)
         for _ in range(12):
             w = random_cyclic_word(rng, group, rng.randint(1, 12))
-            changes = length_changes(whitehead_graph(w), moves)
+            changes = length_changes(WhiteheadGraph(w), moves)
             for tau, change in zip(moves, changes):
                 assert change == len(apply_whitehead(tau, w)) - len(w), (w, tau)
 
