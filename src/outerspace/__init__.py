@@ -14,7 +14,7 @@ of each capability.
 
 from .words import (FreeGroup, Word, CyclicWord, Automorphism,
                     RankMismatchError)
-from .marked_graph import MarkedMetricGraph, EdgePath, rose, standard_marking
+from .marked_graph import MarkedMetricGraph, rose, standard_marking
 from .stallings import (SubgroupCoreGraph, FactorHandle, core_graph,
                         contains_element, conjugate_into, canonical_code)
 from .lipschitz import (candidates, stretch_factor, distance, optimal_map,

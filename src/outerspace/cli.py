@@ -22,7 +22,6 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from math import log10
 from pathlib import Path
 
@@ -68,12 +67,13 @@ def _load_graph(path):
 
 
 def _load_pair(source, target):
-    """The marked graphs in two files; different ranks are a usage error."""
+    """The marked graphs in two files, normalized; different ranks are a
+    usage error."""
     G, Gp = _load_graph(source), _load_graph(target)
     if G.group.rank != Gp.group.rank:
         raise UsageError(f"{source} has rank {G.group.rank} but {target} "
                          f"has rank {Gp.group.rank}")
-    return G, Gp
+    return G.normalize(), Gp.normalize()
 
 
 def _output_path(flag, path):
@@ -125,8 +125,7 @@ def _instance_rng(seed, index):
 
 
 def cmd_dist(args):
-    G, Gp = _load_pair(args.source, args.target)
-    lam, wit = lipschitz.stretch_factor(G.normalize(), Gp.normalize())
+    lam, wit = lipschitz.stretch_factor(*_load_pair(args.source, args.target))
     out = {"lambda": _frac_str(lam), "log10": f"{log10(lam):.12f}",
            "witness": list(wit.edges), "witness_shape": wit.shape}
     if args.json:
@@ -140,7 +139,6 @@ def cmd_dist(args):
 def cmd_optimal_map(args):
     _output_path("--emit-dot", args.emit_dot)
     G, Gp = _load_pair(args.source, args.target)
-    G, Gp = G.normalize(), Gp.normalize()
     f = lipschitz.optimal_map(G, Gp)
     tension = sorted(f.tension_edges())
     out = {"sigma": _frac_str(f.sigma()),
@@ -157,8 +155,7 @@ def cmd_optimal_map(args):
 
 
 def cmd_standard_geodesic(args):
-    G, Gp = _load_pair(args.source, args.target)
-    sg = folding.standard_geodesic(G.normalize(), Gp.normalize())
+    sg = folding.standard_geodesic(*_load_pair(args.source, args.target))
     out = {
         "lengths_start": {str(e): _frac_str(l) for e, l in sorted(sg.lengths_start.items())},
         "lengths_end": {str(e): _frac_str(l) for e, l in sorted(sg.lengths_end.items())},
@@ -181,7 +178,7 @@ def cmd_fold(args):
     G, Gp = _load_pair(getattr(args, "from"), args.to)
     probes = [_word_arg(G.group, text, nonempty=True).cyclic()
               for text in (args.probe or [])]
-    sg = folding.standard_geodesic(G.normalize(), Gp.normalize())
+    sg = folding.standard_geodesic(G, Gp)
     stats = folding.path_statistics(sg.path, probe_loops=probes)
     if args.emit_events:
         with open(args.emit_events, "w") as fh:
@@ -357,14 +354,10 @@ def cmd_qg_check(args):
                      for n, line in enumerate(fh, start=1)]
     if not snapshots:
         raise UsageError(f"{args.path} holds no snapshots")
-    images = [factor_complex.project(G) for G in snapshots]
-    seeds = {h.code: h for img in images for h in img}
-    ball = factor_complex.build_ball(group, seeds=list(seeds.values()),
-                                     bound=args.bound,
-                                     aut_product_length=args.products)
+    report, ball = _qg_certificate(group, snapshots, args.K, args.bound,
+                                   args.products)
     if ball.truncated:
         print(f"factor ball truncated at {len(ball.handles)} factors")
-    report = factor_complex.check_reparam_quasigeodesic(images, args.K, ball)
     if not report.ok:
         print(f"window failure at index {report.failed_window[0]}: "
               f"{report.failed_window[1]}")
@@ -373,6 +366,18 @@ def cmd_qg_check(args):
           f"window diameters {report.window_diameters}, "
           f"index condition consistent-under-upper-bounds: {report.consistent}")
     return 0
+
+
+def _qg_certificate(group, graphs, K, bound, products):
+    """(report, ball): the projections of the graphs, the factor ball
+    seeded by every handle met, and the quasi-geodesic check of the
+    projections in that ball."""
+    images = [factor_complex.project(G) for G in graphs]
+    seeds = {h.code: h for img in images for h in img}
+    ball = factor_complex.build_ball(group, seeds=list(seeds.values()),
+                                     bound=bound, aut_product_length=products)
+    return (factor_complex.check_reparam_quasigeodesic(images, K, ball),
+            ball)
 
 
 # -- experiment suites ------------------------------------------------------
@@ -428,23 +433,20 @@ def _suite_qg_check(seed, index, rank, twist, K, bound, **_):
     group = FreeGroup(rank)
     G = randomgen.random_marked_graph(rng, group, twist + 2)
     Gp = randomgen.random_marked_graph(rng, group, twist + 2)
-    sg = folding.standard_geodesic(G, Gp)
-    images = [factor_complex.project(ev.graph) for ev in sg.path.events]
-    seeds = {h.code: h for img in images for h in img}
-    ball = factor_complex.build_ball(group, seeds=list(seeds.values()),
-                                     bound=bound, aut_product_length=2)
-    report = factor_complex.check_reparam_quasigeodesic(images, K, ball)
-    return {"index": index, "events": len(images) - 1,
+    events = folding.standard_geodesic(G, Gp).path.events
+    report, ball = _qg_certificate(group, [ev.graph for ev in events], K,
+                                   bound, 2)
+    return {"index": index, "events": len(events) - 1,
             "certified": report.ok,
             "breakpoints": len(report.breakpoints or []),
             "consistent": report.consistent, "truncated": ball.truncated}
 
 
-SUITES = {   # name -> (instance function, least rank it serves)
-    "distance-oracle": (_suite_distance_oracle, 2),
-    "fold-additivity": (_suite_fold_additivity, 2),
-    "whitehead-oracle": (_suite_whitehead_oracle, 2),
-    "qg-check": (_suite_qg_check, 3),
+SUITES = {   # name -> (instance function, least rank it serves, verdict key)
+    "distance-oracle": (_suite_distance_oracle, 2, "match"),
+    "fold-additivity": (_suite_fold_additivity, 2, "additive"),
+    "whitehead-oracle": (_suite_whitehead_oracle, 2, "match"),
+    "qg-check": (_suite_qg_check, 3, "certified"),
 }
 
 
@@ -464,7 +466,7 @@ def run_experiment(suite, seed, instances, rank=3, workers=1, twist=3,
     _at_least("--word-length", word_length, 1)
     _at_least("--K", K, 0)
     _at_least("--twist", twist, 0)
-    run_instance, least_rank = SUITES[suite]
+    run_instance, least_rank, verdict = SUITES[suite]
     _group(rank, least_rank)
     if out_prefix:
         _output_path("--out", out_prefix + ".jsonl")
@@ -478,8 +480,7 @@ def run_experiment(suite, seed, instances, rank=3, workers=1, twist=3,
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             results = list(pool.map(job, range(instances)))
-    violations = [r for r in results
-                  if not r.get("match", r.get("additive", r.get("certified", True)))]
+    violations = [r for r in results if not r[verdict]]
     summary = {
         "suite": suite, "seed": seed, "instances": instances, "rank": rank,
         "violations": len(violations),

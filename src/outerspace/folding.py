@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .words import inverse, substitute
-from .marked_graph import MarkedMetricGraph
+from .marked_graph import MarkedMetricGraph, loop_marked_graph
 from .lipschitz import (GraphMap, optimal_map, stretch_factor,
                         OptimalMapError)
 from .paths import edge_point, direction_germ
@@ -109,22 +109,6 @@ def _far(cells, d):
     """The terminus of oriented edge d of the cells."""
     o, t = cells[abs(d)][:2]
     return t if d > 0 else o
-
-
-def _marked_quotient(G, vertices, edge_ends, lengths, sub, basepoint):
-    """The subdivided marked graph on the given cells whose marking loops
-    are G's pushed through the edge substitution sub.
-
-    Edge labels are trivial; the marking-out words are recomputed from
-    the new marking loops.
-    """
-    marking_in = {i: substitute(G.marking_in[i], sub)
-                  for i in range(1, G.group.rank + 1)}
-    new = MarkedMetricGraph(G.group, vertices, edge_ends, lengths, marking_in,
-                            {e: G.group.identity() for e in edge_ends},
-                            basepoint, subdivided=True)
-    new.recompute_marking_out()
-    return new
 
 
 def gates_of_residual(f):
@@ -292,9 +276,11 @@ def _quotient(G, Gp, cells, vmap, sub):
         # every path through v crosses (-d1, d2) or (-d2, d1)
         sub = {d: substitute(path, step) for d, path in sub.items()}
 
-    graph = _marked_quotient(G, vertices, {e: c[:2] for e, c in cells.items()},
-                             {e: c[2] for e, c in cells.items()}, sub,
-                             basepoint)
+    graph = loop_marked_graph(
+        G.group, vertices, {e: c[:2] for e, c in cells.items()},
+        {e: c[2] for e, c in cells.items()},
+        {i: substitute(loop, sub) for i, loop in G.marking_in.items()},
+        basepoint, True)
     vertex_images = {}
     for o, t, _, img in cells.values():
         vertex_images[o] = img.start
@@ -464,8 +450,8 @@ def path_statistics(path, probe_loops=(), probe_subgroups=()):
             rep = G.loop_representative(cw)
             row["loops"].append({
                 "class": str(cw),
-                "length": rep.length(),
-                "illegal_turns": illegal_turn_count(tt, rep),
+                "length": G.path_length(rep),
+                "illegal_turns": illegal_turn_count(tt, rep, cyclic=True),
             })
         for H in probe_subgroups:
             core, hvol = G.subgroup_core_in_graph(H)

@@ -86,7 +86,7 @@ class Candidate:
         return counts
 
     def length_in(self, graph):
-        return sum(graph.lengths[abs(e)] for e in self.edges)
+        return graph.path_length(self.edges)
 
     def __eq__(self, other):
         return isinstance(other, Candidate) and self.canonical_key() == other.canonical_key()
@@ -186,8 +186,7 @@ def _arcs_between(graph, v1, v2):
 
 def class_of_loop(graph, edges):
     """Conjugacy class of a cyclic edge path, via marking-out."""
-    w = graph.path_word(tuple(edges))
-    return CyclicWord(graph.group, w.letters)
+    return CyclicWord(graph.group, graph.path_word(edges))
 
 
 def _scaled_lengths(graph):
@@ -215,7 +214,7 @@ def _candidate_lengths(G, Gp, cands):
         raise ValueError("rank mismatch")
     images = {}
     for d in G.oriented_edges():
-        loop = Gp.based_loop_of(G.label_word(d))
+        loop = Gp.based_loop_of(G.path_word((d,)))
         Gp.check_path(loop)
         if loop and not (Gp.origin(loop[0]) == Gp.terminus(loop[-1])
                          == Gp.basepoint):
@@ -325,8 +324,7 @@ class GraphMap:
         """Conjugacy class (as a CyclicWord) of the image of a loop."""
         closed = self.loop_image(edges)
         cyc = closed.closed_class_edges()
-        w = self.target.path_word(cyc)
-        return CyclicWord(self.target.group, w.letters)
+        return CyclicWord(self.target.group, self.target.path_word(cyc))
 
     def is_difference_of_markings(self):
         group = self.source.group
@@ -364,10 +362,8 @@ def initial_difference_of_markings(G, Gp):
     vertex_images = {v: bp for v in G.vertices}
     edge_images = {}
     for e in sorted(G.edge_ends):
-        word = G.path_word(G.tree_loop(parent, e))
-        target_loop = Gp.based_loop_of(word)
-        edge_images[e] = TargetPath.from_edge_word(Gp, target_loop,
-                                                   start=bp)
+        target_loop = Gp.based_loop_of(G.path_word(G.tree_loop(parent, e)))
+        edge_images[e] = TargetPath.from_edge_word(Gp, target_loop, bp)
     return GraphMap(G, Gp, vertex_images, edge_images)
 
 

@@ -5,8 +5,9 @@ rational edge lengths together with a two-way marking identifying its
 fundamental group with the free group of the ambient rank:
 
 * marking-in: for each generator ``i`` a based edge-path loop ``p_i``;
-* marking-out: for each oriented edge ``e`` a word ``u_e``, so that the
-  word of a based loop is the product of the ``u_e`` along it.
+* marking-out: for each edge ``e`` a reduced letter tuple ``u_e`` (the
+  reverse edge spells its inverse), so that the word of a based loop is
+  the product of the ``u_e`` along it.
 
 Compatibility means the two directions are mutually inverse: the word
 of ``p_i`` is exactly the i-th generator, and every spanning-tree loop
@@ -15,62 +16,21 @@ round-trips through both markings to itself.
 Oriented edges are signed integers, exactly like letters: the positive
 id runs origin -> target, the negative id is the reverse.  Edge paths
 are tuples of signed ids; free reduction of such a tuple is homotopy
-rel endpoints.
+rel endpoints.  Both markings are signed tables, so reading a path's
+word and a word's based loop are each one ``words.substitute``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .words import (Word, free_reduce, cyclic_reduce, inverse,
-                    letter_str, least_rotation, signed_table, substitute)
+from .words import (RankMismatchError, free_reduce, cyclic_reduce, inverse,
+                    letter_str, signed_table, substitute, word_str)
 from . import stallings
 
 
 class ValidationError(ValueError):
     pass
-
-
-class EdgePath:
-    """A tightened edge path; cyclic=True for a free homotopy class."""
-
-    __slots__ = ("graph", "edges", "cyclic")
-
-    def __init__(self, graph, edges, cyclic=False):
-        edges = tuple(edges)
-        if cyclic:
-            core, _ = cyclic_reduce(free_reduce(list(edges)))
-            edges = tuple(core)
-        else:
-            edges = tuple(free_reduce(list(edges)))
-        self.graph = graph
-        self.edges = edges
-        self.cyclic = cyclic
-        graph.check_path(edges, cyclic=cyclic)
-
-    def __len__(self):
-        return len(self.edges)
-
-    def __iter__(self):
-        return iter(self.edges)
-
-    def __eq__(self, other):
-        if not isinstance(other, EdgePath) or self.cyclic != other.cyclic:
-            return False
-        if not self.cyclic:
-            return self.edges == other.edges
-        return least_rotation(self.edges) == least_rotation(other.edges)
-
-    def __hash__(self):
-        return hash((least_rotation(self.edges) if self.cyclic else self.edges,
-                     self.cyclic))
-
-    def length(self):
-        return sum(self.graph.lengths[abs(e)] for e in self.edges)
-
-    def __repr__(self):
-        kind = "cyclic" if self.cyclic else "based"
-        return f"EdgePath({kind}, {list(self.edges)})"
 
 
 class MarkedMetricGraph:
@@ -83,14 +43,15 @@ class MarkedMetricGraph:
         self.edge_ends = dict(edge_ends)           # e>0 -> (origin, target)
         self.lengths = {e: Fraction(l) for e, l in lengths.items()}
         self.marking_in = {i: tuple(p) for i, p in marking_in.items()}
-        self.marking_out = dict(marking_out)       # e>0 -> Word
+        self.marking_out = {e: tuple(w) for e, w in marking_out.items()}
         self.basepoint = basepoint
         self.subdivided = subdivided
         # v -> oriented edges leaving v, in oriented_edges() order,
-        # oriented edge -> (origin, terminus), and signed letter ->
-        # marking loop; no code changes vertices, edge_ends or marking_in
-        # after construction
+        # oriented edge -> (origin, terminus), signed letter -> marking
+        # loop and oriented edge -> label; no code changes vertices,
+        # edge_ends or either marking after construction
         self._marking = signed_table(self.marking_in)
+        self._labels = signed_table(self.marking_out)
         self._leaving = {v: [] for v in self.vertices}
         self._ends = {}
         for e in self.oriented_edges():
@@ -137,34 +98,32 @@ class MarkedMetricGraph:
 
     # -- marking --------------------------------------------------------
 
-    def label_word(self, e):
-        """Marking-out word of an oriented edge."""
-        w = self.marking_out[abs(e)]
-        return w if e > 0 else w.inverse()
-
     def path_word(self, edges):
-        """Word of an edge path under marking-out."""
-        out = []
-        for e in edges:
-            out.extend(self.label_word(e).letters)
-        return Word(self.group, out)
+        """The reduced letter tuple of an edge path under marking-out."""
+        return substitute(edges, self._labels)
 
-    def based_loop_of(self, word):
-        """Based edge-path loop representing a word, via marking-in."""
-        return substitute(word.letters, self._marking)
+    def based_loop_of(self, letters):
+        """The reduced based edge-path loop of a letter tuple, via
+        marking-in."""
+        return substitute(letters, self._marking)
+
+    def path_length(self, edges):
+        return sum(self.lengths[abs(e)] for e in edges)
 
     def loop_representative(self, cw):
-        """The immersed cyclic edge path of a conjugacy class, a CyclicWord."""
+        """The immersed cyclic edge path of a CyclicWord: its based loop,
+        cyclically reduced, as a tuple."""
         if cw.is_trivial():
             raise ValueError("trivial class has no immersed representative")
-        path = self.based_loop_of(cw.word())
-        return EdgePath(self, path, cyclic=True)
+        core = tuple(cyclic_reduce(self.based_loop_of(cw.letters))[0])
+        self.check_path(core, cyclic=True)
+        return core
 
     def translation_length(self, cw):
         """The length of the immersed loop of a CyclicWord."""
         if cw.is_trivial():
             return Fraction(0)
-        return self.loop_representative(cw).length()
+        return self.path_length(self.loop_representative(cw))
 
     # -- normalization ---------------------------------------------------
 
@@ -252,8 +211,9 @@ class MarkedMetricGraph:
                 diags.append(f"marking loop {i} not based at basepoint")
                 continue
             w = self.path_word(loop)
-            if w.letters != (i,):
-                diags.append(f"marking mismatch: word of loop {i} is {w}")
+            if w != (i,):
+                diags.append(f"marking mismatch: word of loop {i} is "
+                             f"{word_str(w)}")
         if not diags:
             # round-trip: spanning-tree loops survive out-then-in
             parent, _ = self.spanning_tree()
@@ -262,38 +222,23 @@ class MarkedMetricGraph:
                 if e in tree:
                     continue
                 loop = self.tree_loop(parent, e)
-                w = self.path_word(loop)
-                back = self.based_loop_of(w)
+                back = self.based_loop_of(self.path_word(loop))
                 if tuple(free_reduce(list(loop))) != back:
                     diags.append(f"marking round-trip fails on edge loop {e}")
         return diags
 
-    # -- marking maintenance ----------------------------------------------
+    # -- remarking ----------------------------------------------------------
 
-    def recompute_marking_out(self):
-        """Rebuild marking-out from marking-in (canonical tree-based cocycle)."""
-        parent, _ = self.spanning_tree()
-        loops = [self.marking_in[i] for i in range(1, self.group.rank + 1)]
-        targets = []
-        keys = sorted(self.edge_ends)
-        for e in keys:
-            targets.append(tuple(free_reduce(list(self.tree_loop(parent, e)))))
-        exprs = stallings.express_in_generators(loops, targets)
-        # u_e := word of the tree-conjugated edge loop; tree edges come out
-        # trivial, and products along based loops telescope to the right word.
-        self.marking_out = {e: Word(self.group, w)
-                            for e, w in zip(keys, exprs)}
-        return self
-
-    def remark(self, phi, phi_inverse=None):
-        """Precompose the marking with an automorphism (new point of the orbit)."""
-        if phi_inverse is None:
-            phi_inverse = phi.inverse()
-        new_out = {e: phi.apply(w) for e, w in self.marking_out.items()}
-        new_in = {}
-        for i in range(1, self.group.rank + 1):
-            w = phi_inverse.apply(self.group.generator(i))
-            new_in[i] = self.based_loop_of(w)
+    def remark(self, phi, phi_inverse):
+        """Precompose the marking with an automorphism phi, given with its
+        inverse (new point of the orbit): labels go through phi, and
+        marking loops are the based loops of the images under phi^-1."""
+        if not phi.group == phi_inverse.group == self.group:
+            raise RankMismatchError("automorphism of another rank")
+        new_out = {e: substitute(w, phi.table)
+                   for e, w in self.marking_out.items()}
+        new_in = {i: self.based_loop_of(im.letters)
+                  for i, im in enumerate(phi_inverse.images, start=1)}
         return MarkedMetricGraph(self.group, self.vertices, self.edge_ends,
                                  self.lengths, new_in, new_out, self.basepoint,
                                  self.subdivided)
@@ -318,7 +263,7 @@ class MarkedMetricGraph:
         if len(reached) != len(adjacent):
             return None
         core = stallings.folded_core(
-            [(*self.edge_ends[e], self.marking_out[e].letters)
+            [(*self.edge_ends[e], self.marking_out[e])
              for e in sorted(edge_subset)])
         return stallings.FactorHandle(core, self.group.rank)
 
@@ -410,7 +355,7 @@ class MarkedMetricGraph:
             "marking": {
                 "loops": {letter_str(i): list(self.marking_in[i])
                           for i in range(1, self.group.rank + 1)},
-                "labels": {str(e): str(self.marking_out[e])
+                "labels": {str(e): word_str(self.marking_out[e])
                            for e in sorted(self.edge_ends)},
             },
             "basepoint": self.basepoint,
@@ -429,7 +374,8 @@ class MarkedMetricGraph:
             marking_in[idx] = tuple(loop)
         marking_out = {}
         for key, wstr in data["marking"]["labels"].items():
-            marking_out[int(key)] = group.word("" if wstr == "1" else wstr)
+            marking_out[int(key)] = group.word(
+                "" if wstr == "1" else wstr).letters
         return cls(group, data["vertices"], edge_ends, lengths, marking_in,
                    marking_out, data["basepoint"],
                    data.get("subdivided", False))
@@ -440,38 +386,51 @@ class MarkedMetricGraph:
 
 
 def rose(group, lengths=None):
-    """The rose with identity marking; lengths default to 1/N each."""
+    """The rose with identity marking, the standard marking of one vertex;
+    lengths default to 1/N each."""
     n = group.rank
     if lengths is None:
-        lengths = {i: Fraction(1, n) for i in range(1, n + 1)}
-    else:
-        lengths = {i: Fraction(l) for i, l in zip(range(1, n + 1), lengths)}
-    return MarkedMetricGraph(
-        group,
-        vertices={0},
-        edge_ends={i: (0, 0) for i in range(1, n + 1)},
-        lengths=lengths,
-        marking_in={i: (i,) for i in range(1, n + 1)},
-        marking_out={i: group.generator(i) for i in range(1, n + 1)},
-        basepoint=0,
-    )
+        lengths = [Fraction(1, n)] * n
+    return standard_marking(group, {0}, {i: (0, 0) for i in range(1, n + 1)},
+                            dict(zip(range(1, n + 1), lengths)), 0)
+
+
+def _tree_loops(group, vertices, edge_ends, basepoint):
+    """Edge id -> the reduced loop at the basepoint through the edge
+    along the spanning tree, in edge id order; tree edges give ()."""
+    bare = MarkedMetricGraph(group, vertices, edge_ends, {}, {}, {},
+                             basepoint)
+    parent, _ = bare.spanning_tree()
+    return {e: tuple(free_reduce(bare.tree_loop(parent, e)))
+            for e in sorted(edge_ends)}
 
 
 def standard_marking(group, vertices, edge_ends, lengths, basepoint):
     """Mark a bare graph: spanning-tree edges get the trivial word, the
-    j-th non-tree edge the j-th generator.  An unmarked copy supplies the
-    spanning tree; the marked graph is built with its markings."""
-    bare = MarkedMetricGraph(group, vertices, edge_ends, lengths, {}, {},
-                             basepoint)
-    parent, _ = bare.spanning_tree()
-    tree = {abs(parent[v]) for v in parent if parent[v] is not None}
-    nontree = [e for e in sorted(edge_ends) if e not in tree]
+    j-th non-tree edge the j-th generator, whose marking loop is its
+    tree loop."""
+    loops = _tree_loops(group, vertices, edge_ends, basepoint)
+    nontree = [e for e, loop in loops.items() if loop]
     if len(nontree) != group.rank:
         raise ValidationError("graph rank does not match the group rank")
-    marking_out = {e: group.identity() for e in edge_ends}
+    marking_out = dict.fromkeys(edge_ends, ())
     marking_in = {}
     for j, e in enumerate(nontree, start=1):
-        marking_out[e] = group.generator(j)
-        marking_in[j] = tuple(free_reduce(list(bare.tree_loop(parent, e))))
+        marking_out[e] = (j,)
+        marking_in[j] = loops[e]
     return MarkedMetricGraph(group, vertices, edge_ends, lengths, marking_in,
                              marking_out, basepoint)
+
+
+def loop_marked_graph(group, vertices, edge_ends, lengths, marking_in,
+                      basepoint, subdivided):
+    """The marked graph with the given marking loops and, as marking-out,
+    the tree cocycle: the label of an edge is its tree loop written in
+    the marking loops (``stallings.express_in_generators``).  Tree edges
+    come out trivial, and products along based loops telescope to the
+    right word."""
+    loops = _tree_loops(group, vertices, edge_ends, basepoint)
+    labels = stallings.express_in_generators(
+        [marking_in[i] for i in range(1, group.rank + 1)], loops.values())
+    return MarkedMetricGraph(group, vertices, edge_ends, lengths, marking_in,
+                             dict(zip(loops, labels)), basepoint, subdivided)

@@ -122,11 +122,9 @@ class TargetPath:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_edge_word(cls, graph, edges, start=None):
-        """Whole-edge path from a (tight or not) signed edge tuple."""
-        if start is None:
-            start = (vertex_point(graph.origin(edges[0])) if edges
-                     else vertex_point(graph.basepoint))
+    def from_edge_word(cls, graph, edges, start):
+        """Whole-edge path from start along a (tight or not) signed edge
+        tuple."""
         segs = []
         for e in edges:
             L = graph.lengths[abs(e)]

@@ -25,14 +25,14 @@ graphs.
 a word over another alphabet; it keeps a gauge on every merge.  Its one
 caller, ``express_in_generators``, folds a wedge of loops and reads
 targets as words in the loops; that inverts automorphisms
-(``Automorphism.inverse``) and rewrites based loops in marking loops
-(``recompute_marking_out``).  The plain folds are kept apart because
-their cores are tiny and the fixed cost of each call sets their price:
-on the 47,288 folds of the geodesic benchmark's seed-1 set (6.7 letters
-each) the plain fold took 1.20 s, one fold keeping nonempty words and
-gauges in a sparse side table took 1.69 s, and the word-carrying fold
-with empty words 1.91 s, all with identical cores (process time, best
-of five, Python 3.11 on a 2-core Xeon).
+(``Automorphism.inverse``) and writes the tree loops of a graph in its
+marking loops (``marked_graph.loop_marked_graph``).  The plain folds
+are kept apart because their cores are tiny and the fixed cost of each
+call sets their price: on the 47,288 folds of the geodesic benchmark's
+seed-1 set (6.7 letters each) the plain fold took 1.20 s, one fold
+keeping nonempty words and gauges in a sparse side table took 1.69 s,
+and the word-carrying fold with empty words 1.91 s, all with identical
+cores (process time, best of five, Python 3.11 on a 2-core Xeon).
 """
 
 from __future__ import annotations

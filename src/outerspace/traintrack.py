@@ -15,8 +15,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .marked_graph import EdgePath
-
 
 class TrainTrackStructure:
     """Gate partition of (a subset of) the directions of a graph."""
@@ -34,10 +32,8 @@ class TrainTrackStructure:
                     self._gate_of[d] = g
 
     @classmethod
-    def from_germs(cls, graph, germ_of, directions=None):
+    def from_germs(cls, graph, germ_of, directions):
         """Partition directions by equal germ values."""
-        if directions is None:
-            directions = graph.oriented_edges()
         by_vertex = {}
         for d in directions:
             v = graph.origin(d)
@@ -86,10 +82,8 @@ class TrainTrackStructure:
 
 
 def illegal_turn_count(tt, edges, cyclic=False):
-    """The illegal turns of an edge path: (reverse of a, b) for each step a, b."""
-    if isinstance(edges, EdgePath):
-        cyclic = edges.cyclic
-        edges = edges.edges
+    """The illegal turns of an edge path: (reverse of a, b) for each step
+    a, b, and the closing step of a cyclic path."""
     count = 0
     for a, b in zip(edges, edges[1:]):
         count += tt.is_illegal_turn(-a, b)
@@ -234,8 +228,6 @@ def classify_recurrence(tt):
 
 
 def find_spanning_legal_loop(tt):
-    """A legal loop crossing every edge, or None."""
+    """A legal loop crossing every edge, as a cyclic edge tuple, or None."""
     verdict = classify_recurrence(tt)
-    if verdict.is_recurrent():
-        return EdgePath(tt.graph, verdict.certificate, cyclic=True)
-    return None
+    return verdict.certificate if verdict.is_recurrent() else None

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import Counter
+from functools import cache
 
 from .words import Word, Automorphism, letter_str, letter_key
 
@@ -196,14 +197,10 @@ class WhiteheadAutomorphism:
         return f"WhiteheadAutomorphism({letter_str(self.special)}; {{{cut}}})"
 
 
-_TYPE_II_CACHE = {}
-
-
+@cache
 def all_type_ii_automorphisms(group):
-    """The nontrivial type-II Whitehead automorphisms (cached per rank)."""
-    cached = _TYPE_II_CACHE.get(group.rank)
-    if cached is not None:
-        return cached
+    """The nontrivial type-II Whitehead automorphisms, as a tuple built
+    once per rank."""
     letters = group.all_letters()
     out = []
     for v in letters:
@@ -211,16 +208,13 @@ def all_type_ii_automorphisms(group):
         for mask in range(1, 1 << len(rest)):   # mask 0 is the identity
             cut = {v} | {rest[k] for k in range(len(rest)) if mask >> k & 1}
             out.append(WhiteheadAutomorphism(group, v, cut))
-    out = sorted(out, key=lambda t: t.sort_key())
-    _TYPE_II_CACHE[group.rank] = out
-    return out
+    return tuple(sorted(out, key=lambda t: t.sort_key()))
 
 
-_OUTER_CACHE = {}
-
-
+@cache
 def outer_moves(group):
-    """The type-II moves up to inner automorphisms (cached per rank).
+    """The type-II moves up to inner automorphisms, as a tuple built
+    once per rank.
 
     The partner (v^-1, L - Y) of a move (v, Y), L being all letters, is
     (v, Y) followed by conjugation by v, so the two send every conjugacy
@@ -230,9 +224,6 @@ def outer_moves(group):
     a scan that keeps the first best or first new class over these moves
     picks the same move as a scan over all of them.
     """
-    cached = _OUTER_CACHE.get(group.rank)
-    if cached is not None:
-        return cached
     letters = frozenset(group.all_letters())
     out, kept = [], set()
     for tau in all_type_ii_automorphisms(group):
@@ -241,8 +232,7 @@ def outer_moves(group):
             continue
         kept.add((v, cut))
         out.append(tau)
-    _OUTER_CACHE[group.rank] = out
-    return out
+    return tuple(out)
 
 
 def apply_whitehead(tau, cw):

@@ -38,6 +38,11 @@ def letter_str(letter):
     return str(letter)
 
 
+def word_str(letters):
+    """The string form of a letter tuple, "1" for the empty word."""
+    return "".join(letter_str(x) for x in letters) or "1"
+
+
 def parse_letters(text):
     """Parse a string like ``"abA"`` into a list of signed letters."""
     letters = []
@@ -198,7 +203,7 @@ class Word:
         return not self.letters
 
     def __str__(self):
-        return "".join(letter_str(x) for x in self.letters) or "1"
+        return word_str(self.letters)
 
     def __repr__(self):
         return f"Word({self})"
@@ -268,7 +273,7 @@ class CyclicWord:
         return {abs(x) for x in self.letters}
 
     def __str__(self):
-        return "".join(letter_str(x) for x in self.letters) or "1"
+        return word_str(self.letters)
 
     def __repr__(self):
         return f"CyclicWord({self})"

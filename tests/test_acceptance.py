@@ -13,7 +13,6 @@ from fractions import Fraction as Fr
 import pytest
 
 from outerspace.words import FreeGroup, CyclicWord, Word
-from outerspace.marked_graph import rose
 from outerspace.lipschitz import (stretch_factor, optimal_map,
                                   optimize_in_simplex)
 from outerspace.traintrack import (TrainTrackStructure, classify_recurrence,
@@ -207,8 +206,8 @@ def test_08_recurrence_classification():
         loop = find_spanning_legal_loop(tt)
         assert (loop is not None) == expect
         if loop is not None:
-            assert is_legal(tt, loop.edges, cyclic=True)
-            assert {abs(d) for d in loop.edges} == tt.edge_support()
+            assert is_legal(tt, loop, cyclic=True)
+            assert {abs(d) for d in loop} == tt.edge_support()
     # in-simplex minimizers induce recurrent structures and beat samples.
     # Rose simplices keep the minimum interior (every petal carries a
     # one-edge candidate, so lengths cannot degenerate at the optimum).

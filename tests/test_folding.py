@@ -228,7 +228,7 @@ def test_legal_probe_loops_stretch_maximally():
         snaps = [ev.graph.normalize() for ev in sg.path.events]
         target = Gp.normalize()
         _, wit = stretch_factor(snaps[0], target)
-        wcls = CyclicWord(F3, snaps[0].path_word(wit.edges).letters)
+        wcls = CyclicWord(F3, snaps[0].path_word(wit.edges))
         lt = target.translation_length(wcls)
         for g in snaps:
             lam_t, _ = stretch_factor(g, target)

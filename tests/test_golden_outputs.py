@@ -1,5 +1,6 @@
-"""Experiment reports and ball files are pinned byte for byte, and the
-recurrence verdicts of seeded random gate structures by one digest.
+"""Experiment reports, ball files and the event and statistics files of
+one fold are pinned byte for byte, and the recurrence verdicts of
+seeded random gate structures by one digest.
 
 A change that must leave outputs unchanged (a refactor, a speed-up)
 keeps these digests; a change that means to alter an output updates the
@@ -7,6 +8,7 @@ digest here and says why.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -55,6 +57,25 @@ def test_ball_file_digest(tmp_path, capsys):
     capsys.readouterr()
     assert _sha256(out) == (
         "5d2a7f799efe072044ef3a391d7b2fb90d411ec37e8873cc7c90102b1853d554")
+
+
+def test_fold_events_and_stats_digests(tmp_path, capsys):
+    rng = random.Random(20)
+    group = FreeGroup(3)
+    paths = []
+    for name in ("from.json", "to.json"):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(random_marked_graph(rng, group, 3)
+                                        .to_json()))
+    events, stats = tmp_path / "events.jsonl", tmp_path / "stats.csv"
+    assert main(["fold", "--from", str(paths[0]), "--to", str(paths[1]),
+                 "--emit-events", str(events), "--stats", str(stats),
+                 "--probe", "ab", "--probe", "aBc", "--probe", "abcAB"]) == 0
+    capsys.readouterr()
+    assert _sha256(events) == (
+        "6e81545f8588230dff256159a91c1ed8846f4d9e3bff5971fb2a3762ad9cbddb")
+    assert _sha256(stats) == (
+        "3e5b903a16dcdd057dc1f2256dec78ed67a6181ab0724d9fc4cdc56da577d456")
 
 
 def _random_gates(rng, rank):

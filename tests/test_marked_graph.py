@@ -4,9 +4,9 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from outerspace.words import FreeGroup, CyclicWord
+from outerspace.words import FreeGroup, CyclicWord, Word, RankMismatchError
 from outerspace.marked_graph import (MarkedMetricGraph, rose, standard_marking,
-                                     EdgePath)
+                                     loop_marked_graph)
 from outerspace.stallings import core_graph
 from outerspace.randomgen import (random_marked_graph, random_cyclic_word,
                                   random_word)
@@ -33,14 +33,16 @@ def test_zero_length_edge_diagnosed():
 
 def test_marking_mismatch_diagnosed():
     R = rose(F3, [Fr(1, 3)] * 3)
-    R.marking_out[1] = F3.word("b")
-    assert any("marking mismatch" in d for d in R.validate())
+    bad = MarkedMetricGraph(F3, R.vertices, R.edge_ends, R.lengths,
+                            R.marking_in, {**R.marking_out, 1: (2,)},
+                            R.basepoint)
+    assert "marking mismatch: word of loop 1 is b" in bad.validate()
 
 
 def test_loop_representative_petals():
     R = rose(F3, [Fr(1, 3)] * 3)
-    assert R.loop_representative(F3.word("a").cyclic()).edges == (1,)
-    assert R.loop_representative(F3.word("abA").cyclic()).edges == (2,)
+    assert R.loop_representative(F3.word("a").cyclic()) == (1,)
+    assert R.loop_representative(F3.word("abA").cyclic()) == (2,)
 
 
 def test_loop_representative_roundtrip_random():
@@ -49,7 +51,7 @@ def test_loop_representative_roundtrip_random():
         G = random_marked_graph(rng, F3, 3)
         g = random_cyclic_word(rng, F3, rng.randint(1, 6))
         rep = G.loop_representative(g)
-        back = CyclicWord(F3, G.path_word(rep.edges).letters)
+        back = CyclicWord(F3, G.path_word(rep))
         assert back == g
 
 
@@ -132,6 +134,9 @@ def test_marking_roundtrip_preserved_by_remark():
         phi, phi_inv = random_automorphism(rng, F3, 4)
         G = G.remark(phi, phi_inv)
         assert G.validate() == []
+    phi, phi_inv = random_automorphism(rng, FreeGroup(4), 4)
+    with pytest.raises(RankMismatchError):
+        G.remark(phi, phi_inv)
 
 
 def test_json_roundtrip():
@@ -155,25 +160,69 @@ def test_degree_two_needs_flag():
     assert G.validate() == []
 
 
-def test_edgepath_tightening():
-    R = rose(F3, [Fr(1, 3)] * 3)
-    p = EdgePath(R, (1, -1, 2), cyclic=False)
-    assert p.edges == (2,)
-    c = EdgePath(R, (1, 2, -1), cyclic=True)
-    assert c.edges == (2,)
+def test_loop_representative_is_cyclically_reduced_tuple():
+    rng = random.Random(27)
+    tails = 0
+    for _ in range(40):
+        G = random_marked_graph(rng, F3, 3)
+        g = random_cyclic_word(rng, F3, rng.randint(1, 6))
+        rep = G.loop_representative(g)
+        assert type(rep) is tuple and rep
+        assert all(a != -b for a, b in zip(rep, rep[1:] + rep[:1]))
+        G.check_path(rep, cyclic=True)
+        based = G.based_loop_of(g.letters)
+        tails += len(based) > len(rep)
+        k = next(k for k in range(len(based)) if based[k:k + len(rep)] == rep)
+        assert based[:k] == tuple(-e for e in reversed(based[k + len(rep):]))
+    assert tails > 0
+    with pytest.raises(ValueError):
+        rose(F3).loop_representative(F3.identity().cyclic())
 
 
-def test_recompute_marking_out_is_the_tree_cocycle():
+def test_loop_marked_graph_is_the_tree_cocycle():
     # random_marked_graph remarks a standard marking, whose marking-out
-    # is already the tree cocycle that recompute_marking_out rebuilds
+    # is already the tree cocycle that loop_marked_graph computes
     for rank in (3, 4, 5):
         F = FreeGroup(rank)
         for k in range(12):
             G = random_marked_graph(random.Random(k), F, k % 7)
-            H = MarkedMetricGraph.from_json(G.to_json(), F)
-            H.recompute_marking_out()
+            H = loop_marked_graph(F, G.vertices, G.edge_ends, G.lengths,
+                                  G.marking_in, G.basepoint, G.subdivided)
             assert H.marking_out == G.marking_out
+            assert H.to_json() == G.to_json()
             assert H.validate() == []
+
+
+def test_rose_is_the_standard_marking_of_one_vertex():
+    for rank in (2, 3, 4, 5):
+        F = FreeGroup(rank)
+        petals = {i: (0, 0) for i in range(1, rank + 1)}
+        for lengths in (None, [Fr(i, 7) for i in range(1, rank + 1)]):
+            R = rose(F, lengths)
+            by_hand = MarkedMetricGraph(
+                F, {0}, petals, dict(zip(petals, lengths or
+                                         [Fr(1, rank)] * rank)),
+                {i: (i,) for i in petals}, {i: (i,) for i in petals}, 0)
+            assert R.to_json() == by_hand.to_json()
+            assert R.to_json() == standard_marking(
+                F, {0}, petals, R.lengths, 0).to_json()
+
+
+def test_path_word_is_the_product_of_edge_labels():
+    rng = random.Random(28)
+    for rank in (2, 3, 4):
+        F = FreeGroup(rank)
+        for _ in range(20):
+            G = random_marked_graph(rng, F, 3)
+            v, path = rng.choice(sorted(G.vertices)), []
+            for _ in range(rng.randint(0, 12)):
+                path.append(rng.choice(G.directions_at(v)))
+                v = G.terminus(path[-1])
+            product = F.identity()
+            for e in path:
+                label = Word(F, G.marking_out[abs(e)])
+                product = product * (label if e > 0 else label.inverse())
+            assert G.path_word(tuple(path)) == product.letters
 
 
 def _reference_factor_codes(G):
@@ -200,7 +249,7 @@ def _reference_factor_codes(G):
             if len(parent) != len(set(ends)):
                 continue                    # disconnected
             tree = {abs(e) for e in parent.values() if e is not None}
-            words = [G.path_word(G.tree_loop(parent, e))
+            words = [G.group.word(G.path_word(G.tree_loop(parent, e)))
                      for e in subset if e not in tree]
             codes.add(FactorHandle.from_words(words).code)
     return codes
