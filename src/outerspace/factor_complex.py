@@ -12,12 +12,19 @@ so distance queries return explicit upper bounds (BFS hop counts in the
 ball); the quasi-geodesic checker is phrased accordingly.  Hop counts
 are computed once per source, per ball: one BFS fills a row that every
 later query from that source reads, until the ball changes.
+
+A ball grows from the sub-bases of the standard basis by the outer
+Whitehead moves.  The images of a generating set under the moves, and
+the fold of each image, are memoized once per process, so a ball
+replays what earlier balls folded and gets the same handles in the same
+order as a ball folded afresh.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import stallings
 from .stallings import FactorHandle
@@ -134,6 +141,44 @@ class SeedExceedsBound(ValueError):
                 f"complexity bound {self.bound}")
 
 
+class _Image:
+    """A generating set (a tuple of letter tuples) and what its fold gave:
+    the code and edge count, kept from the first fold, and the handle,
+    kept once it has entered a ball.  A handle is a pure function of the
+    set, so a dropped one folds again to the same core, vertex labels
+    included."""
+
+    __slots__ = ("gens", "key", "code", "edges", "handle")
+
+    def __init__(self, gens):
+        self.gens = gens
+        self.key = frozenset(gens)
+        self.code = self.edges = self.handle = None
+
+    def fold(self, n):
+        """The set's handle, folded now; its code and edge count are kept."""
+        core = stallings.folded_core([(0, 0, g) for g in self.gens])
+        h = FactorHandle(core, n)
+        self.code, self.edges = h.code, h.edge_count()
+        return h
+
+
+@cache
+def _sub_bases(n):
+    """The proper sub-bases of the standard basis of F_n, as _Images."""
+    return tuple(_Image(tuple((i + 1,) for i in range(n) if mask >> i & 1))
+                 for mask in range(1, (1 << n) - 1))
+
+
+@cache
+def _images(moves, gens):
+    """The image of a generating set under each move, as _Images.  Keyed
+    by the move tuple, so each move set keeps a memo of its own."""
+    return tuple(_Image(tuple(substitute(g, t.automorphism().table)
+                              for g in gens))
+                 for t in moves)
+
+
 def build_ball(group, seeds=(), bound=6, aut_product_length=3,
                vertex_cap=4000):
     """Enumerate small-core factors: sub-bases of the standard basis, their
@@ -143,8 +188,19 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
     (whitehead.outer_moves) meets every handle that all type-II moves
     meet, and meets it first at the same move: handles are added, and
     the ball is truncated at vertex_cap, in the same order.  Generating
-    sets are lists of letter tuples, pushed through each move's signed
+    sets are tuples of letter tuples, pushed through each move's signed
     table (``words.substitute``).
+
+    Seeds go in first.  Every sub-basis within the bound is expanded,
+    but an image is expanded only when its handle is new to the ball, so
+    a seed whose class equals an image stops that image from being
+    expanded: seeds can make the ball smaller.
+
+    Folds are memoized per process: the images of a generating set
+    under the move set, and the fold of each image, are computed once
+    (``_sub_bases``, ``_images``), and later balls replay them.  The
+    handles, their order, the adjacency and ``truncated`` are those of
+    folding every image afresh.
     """
     ball = FactorBall(bound=bound)
     for h in seeds:
@@ -152,33 +208,26 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
             raise SeedExceedsBound(h.edge_count(), bound)
         ball.add(h)
     n = group.rank
-
-    def handle(gens):
-        core = stallings.folded_core([(0, 0, g) for g in gens])
-        return FactorHandle(core, n)
-
-    base_factors = [[(i + 1,) for i in range(n) if mask >> i & 1]
-                    for mask in range(1, (1 << n) - 1)]
     frontier = []
-    for gens in base_factors:
-        if ball.add(handle(gens)):
-            frontier.append(gens)
+    for img in _sub_bases(n):
+        img.handle = img.handle or img.fold(n)
+        if ball.add(img.handle):
+            frontier.append(img.gens)
     # A handle depends only on the generated subgroup, so a generating
     # set seen before lands on a handle already added or already rejected.
-    seen = {frozenset(gens) for gens in base_factors}
-    tables = [t.automorphism().table for t in outer_moves(group)]
+    seen = {img.key for img in _sub_bases(n)}
+    moves = outer_moves(group)
     for _ in range(aut_product_length):
         nxt = []
         for gens in frontier:
-            for table in tables:
-                imgs = [substitute(g, table) for g in gens]
-                key = frozenset(imgs)
-                if key not in seen:
-                    seen.add(key)
-                    h = handle(imgs)
-                    if h.edge_count() <= bound and h.code not in ball.handles:
-                        ball.add(h)
-                        nxt.append(imgs)
+            for img in _images(moves, gens):
+                if img.key not in seen:
+                    seen.add(img.key)
+                    h = img.fold(n) if img.code is None else img.handle
+                    if img.edges <= bound and img.code not in ball.handles:
+                        img.handle = h or img.fold(n)
+                        ball.add(img.handle)
+                        nxt.append(img.gens)
                 if len(ball.handles) >= vertex_cap:
                     ball.truncated = True
                     break

@@ -52,14 +52,7 @@ class MarkedMetricGraph:
         # edge_ends or either marking after construction
         self._marking = signed_table(self.marking_in)
         self._labels = signed_table(self.marking_out)
-        self._leaving = {v: [] for v in self.vertices}
-        self._ends = {}
-        for e in self.oriented_edges():
-            o, t = self.edge_ends[abs(e)]
-            if e < 0:
-                o, t = t, o
-            self._ends[e] = (o, t)
-            self._leaving.setdefault(o, []).append(e)
+        self._ends, self._leaving = _incidence(self.vertices, self.edge_ends)
 
     # -- basic incidence ------------------------------------------------
 
@@ -141,35 +134,11 @@ class MarkedMetricGraph:
     def spanning_tree(self, root=None):
         """BFS spanning tree; returns (parent: v -> signed edge into v, order)."""
         root = self.basepoint if root is None else root
-        parent = {root: None}
-        order = [root]
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for e in self.directions_at(v):
-                w = self.terminus(e)
-                if w not in parent:
-                    parent[w] = e
-                    order.append(w)
-                    queue.append(w)
-        if len(parent) != len(self.vertices):
-            raise ValidationError("graph is not connected")
-        return parent, order
-
-    def tree_path(self, parent, v):
-        """Edge path root -> v inside the spanning tree."""
-        path = []
-        while parent[v] is not None:
-            e = parent[v]
-            path.append(e)
-            v = self.origin(e)
-        return tuple(reversed(path))
+        return _spanning_tree(self.vertices, self._ends, self._leaving, root)
 
     def tree_loop(self, parent, e):
         """Based loop through edge e: tree path to o(e), e, tree path back."""
-        back = self.tree_path(parent, self.terminus(e))
-        return (self.tree_path(parent, self.origin(e)) + (e,)
-                + inverse(back))
+        return _tree_loop(self._ends, parent, e)
 
     # -- validation --------------------------------------------------------
 
@@ -395,13 +364,58 @@ def rose(group, lengths=None):
                             dict(zip(range(1, n + 1), lengths)), 0)
 
 
-def _tree_loops(group, vertices, edge_ends, basepoint):
+def _incidence(vertices, edge_ends):
+    """(ends, leaving) of a graph: oriented edge -> (origin, terminus), and
+    vertex -> the oriented edges leaving it, in oriented_edges() order."""
+    ends, leaving = {}, {v: [] for v in vertices}
+    for e in sorted(edge_ends):
+        o, t = edge_ends[e]
+        ends[e], ends[-e] = (o, t), (t, o)
+        leaving.setdefault(o, []).append(e)
+        leaving.setdefault(t, []).append(-e)
+    return ends, leaving
+
+
+def _spanning_tree(vertices, ends, leaving, root):
+    """BFS spanning tree from root, taking the edges leaving each vertex
+    in order; returns (parent: v -> signed edge into v, order)."""
+    parent = {root: None}
+    order = [root]
+    for v in order:                 # order is the BFS queue
+        for e in leaving.get(v, ()):
+            w = ends[e][1]
+            if w not in parent:
+                parent[w] = e
+                order.append(w)
+    if len(parent) != len(vertices):
+        raise ValidationError("graph is not connected")
+    return parent, order
+
+
+def _tree_path(ends, parent, v):
+    """Edge path root -> v inside the spanning tree."""
+    path = []
+    while parent[v] is not None:
+        e = parent[v]
+        path.append(e)
+        v = ends[e][0]
+    return tuple(reversed(path))
+
+
+def _tree_loop(ends, parent, e):
+    """Based loop through edge e: tree path to o(e), e, tree path back."""
+    o, t = ends[e]
+    return _tree_path(ends, parent, o) + (e,) + inverse(
+        _tree_path(ends, parent, t))
+
+
+def _tree_loops(vertices, edge_ends, basepoint):
     """Edge id -> the reduced loop at the basepoint through the edge
-    along the spanning tree, in edge id order; tree edges give ()."""
-    bare = MarkedMetricGraph(group, vertices, edge_ends, {}, {}, {},
-                             basepoint)
-    parent, _ = bare.spanning_tree()
-    return {e: tuple(free_reduce(bare.tree_loop(parent, e)))
+    along the BFS spanning tree, in edge id order; tree edges give ()."""
+    vertices = set(vertices)
+    ends, leaving = _incidence(vertices, edge_ends)
+    parent, _ = _spanning_tree(vertices, ends, leaving, basepoint)
+    return {e: tuple(free_reduce(_tree_loop(ends, parent, e)))
             for e in sorted(edge_ends)}
 
 
@@ -409,7 +423,7 @@ def standard_marking(group, vertices, edge_ends, lengths, basepoint):
     """Mark a bare graph: spanning-tree edges get the trivial word, the
     j-th non-tree edge the j-th generator, whose marking loop is its
     tree loop."""
-    loops = _tree_loops(group, vertices, edge_ends, basepoint)
+    loops = _tree_loops(vertices, edge_ends, basepoint)
     nontree = [e for e, loop in loops.items() if loop]
     if len(nontree) != group.rank:
         raise ValidationError("graph rank does not match the group rank")
@@ -429,7 +443,7 @@ def loop_marked_graph(group, vertices, edge_ends, lengths, marking_in,
     the marking loops (``stallings.express_in_generators``).  Tree edges
     come out trivial, and products along based loops telescope to the
     right word."""
-    loops = _tree_loops(group, vertices, edge_ends, basepoint)
+    loops = _tree_loops(vertices, edge_ends, basepoint)
     labels = stallings.express_in_generators(
         [marking_in[i] for i in range(1, group.rank + 1)], loops.values())
     return MarkedMetricGraph(group, vertices, edge_ends, lengths, marking_in,

@@ -146,10 +146,10 @@ def test_ball_over_outer_moves_equals_every_move(monkeypatch, path_images,
     assert len(fast.handles) > len(seeds)
 
 
-def _reference_ball(group, seeds, bound, products, cap):
+def _reference_ball(group, seeds, bound, products, cap, moves=None):
     """Handles in insertion order and truncation of build_ball, by Word
     arithmetic: Automorphism.apply on generating sets of Words, handles
-    by FactorHandle.from_words."""
+    by FactorHandle.from_words; moves defaults to outer_moves(group)."""
     n = group.rank
     handles = {h.code: h for h in seeds}
     frontier, seen = [], set()
@@ -160,7 +160,7 @@ def _reference_ball(group, seeds, bound, products, cap):
         if h.edge_count() <= bound:
             handles.setdefault(h.code, h)
             frontier.append(gens)
-    moves = [t.automorphism() for t in outer_moves(group)]
+    moves = [t.automorphism() for t in moves or outer_moves(group)]
     for _ in range(products):
         nxt = []
         for gens in frontier:
@@ -196,6 +196,64 @@ def test_ball_equals_word_reference(path_images, rank, events, bound,
     assert ball.truncated == truncated
     assert ball.adjacency == _reference_adjacency(ball)
     assert len(ball.handles) > len(seeds)
+
+
+def _ball_json(ball):
+    return ([(c, h.core.to_json()) for c, h in ball.handles.items()],
+            ball.adjacency, ball.truncated)
+
+
+def _clear_ball_memo():
+    factor_complex._sub_bases.cache_clear()
+    factor_complex._images.cache_clear()
+
+
+@pytest.mark.parametrize("rank, events, bound, products, cap", [
+    (3, 2, 6, 2, 4000),
+    (3, None, 8, 3, 400),
+    (4, 0, 8, 3, 60),
+    (4, 0, 8, 3, 200),
+])
+def test_ball_does_not_depend_on_memo_history(path_images, rank, events,
+                                              bound, products, cap):
+    # earlier balls leave images folded, folded with the handle dropped
+    # (beyond their bound, or a seed's class) or unfolded; the ball
+    # replayed from that memo equals the ball built from an empty one
+    seeds = list({h.code: h for img in path_images[:events] for h in img
+                  if h.edge_count() <= bound}.values()) if rank == 3 else []
+    kw = dict(seeds=seeds, bound=bound, aut_product_length=products,
+              vertex_cap=cap)
+    _clear_ball_memo()
+    cold = _ball_json(build_ball(FreeGroup(rank), **kw))
+    _clear_ball_memo()
+    other = [h for h in path_images[-1] if h.edge_count() <= 8]
+    build_ball(F3, bound=5, aut_product_length=3, vertex_cap=600)
+    build_ball(F3, seeds=other, bound=8, aut_product_length=2)
+    build_ball(FreeGroup(4), bound=6, aut_product_length=3, vertex_cap=250)
+    warm = _ball_json(build_ball(FreeGroup(rank), **kw))
+    assert warm == cold
+    assert len(cold[0]) > len(seeds)
+
+
+@pytest.mark.parametrize("events, bound, products, cap, truncated", [
+    (2, 6, 2, 4000, False),
+    (None, 8, 3, 300, True),
+])
+def test_ball_memo_follows_the_move_set(monkeypatch, path_images, events,
+                                        bound, products, cap, truncated):
+    # a memo warmed by the whole move set must not answer for a subset
+    seeds = list({h.code: h for img in path_images[:events] for h in img
+                  if h.edge_count() <= bound}.values())
+    kw = dict(seeds=seeds, bound=bound, aut_product_length=products,
+              vertex_cap=cap)
+    full = build_ball(F3, **kw)
+    subset = outer_moves(F3)[::2]
+    monkeypatch.setattr(factor_complex, "outer_moves", lambda group: subset)
+    ball = build_ball(F3, **kw)
+    assert (list(ball.handles), ball.truncated) == \
+        _reference_ball(F3, seeds, bound, products, cap, moves=subset)
+    assert ball.truncated == truncated
+    assert list(ball.handles) != list(full.handles)
 
 
 def test_ball_ranks_proper(small_ball):
