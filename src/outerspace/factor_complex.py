@@ -17,7 +17,11 @@ A ball grows from the sub-bases of the standard basis by the outer
 Whitehead moves.  The images of a generating set under the moves, and
 the fold of each image, are memoized once per process, so a ball
 replays what earlier balls folded and gets the same handles in the same
-order as a ball folded afresh.
+order as a ball folded afresh.  So is the standard part: the adjacency
+of the seedless ball of each rank, bound, product length and cap, with
+each handle's walk.  Adjacency is a function of the two codes, so a
+seeded ball takes the standard adjacency restricted to its own handles
+and tests only the pairs that hold a handle outside the standard part.
 """
 
 from __future__ import annotations
@@ -49,6 +53,10 @@ class FactorBall:
     # source code -> {code: hops}; cleared whenever handles or edges change
     _hops: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
+    # (known, prepared) from one exact ball (see _standard): code ->
+    # frozenset of its neighbours, and code -> _prepare entry
+    _known: tuple = field(default_factory=lambda: ({}, {}), init=False,
+                          repr=False, compare=False)
 
     def add(self, handle):
         if handle.edge_count() > self.bound:
@@ -61,30 +69,41 @@ class FactorBall:
     def compute_adjacency(self):
         """Adjacency = proper conjugate containment in either direction.
 
+        Adjacency is a function of the two codes, so a pair of codes in
+        the known part (``_known``; ``build_ball`` sets it to the cached
+        standard part) is answered from it, restricted to the ball's own
+        handles, and every pair that holds a handle outside it is
+        tested.  With nothing known, as in a ball built by hand or the
+        standard part itself, every pair is tested.
+
         Two distinct factor classes of equal rank never properly contain
         one another (a rank-k free factor of a rank-k factor is the whole
         thing), so only pairs lo, hi of lower and higher rank are tested.
         A containment is a label-preserving immersion core(lo) ->
         core(hi), which sends every turn of lo to a turn of hi, so a
         pair is replayed only when turns(lo) is a subset of turns(hi).
-        Each handle's walk and turns are built once, and each higher
-        core's vertices are sorted once.
         """
+        known, prepared = self._known
         codes = sorted(self.handles)
-        self.adjacency = {c: set() for c in codes}
+        present = set(codes)
+        self.adjacency = {c: present.intersection(known.get(c, ()))
+                          for c in codes}
         self._hops.clear()
-        walks = {c: stallings._walk(self.handles[c].core) for c in codes}
+        prep = {c: prepared.get(c) or _prepare(self.handles[c].core)
+                for c in codes}
         by_rank = {}
         for c in codes:
             by_rank.setdefault(self.handles[c].rank, []).append(c)
         ranks = sorted(by_rank)
         for i, r in enumerate(ranks):
-            higher = [(c, walks[c][2], self.handles[c].core,
-                       sorted(self.handles[c].core.vertices))
-                      for r2 in ranks[i + 1:] for c in by_rank[r2]]
+            # (code, turns, core, sorted vertices) of each higher handle
+            higher = [(c, *prep[c][2:]) for r2 in ranks[i + 1:]
+                      for c in by_rank[r2]]
+            fresh = [p for p in higher if p[0] not in known]
             for lo in by_rank[r]:
-                h0, walk, turns = walks[lo]
-                for hi, hi_turns, hi_core, hi_seeds in higher:
+                h0, walk, turns, _, _ = prep[lo]
+                for hi, hi_turns, hi_core, hi_seeds in (
+                        fresh if lo in known else higher):
                     if (not turns & ~hi_turns
                             and stallings._replay(h0, walk, hi_core,
                                                   hi_seeds)):
@@ -163,6 +182,12 @@ class _Image:
         return h
 
 
+def _prepare(core):
+    """A core's ``stallings._walk`` triple, the core and its sorted
+    vertices: what ``compute_adjacency`` reads to test a pair."""
+    return (*stallings._walk(core), core, sorted(core.vertices))
+
+
 @cache
 def _sub_bases(n):
     """The proper sub-bases of the standard basis of F_n, as _Images."""
@@ -198,16 +223,30 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
 
     Folds are memoized per process: the images of a generating set
     under the move set, and the fold of each image, are computed once
-    (``_sub_bases``, ``_images``), and later balls replay them.  The
-    handles, their order, the adjacency and ``truncated`` are those of
-    folding every image afresh.
+    (``_sub_bases``, ``_images``), and later balls replay them.  So is
+    the adjacency of the seedless ball with the same parameters, the
+    standard part (``_standard``): a pair of handles that both lie in it
+    is answered from it, and only the pairs that hold a handle outside
+    it are tested.  The handles, their order, the adjacency and
+    ``truncated`` are those of folding every image afresh and testing
+    every pair.
     """
     ball = FactorBall(bound=bound)
     for h in seeds:
         if h.edge_count() > bound:
             raise SeedExceedsBound(h.edge_count(), bound)
         ball.add(h)
-    n = group.rank
+    moves = outer_moves(group)
+    _grow(ball, group.rank, moves, aut_product_length, vertex_cap)
+    ball._known = _standard(moves, group.rank, bound, aut_product_length,
+                            vertex_cap)
+    ball.compute_adjacency()
+    return ball
+
+
+def _grow(ball, n, moves, aut_product_length, vertex_cap):
+    """Add the sub-bases and their images under products of the moves to
+    the ball, in order, until vertex_cap."""
     frontier = []
     for img in _sub_bases(n):
         img.handle = img.handle or img.fold(n)
@@ -216,7 +255,6 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
     # A handle depends only on the generated subgroup, so a generating
     # set seen before lands on a handle already added or already rejected.
     seen = {img.key for img in _sub_bases(n)}
-    moves = outer_moves(group)
     for _ in range(aut_product_length):
         nxt = []
         for gens in frontier:
@@ -224,20 +262,29 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
                 if img.key not in seen:
                     seen.add(img.key)
                     h = img.fold(n) if img.code is None else img.handle
-                    if img.edges <= bound and img.code not in ball.handles:
+                    if (img.edges <= ball.bound
+                            and img.code not in ball.handles):
                         img.handle = h or img.fold(n)
                         ball.add(img.handle)
                         nxt.append(img.gens)
                 if len(ball.handles) >= vertex_cap:
                     ball.truncated = True
-                    break
-            if ball.truncated:
-                break
-        if ball.truncated:
-            break
+                    return
         frontier = nxt
+
+
+@cache
+def _standard(moves, n, bound, aut_product_length, vertex_cap):
+    """The seedless ball's adjacency, each code mapped to a frozenset of
+    its neighbours, and each handle's ``_prepare`` entry.  Keyed by the
+    move tuple, as ``_images`` is.  A ball keeps both as ``_known`` and
+    only reads them: its adjacency sets are its own."""
+    ball = FactorBall(bound=bound)
+    _grow(ball, n, moves, aut_product_length, vertex_cap)
+    prepared = {c: _prepare(h.core) for c, h in ball.handles.items()}
+    ball._known = {}, prepared
     ball.compute_adjacency()
-    return ball
+    return {c: frozenset(s) for c, s in ball.adjacency.items()}, prepared
 
 
 @dataclass

@@ -220,7 +220,14 @@ def least_rotation(seq, keys=None):
     """
     seq = tuple(seq)
     keys = seq if keys is None else tuple(keys)
-    r = min(range(len(seq)), key=lambda r: keys[r:] + keys[:r], default=0)
+    if not seq:
+        return seq
+    # a least rotation starts at a least key, so only those starts compete
+    first = min(keys)
+    r = keys.index(first)
+    if keys.count(first) > 1:
+        r = min((r for r, k in enumerate(keys) if k == first),
+                key=lambda r: keys[r:] + keys[:r])
     return seq[r:] + seq[:r]
 
 

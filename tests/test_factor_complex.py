@@ -206,6 +206,7 @@ def _ball_json(ball):
 def _clear_ball_memo():
     factor_complex._sub_bases.cache_clear()
     factor_complex._images.cache_clear()
+    factor_complex._standard.cache_clear()
 
 
 @pytest.mark.parametrize("rank, events, bound, products, cap", [
@@ -254,6 +255,54 @@ def test_ball_memo_follows_the_move_set(monkeypatch, path_images, events,
         _reference_ball(F3, seeds, bound, products, cap, moves=subset)
     assert ball.truncated == truncated
     assert list(ball.handles) != list(full.handles)
+    assert ball.adjacency == _reference_adjacency(ball)
+
+
+@pytest.mark.parametrize("inside, bound, products, cap", [
+    (False, 8, 2, 4000),
+    (True, 8, 2, 4000),
+    (None, 8, 3, 300),
+])
+def test_seeded_adjacency_over_the_standard_part(path_images, inside, bound,
+                                                 products, cap):
+    # seeds outside the seedless ball (inside False), seeds whose codes
+    # are its handles (True), or both with a cap that truncates it (None)
+    standard, _ = factor_complex._standard(outer_moves(F3), 3, bound,
+                                           products, cap)
+    assert (len(standard) == cap) == (inside is None)
+    seeds = [h for h in {h.code: h for img in path_images for h in img
+                         if h.edge_count() <= bound}.values()
+             if inside is None or (h.code in standard) == inside]
+    ball = build_ball(F3, seeds=seeds, bound=bound,
+                      aut_product_length=products, vertex_cap=cap)
+    assert ball.adjacency == _reference_adjacency(ball)
+    outside = [c for c in ball.handles if c not in standard]
+    assert bool(outside) == (inside is not True)
+    assert any(ball.adjacency[c] for c in outside) == bool(outside)
+
+
+@pytest.mark.parametrize("events", [0, None])
+def test_ball_shares_no_state_with_the_standard_part(path_images, events):
+    # a ball's sets are its own: mutating one ball, or adding a handle
+    # and computing its adjacency afresh, leaves the next ball as it was
+    seeds = list({h.code: h for img in path_images[:events] for h in img
+                  if h.edge_count() <= 8}.values())
+    kw = dict(seeds=seeds, bound=8, aut_product_length=2)
+    _clear_ball_memo()
+    before = _ball_json(build_ball(F3, **kw))
+    before = before[0], {c: set(s) for c, s in before[1].items()}, before[2]
+    ball = build_ball(F3, **kw)
+    for row in ball.adjacency.values():
+        row.clear()
+    bigger = build_ball(F3, bound=10, aut_product_length=3, vertex_cap=600)
+    extra = next(h for c, h in bigger.handles.items()
+                 if c not in ball.handles)
+    ball.bound = 10
+    assert ball.add(extra)
+    ball.compute_adjacency()
+    assert ball.adjacency == _reference_adjacency(ball)
+    assert ball.adjacency[extra.code]
+    assert _ball_json(build_ball(F3, **kw)) == before
 
 
 def test_ball_ranks_proper(small_ball):

@@ -1,6 +1,7 @@
 """Experiment reports, ball files and the event and statistics files of
-one fold are pinned byte for byte, and the recurrence verdicts of
-seeded random gate structures by one digest.
+one fold are pinned byte for byte; the recurrence verdicts of seeded
+random gate structures, and the adjacency of seeded factor balls, by one
+digest each.
 
 A change that must leave outputs unchanged (a refactor, a speed-up)
 keeps these digests; a change that means to alter an output updates the
@@ -14,6 +15,8 @@ import random
 import pytest
 
 from outerspace.cli import main
+from outerspace.factor_complex import build_ball, project
+from outerspace.folding import standard_geodesic
 from outerspace.randomgen import random_marked_graph
 from outerspace.traintrack import TrainTrackStructure, classify_recurrence
 from outerspace.words import FreeGroup
@@ -107,3 +110,25 @@ def test_recurrence_classification_digest():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
         "cbe746fa7eb1fb1cfb5e9485d15249956de4e9f547ff4180ed84d474e7a40224")
+
+
+def test_seeded_ball_adjacency_digest():
+    # three windows of one fold path seed balls whose handles lie inside
+    # and outside the seedless ball of the same bound
+    rng = random.Random(24)
+    group = FreeGroup(3)
+    path = standard_geodesic(random_marked_graph(rng, group, 5),
+                             random_marked_graph(rng, group, 5)).path
+    images = [project(ev.graph) for ev in path.events]
+    lines = []
+    for bound in (8, 10):
+        for window in (images[:4], images[:13], images[-6:]):
+            seeds = {h.code: h for img in window for h in img
+                     if h.edge_count() <= bound}
+            ball = build_ball(group, seeds=list(seeds.values()), bound=bound,
+                              aut_product_length=2)
+            lines.append(repr(sorted((c.hex(), sorted(x.hex() for x in s))
+                                     for c, s in ball.adjacency.items())))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "d4eb048b1bd5a97713f3996f47a8bd2c66d8f29ea3a66e393ff83daf9672c731")

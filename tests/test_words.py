@@ -199,6 +199,14 @@ def test_least_rotation_matches_all_rotations():
         assert least_rotation(seq, [2 * abs(x) - (x > 0) for x in seq]) == best
         cw = CyclicWord(F3, seq)
         assert phi.apply(cw) == CyclicWord(F3, phi.apply(cw.word()).letters)
+        # a letter and its inverse tie; ties go to the first least rotation
+        for s in (seq, tuple(period * (2 + len(seq) % 5))):
+            ties = [abs(x) for x in s]
+            r = min(range(len(s)), key=lambda r: ties[r:] + ties[:r],
+                    default=0)
+            assert least_rotation(s, ties) == s[r:] + s[:r]
+            assert least_rotation(s) == min([s[r:] + s[:r]
+                                             for r in range(len(s))] or [()])
 
 
 def test_values_survive_pickling():
