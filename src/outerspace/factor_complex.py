@@ -13,20 +13,19 @@ ball); the quasi-geodesic checker is phrased accordingly.  Hop counts
 are computed once per source, per ball: one BFS fills a row that every
 later query from that source reads, until the ball changes.
 
-A ball grows from the sub-bases of the standard basis by the outer
-Whitehead moves.  The images of a generating set under the moves, and
-the fold of each image, are memoized once per process, so a ball
-replays what earlier balls folded and gets the same handles in the same
-order as a ball folded afresh.  So is the standard part: the adjacency
-of the seedless ball of each rank, bound, product length and cap, with
-each handle's walk.  Adjacency is a function of the two codes, so a
-seeded ball takes the standard adjacency restricted to its own handles
-and tests only the pairs that hold a handle outside the standard part.
+A ball is its seeds plus the standard ball: the sub-bases of the
+standard basis and their images under products of the outer Whitehead
+moves, grown once per process for each move set, rank, bound, product
+length and cap (``_standard``), with its adjacency and each handle's
+walk.  The cap bounds that growth, not the seeds, so a seeded ball holds
+the seedless ball of the same parameters.  Adjacency is a function of
+the two codes, so a seeded ball takes the standard adjacency restricted
+to its own handles and tests only the pairs that hold a seed outside the
+standard part.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -117,13 +116,13 @@ class FactorBall:
         row = self._hops.get(code)
         if row is None:
             row = {code: 0}
-            q = deque([code])
-            while q:
-                c = q.popleft()
+            queue = [code]
+            for c in queue:
+                d = row[c] + 1
                 for c2 in self.adjacency[c]:
                     if c2 not in row:
-                        row[c2] = row[c] + 1
-                        q.append(c2)
+                        row[c2] = d
+                        queue.append(c2)
             self._hops[code] = row
         return row
 
@@ -160,131 +159,94 @@ class SeedExceedsBound(ValueError):
                 f"complexity bound {self.bound}")
 
 
-class _Image:
-    """A generating set (a tuple of letter tuples) and what its fold gave:
-    the code and edge count, kept from the first fold, and the handle,
-    kept once it has entered a ball.  A handle is a pure function of the
-    set, so a dropped one folds again to the same core, vertex labels
-    included."""
-
-    __slots__ = ("gens", "key", "code", "edges", "handle")
-
-    def __init__(self, gens):
-        self.gens = gens
-        self.key = frozenset(gens)
-        self.code = self.edges = self.handle = None
-
-    def fold(self, n):
-        """The set's handle, folded now; its code and edge count are kept."""
-        core = stallings.folded_core([(0, 0, g) for g in self.gens])
-        h = FactorHandle(core, n)
-        self.code, self.edges = h.code, h.edge_count()
-        return h
-
-
 def _prepare(core):
     """A core's ``stallings._walk`` triple, the core and its sorted
     vertices: what ``compute_adjacency`` reads to test a pair."""
     return (*stallings._walk(core), core, sorted(core.vertices))
 
 
-@cache
-def _sub_bases(n):
-    """The proper sub-bases of the standard basis of F_n, as _Images."""
-    return tuple(_Image(tuple((i + 1,) for i in range(n) if mask >> i & 1))
-                 for mask in range(1, (1 << n) - 1))
-
-
-@cache
-def _images(moves, gens):
-    """The image of a generating set under each move, as _Images.  Keyed
-    by the move tuple, so each move set keeps a memo of its own."""
-    return tuple(_Image(tuple(substitute(g, t.automorphism().table)
-                              for g in gens))
-                 for t in moves)
-
-
 def build_ball(group, seeds=(), bound=6, aut_product_length=3,
                vertex_cap=4000):
-    """Enumerate small-core factors: sub-bases of the standard basis, their
-    images under products of Whitehead automorphisms, plus the seeds.
+    """Enumerate small-core factors: the seeds, then the standard ball,
+    the sub-bases of the standard basis and their images under products
+    of Whitehead automorphisms (``_standard``), in its order.
 
-    A handle is a conjugacy class, so one move per outer class
-    (whitehead.outer_moves) meets every handle that all type-II moves
-    meet, and meets it first at the same move: handles are added, and
-    the ball is truncated at vertex_cap, in the same order.  Generating
-    sets are tuples of letter tuples, pushed through each move's signed
-    table (``words.substitute``).
-
-    Seeds go in first.  Every sub-basis within the bound is expanded,
-    but an image is expanded only when its handle is new to the ball, so
-    a seed whose class equals an image stops that image from being
-    expanded: seeds can make the ball smaller.
-
-    Folds are memoized per process: the images of a generating set
-    under the move set, and the fold of each image, are computed once
-    (``_sub_bases``, ``_images``), and later balls replay them.  So is
-    the adjacency of the seedless ball with the same parameters, the
-    standard part (``_standard``): a pair of handles that both lie in it
-    is answered from it, and only the pairs that hold a handle outside
-    it are tested.  The handles, their order, the adjacency and
-    ``truncated`` are those of folding every image afresh and testing
-    every pair.
+    Seeds always go into the ball, and vertex_cap bounds the growth of
+    the standard part alone, so the ball may hold more than vertex_cap
+    handles: its seeds plus the capped standard part.  ``truncated`` is
+    the standard part's flag.  The standard part, its adjacency and each
+    handle's walk are cached per process; a pair of handles that both
+    lie in it is answered from it, and only the pairs that hold a handle
+    outside it are tested.
     """
     ball = FactorBall(bound=bound)
     for h in seeds:
         if h.edge_count() > bound:
             raise SeedExceedsBound(h.edge_count(), bound)
         ball.add(h)
-    moves = outer_moves(group)
-    _grow(ball, group.rank, moves, aut_product_length, vertex_cap)
-    ball._known = _standard(moves, group.rank, bound, aut_product_length,
-                            vertex_cap)
+    handles, ball.truncated, known, prepared = _standard(
+        outer_moves(group), group.rank, bound, aut_product_length,
+        vertex_cap)
+    for h in handles:
+        ball.add(h)
+    ball._known = known, prepared
     ball.compute_adjacency()
     return ball
 
 
-def _grow(ball, n, moves, aut_product_length, vertex_cap):
-    """Add the sub-bases and their images under products of the moves to
-    the ball, in order, until vertex_cap."""
-    frontier = []
-    for img in _sub_bases(n):
-        img.handle = img.handle or img.fold(n)
-        if ball.add(img.handle):
-            frontier.append(img.gens)
-    # A handle depends only on the generated subgroup, so a generating
-    # set seen before lands on a handle already added or already rejected.
-    seen = {img.key for img in _sub_bases(n)}
-    for _ in range(aut_product_length):
-        nxt = []
-        for gens in frontier:
-            for img in _images(moves, gens):
-                if img.key not in seen:
-                    seen.add(img.key)
-                    h = img.fold(n) if img.code is None else img.handle
-                    if (img.edges <= ball.bound
-                            and img.code not in ball.handles):
-                        img.handle = h or img.fold(n)
-                        ball.add(img.handle)
-                        nxt.append(img.gens)
-                if len(ball.handles) >= vertex_cap:
-                    ball.truncated = True
-                    return
-        frontier = nxt
+def _handle(gens, n):
+    """The handle of a generating set, a tuple of letter tuples."""
+    return FactorHandle(stallings.folded_core([(0, 0, g) for g in gens]), n)
 
 
 @cache
 def _standard(moves, n, bound, aut_product_length, vertex_cap):
-    """The seedless ball's adjacency, each code mapped to a frozenset of
-    its neighbours, and each handle's ``_prepare`` entry.  Keyed by the
-    move tuple, as ``_images`` is.  A ball keeps both as ``_known`` and
-    only reads them: its adjacency sets are its own."""
+    """The seedless ball: its handles in insertion order, ``truncated``,
+    its adjacency (each code mapped to a frozenset of its neighbours)
+    and each handle's ``_prepare`` entry.  Keyed by the move tuple, so a
+    patched move set grows a ball of its own.  A seeded ball keeps the
+    last two as ``_known`` and only reads them: its sets are its own.
+
+    The sub-bases within the bound go in first.  Then each generating
+    set is pushed through each move's signed table
+    (``words.substitute``), breadth-first up to aut_product_length
+    moves, and an image whose handle is new and within the bound goes
+    in and is expanded in turn.  A handle is a conjugacy class, so one
+    move per outer class (whitehead.outer_moves) meets every handle that
+    all type-II moves meet, and meets it first at the same move.  The
+    ball is truncated once it holds vertex_cap handles, checked after
+    every image.
+    """
     ball = FactorBall(bound=bound)
-    _grow(ball, n, moves, aut_product_length, vertex_cap)
+    queue = []      # (generating set, moves applied), grown while read
+    # A handle depends only on the generated subgroup, so a generating
+    # set seen before lands on a handle already added or already rejected.
+    seen = set()
+    for mask in range(1, (1 << n) - 1):
+        gens = tuple((i + 1,) for i in range(n) if mask >> i & 1)
+        seen.add(frozenset(gens))
+        if ball.add(_handle(gens, n)):
+            queue.append((gens, 0))
+    tables = [t.automorphism().table for t in moves]
+    images = ((tuple(substitute(g, t) for g in gens), k + 1)
+              for gens, k in queue if k < aut_product_length
+              for t in tables)
+    for img, k in images:
+        key = frozenset(img)
+        if key not in seen:
+            seen.add(key)
+            h = _handle(img, n)
+            if h.edge_count() <= bound and h.code not in ball.handles:
+                ball.add(h)
+                queue.append((img, k))
+        if len(ball.handles) >= vertex_cap:
+            ball.truncated = True
+            break
     prepared = {c: _prepare(h.core) for c, h in ball.handles.items()}
     ball._known = {}, prepared
     ball.compute_adjacency()
-    return {c: frozenset(s) for c, s in ball.adjacency.items()}, prepared
+    return (tuple(ball.handles.values()), ball.truncated,
+            {c: frozenset(s) for c, s in ball.adjacency.items()}, prepared)
 
 
 @dataclass

@@ -23,8 +23,10 @@ STDOUT_SHA256 = {
         "4307c4eb5038eb9a409eb07e8296d60dbb90cd4bd6deec63a502ea33c4cb65cd",
     "05_stallings_subgroups":
         "226bef22fce034c38280674f357e37d97f074c2208f687a111d10dc9ea8bc1fe",
+    # re-pinned when seeds stopped suppressing standard handles: only the
+    # line "ball: 283 factors within core bound 8" changed, to 326
     "06_factor_graph_projection":
-        "04faf13eee9f136e998cb90e90c0ee855f5b9e462ae2e270a991e6cf2929d113",
+        "61674ab5cbb950005c9a7a8dace3b365cf169025f3572e6733954e32533754c1",
 }
 
 

@@ -148,10 +148,17 @@ def test_ball_over_outer_moves_equals_every_move(monkeypatch, path_images,
 
 def _reference_ball(group, seeds, bound, products, cap, moves=None):
     """Handles in insertion order and truncation of build_ball, by Word
-    arithmetic: Automorphism.apply on generating sets of Words, handles
-    by FactorHandle.from_words; moves defaults to outer_moves(group)."""
+    arithmetic: the seeds, then the seedless ball grown by
+    Automorphism.apply on generating sets of Words, with handles by
+    FactorHandle.from_words; moves defaults to outer_moves(group)."""
+    standard, truncated = _reference_standard(group, bound, products, cap,
+                                              moves)
+    return list(dict.fromkeys([h.code for h in seeds] + standard)), truncated
+
+
+def _reference_standard(group, bound, products, cap, moves):
     n = group.rank
-    handles = {h.code: h for h in seeds}
+    handles = {}
     frontier, seen = [], set()
     for mask in range(1, (1 << n) - 1):
         gens = [group.generator(i + 1) for i in range(n) if mask >> i & 1]
@@ -204,8 +211,6 @@ def _ball_json(ball):
 
 
 def _clear_ball_memo():
-    factor_complex._sub_bases.cache_clear()
-    factor_complex._images.cache_clear()
     factor_complex._standard.cache_clear()
 
 
@@ -217,21 +222,22 @@ def _clear_ball_memo():
 ])
 def test_ball_does_not_depend_on_memo_history(path_images, rank, events,
                                               bound, products, cap):
-    # earlier balls leave images folded, folded with the handle dropped
-    # (beyond their bound, or a seed's class) or unfolded; the ball
-    # replayed from that memo equals the ball built from an empty one
+    # earlier balls leave standard parts of other parameters, and one of
+    # these parameters grown for a ball with other seeds; the ball built
+    # on that memo equals the ball built from an empty one
     seeds = list({h.code: h for img in path_images[:events] for h in img
                   if h.edge_count() <= bound}.values()) if rank == 3 else []
-    kw = dict(seeds=seeds, bound=bound, aut_product_length=products,
-              vertex_cap=cap)
+    kw = dict(bound=bound, aut_product_length=products, vertex_cap=cap)
     _clear_ball_memo()
-    cold = _ball_json(build_ball(FreeGroup(rank), **kw))
+    cold = _ball_json(build_ball(FreeGroup(rank), seeds=seeds, **kw))
     _clear_ball_memo()
     other = [h for h in path_images[-1] if h.edge_count() <= 8]
     build_ball(F3, bound=5, aut_product_length=3, vertex_cap=600)
     build_ball(F3, seeds=other, bound=8, aut_product_length=2)
     build_ball(FreeGroup(4), bound=6, aut_product_length=3, vertex_cap=250)
-    warm = _ball_json(build_ball(FreeGroup(rank), **kw))
+    build_ball(FreeGroup(rank), seeds=[h for h in other if rank == 3
+                                      and h.edge_count() <= bound], **kw)
+    warm = _ball_json(build_ball(FreeGroup(rank), seeds=seeds, **kw))
     assert warm == cold
     assert len(cold[0]) > len(seeds)
 
@@ -267,8 +273,8 @@ def test_seeded_adjacency_over_the_standard_part(path_images, inside, bound,
                                                  products, cap):
     # seeds outside the seedless ball (inside False), seeds whose codes
     # are its handles (True), or both with a cap that truncates it (None)
-    standard, _ = factor_complex._standard(outer_moves(F3), 3, bound,
-                                           products, cap)
+    _, _, standard, _ = factor_complex._standard(outer_moves(F3), 3, bound,
+                                                 products, cap)
     assert (len(standard) == cap) == (inside is None)
     seeds = [h for h in {h.code: h for img in path_images for h in img
                          if h.edge_count() <= bound}.values()
@@ -303,6 +309,33 @@ def test_ball_shares_no_state_with_the_standard_part(path_images, events):
     assert ball.adjacency == _reference_adjacency(ball)
     assert ball.adjacency[extra.code]
     assert _ball_json(build_ball(F3, **kw)) == before
+
+
+@pytest.mark.parametrize("bound, products, cap, truncated", [
+    (8, 2, 4000, False),
+    (8, 3, 300, True),
+])
+def test_seeds_only_add_to_the_ball(path_images, bound, products, cap,
+                                    truncated):
+    # seed sets S within T from one fold path: every seeded ball holds the
+    # seedless ball, truncation is the seedless ball's, and no hop bound
+    # between two seedless handles rises
+    def seeds(window):
+        return list({h.code: h for img in window for h in img
+                     if h.edge_count() <= bound}.values())
+    kw = dict(bound=bound, aut_product_length=products, vertex_cap=cap)
+    plain = build_ball(F3, **kw)
+    small = build_ball(F3, seeds=seeds(path_images[:2]), **kw)
+    large = build_ball(F3, seeds=seeds(path_images), **kw)
+    assert plain.truncated == small.truncated == large.truncated == truncated
+    assert set(plain.handles) <= set(small.handles) <= set(large.handles)
+    assert len(large.handles) > len(small.handles) > len(plain.handles)
+    for ball in (small, large):
+        assert ball.adjacency == _reference_adjacency(ball)
+        for c in plain.handles:
+            row = ball.hops_from(c)
+            for c2, d in plain.hops_from(c).items():
+                assert row[c2] <= d
 
 
 def test_ball_ranks_proper(small_ball):

@@ -129,6 +129,8 @@ def test_seeded_ball_adjacency_digest():
                               aut_product_length=2)
             lines.append(repr(sorted((c.hex(), sorted(x.hex() for x in s))
                                      for c, s in ball.adjacency.items())))
+    # re-pinned when seeds stopped suppressing standard handles: each
+    # ball now holds the whole seedless ball (checked by conjugate_into)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
-        "d4eb048b1bd5a97713f3996f47a8bd2c66d8f29ea3a66e393ff83daf9672c731")
+        "361c7524ef7b95c7f0455efa02858fa5a43210b9cb98e86a4eb20c90a76f92c5")
