@@ -434,8 +434,14 @@ def _suite_qg_check(seed, index, rank, twist, K, bound, **_):
     G = randomgen.random_marked_graph(rng, group, twist + 2)
     Gp = randomgen.random_marked_graph(rng, group, twist + 2)
     events = folding.standard_geodesic(G, Gp).path.events
-    report, ball = _qg_certificate(group, [ev.graph for ev in events], K,
-                                   bound, 2)
+    try:
+        report, ball = _qg_certificate(group, [ev.graph for ev in events],
+                                       K, bound, 2)
+    except factor_complex.SeedExceedsBound as exc:
+        # the path leaves the ball: uncertified, and the run goes on
+        return {"index": index, "events": len(events) - 1,
+                "certified": False, "seed_edges": exc.edges,
+                "bound": exc.bound}
     return {"index": index, "events": len(events) - 1,
             "certified": report.ok,
             "breakpoints": len(report.breakpoints or []),

@@ -17,11 +17,12 @@ A ball is its seeds plus the standard ball: the sub-bases of the
 standard basis and their images under products of the outer Whitehead
 moves, grown once per process for each move set, rank, bound, product
 length and cap (``_standard``), with its adjacency and each handle's
-walk.  The cap bounds that growth, not the seeds, so a seeded ball holds
-the seedless ball of the same parameters.  Adjacency is a function of
-the two codes, so a seeded ball takes the standard adjacency restricted
-to its own handles and tests only the pairs that hold a seed outside the
-standard part.
+walk.  A growth that met no handle over its bound grows the same ball at
+every greater bound, so those bounds share it.  The cap bounds that
+growth, not the seeds, so a seeded ball holds the seedless ball of the
+same parameters.  Adjacency is a function of the two codes, so a seeded
+ball takes the standard adjacency restricted to its own handles and
+tests only the pairs that hold a seed outside the standard part.
 """
 
 from __future__ import annotations
@@ -177,16 +178,23 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
     the standard part's flag.  The standard part, its adjacency and each
     handle's walk are cached per process; a pair of handles that both
     lie in it is answered from it, and only the pairs that hold a handle
-    outside it are tested.
+    outside it are tested.  A bound at or above the most edges a
+    saturated growth met (``_saturated``) takes that growth's cache
+    entry: it would grow the same ball in the same order.  The ball's
+    own ``bound`` is the one asked for.
     """
     ball = FactorBall(bound=bound)
     for h in seeds:
         if h.edge_count() > bound:
             raise SeedExceedsBound(h.edge_count(), bound)
         ball.add(h)
+    moves = outer_moves(group)
+    most, grown_at = _saturated.get(
+        (moves, group.rank, aut_product_length, vertex_cap), (None, None))
+    if most is None or bound < most:
+        grown_at = bound
     handles, ball.truncated, known, prepared = _standard(
-        outer_moves(group), group.rank, bound, aut_product_length,
-        vertex_cap)
+        moves, group.rank, grown_at, aut_product_length, vertex_cap)
     for h in handles:
         ball.add(h)
     ball._known = known, prepared
@@ -197,6 +205,13 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
 def _handle(gens, n):
     """The handle of a generating set, a tuple of letter tuples."""
     return FactorHandle(stallings.folded_core([(0, 0, g) for g in gens]), n)
+
+
+# (moves, n, aut_product_length, vertex_cap) -> (edges, bound): the
+# first growth, at that bound, whose handles met, kept or not, have at
+# most that many edges.  It rejected none for the bound, so every bound
+# at or above the edge count grows the same ball in the same order.
+_saturated = {}
 
 
 @cache
@@ -215,17 +230,21 @@ def _standard(moves, n, bound, aut_product_length, vertex_cap):
     move per outer class (whitehead.outer_moves) meets every handle that
     all type-II moves meet, and meets it first at the same move.  The
     ball is truncated once it holds vertex_cap handles, checked after
-    every image.
+    every image.  The most edges of any handle met, kept or not, is
+    recorded in ``_saturated`` when it is within the bound.
     """
     ball = FactorBall(bound=bound)
     queue = []      # (generating set, moves applied), grown while read
     # A handle depends only on the generated subgroup, so a generating
     # set seen before lands on a handle already added or already rejected.
     seen = set()
+    most = 0        # the most edges of a handle met
     for mask in range(1, (1 << n) - 1):
         gens = tuple((i + 1,) for i in range(n) if mask >> i & 1)
         seen.add(frozenset(gens))
-        if ball.add(_handle(gens, n)):
+        h = _handle(gens, n)
+        most = max(most, h.edge_count())
+        if ball.add(h):
             queue.append((gens, 0))
     tables = [t.automorphism().table for t in moves]
     images = ((tuple(substitute(g, t) for g in gens), k + 1)
@@ -236,12 +255,16 @@ def _standard(moves, n, bound, aut_product_length, vertex_cap):
         if key not in seen:
             seen.add(key)
             h = _handle(img, n)
+            most = max(most, h.edge_count())
             if h.edge_count() <= bound and h.code not in ball.handles:
                 ball.add(h)
                 queue.append((img, k))
         if len(ball.handles) >= vertex_cap:
             ball.truncated = True
             break
+    if most <= bound:
+        _saturated.setdefault((moves, n, aut_product_length, vertex_cap),
+                              (most, bound))
     prepared = {c: _prepare(h.core) for c, h in ball.handles.items()}
     ball._known = {}, prepared
     ball.compute_adjacency()

@@ -131,10 +131,10 @@ def _event_depth(f, gates):
     """The first combinatorial event time for the given folding gates."""
     tau = None
     for (v, dirs) in gates:
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                c = f.image_of_direction(dirs[i]).common_prefix_length(
-                    f.image_of_direction(dirs[j]))
+        images = [f.image_of_direction(d) for d in dirs]
+        for i, first in enumerate(images):
+            for second in images[i + 1:]:
+                c = first.common_prefix_length(second)
                 if c <= 0:
                     raise FoldTerminationError("same gate but no common prefix")
                 tau = c if tau is None else min(tau, c)
@@ -173,17 +173,17 @@ def fold_step(state_graph, f, gates=None, tau=None):
         cuts = {c for d, c in ((e, tau), (-e, L - tau))
                 if d in folding_dirs and tau < L}
         marks = [Fraction(0)] + sorted(cuts) + [L]
-        img = f.edge_images[e]
+        spans = [b - a for a, b in zip(marks, marks[1:])]
+        pieces = f.edge_images[e].cut(spans)   # no cut: the image itself
         pieces_of[e] = []
-        for a, b in zip(marks, marks[1:]):
+        for b, span, piece in zip(marks[1:], spans, pieces):
             if b == L:
                 nv = t
             else:
                 nv = next_vertex
                 next_vertex += 1
                 vertices.add(nv)
-            head, img = img.split_at(b - a)
-            cells[next_edge] = (o, nv, b - a, head)
+            cells[next_edge] = (o, nv, span, piece)
             pieces_of[e].append(next_edge)
             next_edge += 1
             o = nv
@@ -200,8 +200,9 @@ def fold_step(state_graph, f, gates=None, tau=None):
         # each stub oriented away from v: a first piece or a reversed last one
         stubs = [pieces_of[d][0] if d > 0 else -pieces_of[-d][-1] for d in dirs]
         canon = stubs[0]
+        canon_segs = segs(canon)
         for sp in stubs[1:]:
-            if segs(sp) != segs(canon):
+            if segs(sp) != canon_segs:
                 raise FoldTerminationError("gate stubs have unequal prefixes")
             glued.append((_far(cells, canon), _far(cells, sp)))
             edge_sub[sp] = canon

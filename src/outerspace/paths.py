@@ -7,9 +7,15 @@ parameter measured along the segment's own orientation.  All arithmetic
 is exact rational.
 
 These paths are the images of graph maps: vertex images are Points and
-edge images TargetPaths.  Tightening, prefix splitting, common-prefix
-length and germ extraction are what the optimal-map and folding layers
-need.
+edge images TargetPaths.  Tightening, cutting, common-prefix length and
+germ extraction are what the optimal-map and folding layers need.
+
+A TargetPath is immutable once built: ``segs`` is a tuple, and the
+length is summed at most once per path (``reverse``, ``concat`` and
+``cut`` hand it to the paths they build), so a path may be shared by
+any number of maps.  ``cut`` is the one splitting routine: it cuts a
+path into consecutive pieces in one pass over its segments, and
+``split_at`` is its two-piece case.
 """
 
 from __future__ import annotations
@@ -67,30 +73,34 @@ def direction_germ(image, d):
 class TargetPath:
     """Tight PL path; may be a single point (empty segment list)."""
 
-    __slots__ = ("graph", "start", "segs")
+    __slots__ = ("graph", "start", "segs", "_length")
 
     def __init__(self, graph, start, segs=()):
         self.graph = graph
         self.segs = []
         self.start = start
+        self._length = None
         for s in segs:
             self._push(s)
         self.segs = tuple(self.segs)
 
     def _push(self, seg):
-        """Append a segment, cancelling backtracks against the tail."""
+        """Append a segment, cancelling backtracks against the tail.
+        Returns the arclength cancelled from the tail, which is also the
+        arclength cancelled from seg."""
         e, a, b = seg
         if a == b:
-            return
+            return 0
         if a > b:
             raise ValueError("segment must move forward")
         segs = self.segs
+        cancelled = 0
         while True:
             if not segs:
                 if seg_start(self.graph, seg) != self.start:
                     raise ValueError("segment does not start at path start")
                 segs.append(seg)
-                return
+                return cancelled
             last = segs[-1]
             if seg_end(self.graph, last) != seg_start(self.graph, seg):
                 raise ValueError("segments not contiguous")
@@ -98,12 +108,13 @@ class TargetPath:
             e, a, b = seg
             if e == le and a == lb:           # same direction, contiguous
                 segs[-1] = (e, la, b)
-                return
+                return cancelled
             if e == -le:                      # potential backtrack
                 L = self.graph.lengths[abs(e)]
                 # seg runs over the same edge in reverse; overlap length
                 delta = min(lb - la, b - a)
                 if delta > 0 and a == L - lb:
+                    cancelled += delta
                     new_last = (le, la, lb - delta)
                     new_seg = (e, a + delta, b)
                     segs.pop()
@@ -111,13 +122,13 @@ class TargetPath:
                         segs.append(new_last)
                         if new_seg[1] != new_seg[2]:
                             segs.append(new_seg)
-                        return
+                        return cancelled
                     if new_seg[1] == new_seg[2]:
-                        return
+                        return cancelled
                     seg = new_seg
                     continue
             segs.append(seg)
-            return
+            return cancelled
 
     # -- construction -----------------------------------------------------
 
@@ -134,7 +145,9 @@ class TargetPath:
     # -- geometry ---------------------------------------------------------
 
     def length(self):
-        return sum(b - a for (_, a, b) in self.segs)
+        if self._length is None:
+            self._length = sum(b - a for (_, a, b) in self.segs)
+        return self._length
 
     def end(self):
         if not self.segs:
@@ -150,41 +163,68 @@ class TargetPath:
         since ``_push`` merges and cancels pairs by symmetric rules."""
         out = TargetPath(self.graph, self.end())
         out.segs = tuple(seg_reverse(self.graph, s) for s in reversed(self.segs))
+        out._length = self._length
         return out
 
     def concat(self, other):
+        """This path followed by other, tightened where they meet.  Each
+        arclength ``_push`` cancels is lost from both paths."""
         if self.end() != other.start:
             raise ValueError("paths not composable")
         out = TargetPath(self.graph, self.start, self.segs)
         out.segs = list(out.segs)
+        cancelled = 0
         for s in other.segs:
-            out._push(s)
+            cancelled += out._push(s)
         out.segs = tuple(out.segs)
+        out._length = self.length() + other.length() - 2 * cancelled
         return out
 
+    def cut(self, lengths):
+        """The consecutive pieces of the given arclengths, which must be
+        nonnegative and sum to the path's length, in one pass over the
+        segments.  Each piece is built by the constructor, so its
+        segments are checked like any other; a single piece is the path
+        itself."""
+        if len(lengths) == 1 and lengths[0] == self.length():
+            return (self,)
+        pieces = []
+        segs = iter(self.segs)
+        rest = None           # the part of the current segment not yet cut
+        start = self.start
+        for want in lengths:
+            if want < 0:
+                raise ValueError("piece length below 0")
+            head = []
+            remaining = want
+            while remaining > 0:
+                if rest is None:
+                    rest = next(segs, None)
+                    if rest is None:
+                        raise ValueError("pieces overshoot the path")
+                e, a, b = rest
+                span = b - a
+                if span <= remaining:
+                    head.append(rest)
+                    remaining -= span
+                    rest = None
+                else:
+                    head.append((e, a, a + remaining))
+                    rest = (e, a + remaining, b)
+                    remaining = 0
+            piece = TargetPath(self.graph, start, head)
+            piece._length = want
+            pieces.append(piece)
+            start = piece.end()
+        if rest is not None or next(segs, None) is not None:
+            raise ValueError("pieces fall short of the path")
+        return tuple(pieces)
+
     def split_at(self, dist):
-        """Split at arclength `dist`; returns (head, tail)."""
-        if dist < 0 or dist > self.length():
-            raise ValueError("split distance out of range")
-        head = []
-        segs = list(self.segs)
-        remaining = dist
-        i = 0
-        while i < len(segs) and remaining > 0:
-            e, a, b = segs[i]
-            if b - a <= remaining:
-                head.append((e, a, b))
-                remaining -= (b - a)
-                i += 1
-            else:
-                head.append((e, a, a + remaining))
-                segs[i] = (e, a + remaining, b)
-                remaining = 0
-                break
-        tail_segs = segs[i:]
-        h = TargetPath(self.graph, self.start, head)
-        t = TargetPath(self.graph, h.end(), tail_segs)
-        return h, t
+        """Split at arclength `dist`; returns (head, tail).  A distance
+        below 0 or beyond the length leaves a negative piece, which
+        ``cut`` rejects with ValueError."""
+        return self.cut((dist, self.length() - dist))
 
     def common_prefix_length(self, other):
         """Arclength of the maximal common initial portion."""

@@ -237,14 +237,22 @@ def test_experiment_exit_codes(tmp_path, capsys):
     assert rc == 0
 
 
-def test_experiment_seed_beyond_bound_is_usage_error(capsys):
+def test_experiment_seed_beyond_bound_is_a_violation(tmp_path, capsys):
     # instance 3 of this run projects a factor with more edges than
-    # --bound allows
+    # --bound allows: its row says so, and the other instances still run
+    out = str(tmp_path / "qg")
     rc = main(["experiment", "--suite", "qg-check", "--instances", "4",
-               "--seed", "7"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "--bound" in err and len(err.strip().splitlines()) == 1
+               "--seed", "7", "--out", out])
+    assert rc == 1
+    assert capsys.readouterr().err == ""
+    rows = [json.loads(line)
+            for line in (tmp_path / "qg.jsonl").read_text().splitlines()]
+    assert [r["index"] for r in rows] == [0, 1, 2, 3]
+    assert rows[3] == {"index": 3, "events": rows[3]["events"],
+                       "certified": False, "seed_edges": 7, "bound": 6}
+    assert all(r["certified"] and "truncated" in r for r in rows[:3])
+    summary = json.loads((tmp_path / "qg.summary.json").read_text())
+    assert summary["violations"] == 1
 
 
 @pytest.mark.parametrize("command", ["optimal-map", "standard-geodesic",

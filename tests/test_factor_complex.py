@@ -212,6 +212,7 @@ def _ball_json(ball):
 
 def _clear_ball_memo():
     factor_complex._standard.cache_clear()
+    factor_complex._saturated.clear()
 
 
 @pytest.mark.parametrize("rank, events, bound, products, cap", [
@@ -240,6 +241,32 @@ def test_ball_does_not_depend_on_memo_history(path_images, rank, events,
     warm = _ball_json(build_ball(FreeGroup(rank), seeds=seeds, **kw))
     assert warm == cold
     assert len(cold[0]) > len(seeds)
+
+
+@pytest.mark.parametrize("first, then", [(8, 13), (13, 8)])
+def test_bounds_over_the_most_edges_share_one_standard_part(path_images,
+                                                            first, then):
+    # at rank 3 with 2 products no handle met has more than 4 edges, so
+    # every bound from 4 up grows the same standard part: one cache entry,
+    # and each ball is the one grown afresh at its own bound
+    _clear_ball_memo()
+    balls = []
+    for bound in (first, then):
+        seeds = list({h.code: h for img in path_images for h in img
+                      if h.edge_count() <= bound}.values())
+        ball = build_ball(F3, seeds=seeds, bound=bound, aut_product_length=2)
+        assert ball.bound == bound
+        assert (list(ball.handles), ball.truncated) == \
+            _reference_ball(F3, seeds, bound, 2, 4000)
+        assert ball.adjacency == _reference_adjacency(ball)
+        balls.append((bound, seeds, _ball_json(ball)))
+    assert factor_complex._standard.cache_info().currsize == 1
+    assert factor_complex._saturated == {
+        (outer_moves(F3), 3, 2, 4000): (4, first)}
+    for bound, seeds, warm in balls:
+        _clear_ball_memo()
+        assert _ball_json(build_ball(F3, seeds=seeds, bound=bound,
+                                     aut_product_length=2)) == warm
 
 
 @pytest.mark.parametrize("events, bound, products, cap, truncated", [

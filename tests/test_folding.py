@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as Fr
 
@@ -447,3 +449,45 @@ def test_germs_and_reverses_of_optimal_maps_and_residuals():
             assert f.germ(-e) == _first_germ(f.image_of_direction(-e))
     # collapsed edges: point images, whose germ is None
     assert points > 0
+
+
+# sha256 of the (time, graph JSON) list of the events of the seed-8 path
+# below, pinned when each event still rebuilt every edge image
+REUSE_EVENTS_SHA256 = (
+    "ad798f69671308bc94f02414a90f05f1f5d31f61002962967eb68214782bcbaa")
+
+
+def test_fold_events_reuse_uncut_images(monkeypatch):
+    # an edge whose marks are only its two ends goes into the cells with
+    # its image object, unless it is a whole stub glued to its gate's first
+    cells_of = []
+    quotient = folding._quotient
+
+    def spy(G, Gp, cells, vmap, sub):
+        cells_of.append({id(c[3]) for c in cells.values()})
+        return quotient(G, Gp, cells, vmap, sub)
+
+    monkeypatch.setattr(folding, "_quotient", spy)
+    rng = random.Random(8)
+    G = random_marked_graph(rng, F3, 4)
+    Gp = random_marked_graph(rng, F3, 4)
+    events = standard_geodesic(G, Gp).path.events
+    table = [(str(ev.time), ev.graph.to_json()) for ev in events]
+    assert hashlib.sha256(json.dumps(table, sort_keys=True).encode()
+                          ).hexdigest() == REUSE_EVENTS_SHA256
+    assert len(cells_of) == len(events)     # the first is the simplex's
+    reused = 0
+    for ev, kept in zip(events, cells_of[1:]):
+        f = ev.residual
+        gates = _multi_gates(f)
+        tau = _event_depth(f, gates)
+        folding_dirs = {d for _, dirs in gates for d in dirs}
+        glued = {d for _, dirs in gates for d in dirs[1:]}
+        for e, L in ev.graph.lengths.items():
+            if any(d in folding_dirs and tau < L for d in (e, -e)):
+                continue                     # cut at tau from a folding end
+            if e in glued or -e in glued:
+                continue
+            assert id(f.edge_images[e]) in kept
+            reused += 1
+    assert reused > 40
