@@ -44,6 +44,11 @@ def _json_dump(obj, fh):
     fh.write("\n")
 
 
+# what a reader of malformed JSON content can raise; each is a usage error
+_MALFORMED = (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+              ValueError, ZeroDivisionError)
+
+
 def _parse_graph(text, source, group=None, key=None):
     """The valid marked graph in JSON text or bytes (under key, if given);
     bytes that are not UTF-8 fail as bad JSON does, and a graph that
@@ -52,7 +57,7 @@ def _parse_graph(text, source, group=None, key=None):
         data = json.loads(text)
         G = MarkedMetricGraph.from_json(data[key] if key else data, group)
         diags = G.validate()
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise UsageError(f"{source} does not hold a marked graph "
                          f"({type(exc).__name__}: {exc})") from None
     if diags:
@@ -282,7 +287,7 @@ def _load_ball(group, path):
             raise ValueError("the adjacency is not a symmetric relation on "
                              "the handles")
         ball.adjacency = adj
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+    except _MALFORMED as exc:
         raise UsageError(f"{path} does not hold a factor ball "
                          f"({type(exc).__name__}: {exc})") from None
     return ball

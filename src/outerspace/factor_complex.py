@@ -16,13 +16,15 @@ later query from that source reads, until the ball changes.
 A ball is its seeds plus the standard ball: the sub-bases of the
 standard basis and their images under products of the outer Whitehead
 moves, grown once per process for each move set, rank, bound, product
-length and cap (``_standard``), with its adjacency and each handle's
-walk.  A growth that met no handle over its bound grows the same ball at
-every greater bound, so those bounds share it.  The cap bounds that
+length and cap (``_standard``) into a FactorBall whose adjacency is
+frozen.  A growth that met no handle over its bound grows the same ball
+at every greater bound, so those bounds share it.  The cap bounds that
 growth, not the seeds, so a seeded ball holds the seedless ball of the
 same parameters.  Adjacency is a function of the two codes, so a seeded
-ball takes the standard adjacency restricted to its own handles and
-tests only the pairs that hold a seed outside the standard part.
+ball copies the standard adjacency and tests only the pairs that hold a
+seed outside the standard part.  Each handle keeps its own replay walk
+(``FactorHandle.walk``), and the standard handles are the same objects
+in every ball, so each is walked once per process.
 """
 
 from __future__ import annotations
@@ -53,10 +55,6 @@ class FactorBall:
     # source code -> {code: hops}; cleared whenever handles or edges change
     _hops: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
-    # (known, prepared) from one exact ball (see _standard): code ->
-    # frozenset of its neighbours, and code -> _prepare entry
-    _known: tuple = field(default_factory=lambda: ({}, {}), init=False,
-                          repr=False, compare=False)
 
     def add(self, handle):
         if handle.edge_count() > self.bound:
@@ -67,14 +65,13 @@ class FactorBall:
         return True
 
     def compute_adjacency(self):
-        """Adjacency = proper conjugate containment in either direction.
+        """Adjacency = proper conjugate containment in either direction,
+        tested on every pair of handles."""
+        self.adjacency = {c: set() for c in sorted(self.handles)}
+        self._link(set(self.handles))
 
-        Adjacency is a function of the two codes, so a pair of codes in
-        the known part (``_known``; ``build_ball`` sets it to the cached
-        standard part) is answered from it, restricted to the ball's own
-        handles, and every pair that holds a handle outside it is
-        tested.  With nothing known, as in a ball built by hand or the
-        standard part itself, every pair is tested.
+    def _link(self, fresh):
+        """Add the edges of every pair that holds a code in the set fresh.
 
         Two distinct factor classes of equal rank never properly contain
         one another (a rank-k free factor of a rank-k factor is the whole
@@ -83,32 +80,25 @@ class FactorBall:
         core(hi), which sends every turn of lo to a turn of hi, so a
         pair is replayed only when turns(lo) is a subset of turns(hi).
         """
-        known, prepared = self._known
-        codes = sorted(self.handles)
-        present = set(codes)
-        self.adjacency = {c: present.intersection(known.get(c, ()))
-                          for c in codes}
         self._hops.clear()
-        prep = {c: prepared.get(c) or _prepare(self.handles[c].core)
-                for c in codes}
         by_rank = {}
-        for c in codes:
-            by_rank.setdefault(self.handles[c].rank, []).append(c)
+        for h in self.handles.values():
+            by_rank.setdefault(h.rank, []).append(h)
         ranks = sorted(by_rank)
         for i, r in enumerate(ranks):
-            # (code, turns, core, sorted vertices) of each higher handle
-            higher = [(c, *prep[c][2:]) for r2 in ranks[i + 1:]
-                      for c in by_rank[r2]]
-            fresh = [p for p in higher if p[0] not in known]
+            # (code, turns, sorted vertices, core) of each higher handle
+            higher = [(h.code, *h.walk()[2:], h.core) for r2 in ranks[i + 1:]
+                      for h in by_rank[r2]]
+            higher_fresh = [p for p in higher if p[0] in fresh]
             for lo in by_rank[r]:
-                h0, walk, turns, _, _ = prep[lo]
-                for hi, hi_turns, hi_core, hi_seeds in (
-                        fresh if lo in known else higher):
+                h0, walk, turns, _ = lo.walk()
+                for hi, hi_turns, hi_seeds, hi_core in (
+                        higher if lo.code in fresh else higher_fresh):
                     if (not turns & ~hi_turns
                             and stallings._replay(h0, walk, hi_core,
                                                   hi_seeds)):
-                        self.adjacency[lo].add(hi)
-                        self.adjacency[hi].add(lo)
+                        self.adjacency[lo.code].add(hi)
+                        self.adjacency[hi].add(lo.code)
 
     def hops_from(self, code):
         """BFS hop counts from code to every handle it reaches in the ball."""
@@ -160,12 +150,6 @@ class SeedExceedsBound(ValueError):
                 f"complexity bound {self.bound}")
 
 
-def _prepare(core):
-    """A core's ``stallings._walk`` triple, the core and its sorted
-    vertices: what ``compute_adjacency`` reads to test a pair."""
-    return (*stallings._walk(core), core, sorted(core.vertices))
-
-
 def build_ball(group, seeds=(), bound=6, aut_product_length=3,
                vertex_cap=4000):
     """Enumerate small-core factors: the seeds, then the standard ball,
@@ -175,30 +159,30 @@ def build_ball(group, seeds=(), bound=6, aut_product_length=3,
     Seeds always go into the ball, and vertex_cap bounds the growth of
     the standard part alone, so the ball may hold more than vertex_cap
     handles: its seeds plus the capped standard part.  ``truncated`` is
-    the standard part's flag.  The standard part, its adjacency and each
-    handle's walk are cached per process; a pair of handles that both
-    lie in it is answered from it, and only the pairs that hold a handle
-    outside it are tested.  A bound at or above the most edges a
-    saturated growth met (``_saturated``) takes that growth's cache
-    entry: it would grow the same ball in the same order.  The ball's
-    own ``bound`` is the one asked for.
+    the standard part's flag.  The standard part is cached per process;
+    the ball copies its adjacency into sets of its own and tests only
+    the pairs that hold a seed outside it.  A bound at or above the most
+    edges a saturated growth met (``_saturated``) takes that growth's
+    cache entry: it would grow the same ball in the same order.  The
+    ball's own ``bound`` is the one asked for.
     """
     ball = FactorBall(bound=bound)
     for h in seeds:
-        if h.edge_count() > bound:
+        if not ball.add(h):
             raise SeedExceedsBound(h.edge_count(), bound)
-        ball.add(h)
     moves = outer_moves(group)
     most, grown_at = _saturated.get(
         (moves, group.rank, aut_product_length, vertex_cap), (None, None))
     if most is None or bound < most:
         grown_at = bound
-    handles, ball.truncated, known, prepared = _standard(
-        moves, group.rank, grown_at, aut_product_length, vertex_cap)
-    for h in handles:
+    standard = _standard(moves, group.rank, grown_at, aut_product_length,
+                         vertex_cap)
+    for h in standard.handles.values():
         ball.add(h)
-    ball._known = known, prepared
-    ball.compute_adjacency()
+    ball.truncated = standard.truncated
+    ball.adjacency = {c: set(standard.adjacency.get(c, ()))
+                      for c in sorted(ball.handles)}
+    ball._link(ball.handles.keys() - standard.handles.keys())
     return ball
 
 
@@ -216,11 +200,10 @@ _saturated = {}
 
 @cache
 def _standard(moves, n, bound, aut_product_length, vertex_cap):
-    """The seedless ball: its handles in insertion order, ``truncated``,
-    its adjacency (each code mapped to a frozenset of its neighbours)
-    and each handle's ``_prepare`` entry.  Keyed by the move tuple, so a
-    patched move set grows a ball of its own.  A seeded ball keeps the
-    last two as ``_known`` and only reads them: its sets are its own.
+    """The seedless FactorBall, its adjacency frozen (each code mapped
+    to a frozenset of its neighbours): a seeded ball copies it and never
+    changes it.  Keyed by the move tuple, so a patched move set grows a
+    ball of its own.
 
     The sub-bases within the bound go in first.  Then each generating
     set is pushed through each move's signed table
@@ -265,11 +248,9 @@ def _standard(moves, n, bound, aut_product_length, vertex_cap):
     if most <= bound:
         _saturated.setdefault((moves, n, aut_product_length, vertex_cap),
                               (most, bound))
-    prepared = {c: _prepare(h.core) for c, h in ball.handles.items()}
-    ball._known = {}, prepared
     ball.compute_adjacency()
-    return (tuple(ball.handles.values()), ball.truncated,
-            {c: frozenset(s) for c, s in ball.adjacency.items()}, prepared)
+    ball.adjacency = {c: frozenset(s) for c, s in ball.adjacency.items()}
+    return ball
 
 
 @dataclass

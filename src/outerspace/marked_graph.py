@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .words import (RankMismatchError, free_reduce, cyclic_reduce, inverse,
-                    letter_str, signed_table, substitute, word_str)
+from .words import (FreeGroup, RankMismatchError, free_reduce, cyclic_reduce,
+                    inverse, letter_str, parse_letters, signed_table,
+                    substitute, word_str)
 from . import stallings
 
 
@@ -333,7 +334,6 @@ class MarkedMetricGraph:
 
     @classmethod
     def from_json(cls, data, group=None):
-        from .words import FreeGroup, parse_letters
         group = group or FreeGroup(data["rank"])
         edge_ends = {e["id"]: (e["from"], e["to"]) for e in data["edges"]}
         lengths = {e["id"]: Fraction(e["length"]) for e in data["edges"]}

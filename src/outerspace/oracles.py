@@ -13,6 +13,12 @@ and the work done so far, never a partial answer.
 
 from __future__ import annotations
 
+from . import stallings
+from .lipschitz import _loop_canon, class_of_loop
+from .traintrack import direction_digraph
+from .whitehead import all_type_ii_automorphisms, apply_whitehead
+from .words import Word
+
 
 class OracleBudgetExceeded(RuntimeError):
     """An oracle ran out of budget before its search was complete."""
@@ -37,8 +43,6 @@ def all_short_loops(graph, max_crossings=2, budget=2_000_000):
     is found from its least edge (more than once if it crosses it twice,
     hence the dedupe).  More than budget steps raise OracleBudgetExceeded.
     """
-    from .lipschitz import _loop_canon
-
     found = {}
     steps = 0
     edges = sorted(graph.edge_ends)
@@ -74,8 +78,6 @@ def all_short_loops(graph, max_crossings=2, budget=2_000_000):
 
 def brute_stretch(G, Gp, max_crossings=2):
     """Max of target/source length over ALL loops crossing each edge <= twice."""
-    from .lipschitz import class_of_loop
-
     best = None
     best_loop = None
     for loop in all_short_loops(G, max_crossings):
@@ -93,8 +95,6 @@ def spanning_legal_loop_bruteforce(tt):
 
     Returns True iff some legal loop crosses every edge of the support.
     """
-    from .traintrack import direction_digraph
-
     D = direction_digraph(tt)
     edges = sorted(tt.edge_support())
     bit = {e: 1 << i for i, e in enumerate(edges)}
@@ -147,9 +147,6 @@ def subgroup_elements_up_to(gen_words, max_length, slack=None):
 
 def conjugate_into_bruteforce(H_words, K_words, conjugator_length):
     """Is g^-1 <H> g <= <K> for some |g| <= conjugator_length?  Word search."""
-    from .words import Word
-    from . import stallings
-
     group = H_words[0].group
     K_based = stallings.core_graph(K_words, based=True)
 
@@ -184,8 +181,6 @@ def whitehead_simple_oracle(cw, budget=200_000, cache=None):
     sweeps (positives propagate forward when hit during the search).
     A cone of more than budget words raises OracleBudgetExceeded.
     """
-    from .whitehead import all_type_ii_automorphisms, apply_whitehead
-
     group = cw.group
     moves = all_type_ii_automorphisms(group)
     start = cw
@@ -242,8 +237,6 @@ def minimal_level_set(m, budget=100_000):
     shorter image raises ValueError (m was not minimal); more than budget
     classes raise OracleBudgetExceeded.
     """
-    from .whitehead import all_type_ii_automorphisms, apply_whitehead
-
     moves = all_type_ii_automorphisms(m.group)
     level = {m}
     frontier = [m]

@@ -167,12 +167,14 @@ class TargetPath:
         return out
 
     def concat(self, other):
-        """This path followed by other, tightened where they meet.  Each
-        arclength ``_push`` cancels is lost from both paths."""
+        """This path followed by other, tightened where they meet.  This
+        path is tight, so its segments are copied as they are; other's
+        are pushed, and each arclength ``_push`` cancels is lost from
+        both paths."""
         if self.end() != other.start:
             raise ValueError("paths not composable")
-        out = TargetPath(self.graph, self.start, self.segs)
-        out.segs = list(out.segs)
+        out = TargetPath(self.graph, self.start)
+        out.segs = list(self.segs)
         cancelled = 0
         for s in other.segs:
             cancelled += out._push(s)

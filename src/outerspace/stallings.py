@@ -488,10 +488,12 @@ class FactorHandle:
     provenance-safe constructors (subgraph factors, automorphism images
     of coordinate factors, explicit sub-bases).  FactorHandle(core, n)
     takes the cyclic core of a factor of F_n and checks only that its
-    rank is between 1 and n - 1.
+    rank is between 1 and n - 1.  ``walk()`` is built on first use and
+    kept with the handle, so a handle shared by many balls is walked
+    once.
     """
 
-    __slots__ = ("core", "code", "rank")
+    __slots__ = ("core", "code", "rank", "_walked")
 
     def __init__(self, core, n):
         if core.rank() < 1:
@@ -501,6 +503,7 @@ class FactorHandle:
         self.core = core
         self.code = canonical_code(core)
         self.rank = core.rank()
+        self._walked = None
 
     @classmethod
     def from_words(cls, words):
@@ -508,6 +511,14 @@ class FactorHandle:
 
     def edge_count(self):
         return len(self.core.edges)
+
+    def walk(self):
+        """The core's ``_walk`` triple and its sorted vertices: the walk
+        replayed to test this handle into another, and the start order
+        of a replay of another into this one."""
+        if self._walked is None:
+            self._walked = (*_walk(self.core), sorted(self.core.vertices))
+        return self._walked
 
     def __eq__(self, other):
         return isinstance(other, FactorHandle) and self.code == other.code

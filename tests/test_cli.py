@@ -117,6 +117,24 @@ def test_ffdist_bad_ball_file_exits_2(content, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda d: d["edges"][0].update(length="1/0"),
+    lambda d: d["edges"][0].update(length=float("inf")),   # JSON Infinity
+    lambda d: d["marking"]["loops"].update({"": [1]}),
+    lambda d: d["marking"].update(loops=[1]),
+], ids=["zero-denominator", "infinite-length", "empty-loop-key",
+        "loops-not-a-map"])
+def test_malformed_graph_file_exits_2(corrupt, tmp_path, capsys):
+    data = rose(F3, [Fr(1, 3)] * 3).to_json()
+    corrupt(data)
+    bad = tmp_path / "g.json"
+    bad.write_text(json.dumps(data))
+    assert main(["dist", str(bad), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "g.json" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def _unlisted_vertex(data, key):
     core = data["handles"][key]
     core["edges"][0]["to"] = max(core["vertices"]) + 1

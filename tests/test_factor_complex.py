@@ -300,8 +300,8 @@ def test_seeded_adjacency_over_the_standard_part(path_images, inside, bound,
                                                  products, cap):
     # seeds outside the seedless ball (inside False), seeds whose codes
     # are its handles (True), or both with a cap that truncates it (None)
-    _, _, standard, _ = factor_complex._standard(outer_moves(F3), 3, bound,
-                                                 products, cap)
+    standard = factor_complex._standard(outer_moves(F3), 3, bound, products,
+                                        cap).adjacency
     assert (len(standard) == cap) == (inside is None)
     seeds = [h for h in {h.code: h for img in path_images for h in img
                          if h.edge_count() <= bound}.values()
@@ -483,3 +483,19 @@ def test_memo_sees_a_new_shortcut():
     assert "_hops" not in repr(ball) and ball == FactorBall(
         bound=4, handles=dict(ball.handles), adjacency=ball.adjacency,
         truncated=ball.truncated)
+
+
+def test_handle_walk_is_built_once_and_shared_by_standard_handles():
+    from outerspace import stallings
+    h = handle("ab", "cAc")
+    walk = h.walk()
+    assert walk == (*stallings._walk(h.core), sorted(h.core.vertices))
+    assert h.walk() is walk
+    kw = dict(bound=6, aut_product_length=2)
+    seeded = build_ball(F3, seeds=[h], **kw)
+    plain = build_ball(F3, **kw)
+    standard = factor_complex._standard(outer_moves(F3), 3, 6, 2, 4000)
+    assert h.code not in standard.handles
+    assert seeded.handles[h.code] is h
+    for c in standard.handles:
+        assert seeded.handles[c].walk() is plain.handles[c].walk()

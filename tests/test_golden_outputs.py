@@ -62,6 +62,16 @@ def test_ball_file_digest(tmp_path, capsys):
         "5d2a7f799efe072044ef3a391d7b2fb90d411ec37e8873cc7c90102b1853d554")
 
 
+def test_truncated_rank_four_ball_file_digest(tmp_path, capsys):
+    # a rank-4 standard growth that stops at its cap
+    out = tmp_path / "ball.json"
+    assert main(["ball", "--rank", "4", "--bound", "12", "--products", "3",
+                 "--cap", "6000", "--out", str(out)]) == 0
+    assert "6000 factors" in capsys.readouterr().out
+    assert _sha256(out) == (
+        "97df557c34c2b5a40f2f895b8d664bac75b4c13e6ec9c94c3e53b2bfbc3c09e5")
+
+
 def test_fold_events_and_stats_digests(tmp_path, capsys):
     rng = random.Random(20)
     group = FreeGroup(3)
