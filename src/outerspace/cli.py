@@ -352,6 +352,7 @@ def cmd_whitehead_graph(args):
 def cmd_qg_check(args):
     group = _group(args.rank, 3)
     _at_least("--K", args.K, 0)
+    _at_least("--bound", args.bound, 0)
     _at_least("--products", args.products, 0)
     with open(args.path, "rb") as fh:
         snapshots = [_parse_graph(line, f"{args.path} line {n}", group,
@@ -476,6 +477,7 @@ def run_experiment(suite, seed, instances, rank=3, workers=1, twist=3,
     _at_least("--workers", workers, 1)
     _at_least("--word-length", word_length, 1)
     _at_least("--K", K, 0)
+    _at_least("--bound", bound, 0)
     _at_least("--twist", twist, 0)
     run_instance, least_rank, verdict = SUITES[suite]
     _group(rank, least_rank)
@@ -596,7 +598,11 @@ def build_parser():
     qg = add_parser("qg-check", "--rank")
     qg.add_argument("--path", required=True)
     qg.add_argument("--K", type=int, default=6)
-    qg.add_argument("--bound", type=int, default=6)
+    qg.add_argument("--bound", type=int, default=6, help=(
+        "most edges of a factor in the ball (default 6, kept so that "
+        "outputs made at the default stay the same; a path that projects "
+        "a larger factor exits 2). The qg-window benchmark uses max(8, "
+        "most seed edges) instead"))
     qg.add_argument("--products", type=int, default=2)
     qg.set_defaults(func=cmd_qg_check)
 

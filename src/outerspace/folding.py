@@ -31,9 +31,9 @@ from fractions import Fraction
 from .words import inverse, substitute
 from .marked_graph import MarkedMetricGraph, loop_marked_graph
 from .lipschitz import (GraphMap, optimal_map, stretch_factor,
-                        OptimalMapError)
-from .paths import edge_point, direction_germ
-from .traintrack import illegal_turn_count
+                        OptimalMapError, _transport)
+from .paths import direction_germ
+from .traintrack import TrainTrackStructure, illegal_turn_count
 
 
 # Every event lowers the volume; a path with more events than this is
@@ -54,12 +54,15 @@ class FoldEvent:
     a merged edge and is left out.  The basepoint is never merged, so it
     is always mapped, and so is a vertex carrying an unfolded gate (two
     directions with one germ: an illegal turn, which the merge keeps).
+    gates is built once, when the event is made; fold_step and
+    path_statistics read it.
     """
     time: Fraction                  # accumulated natural time
     graph: MarkedMetricGraph        # snapshot after the event
     residual: GraphMap              # snapshot -> target
     fold_edge_map: dict             # oriented old edge -> tuple of new oriented edges
     fold_vertex_map: dict           # old vertex -> new vertex
+    gates: TrainTrackStructure      # the residual's germ partition
 
 
 @dataclass
@@ -116,9 +119,8 @@ def gates_of_residual(f):
     return f.gates(set(f.source.edge_ends))
 
 
-def _multi_gates(f):
+def _multi_gates(tt):
     """All (vertex, gate directions) with at least two directions."""
-    tt = gates_of_residual(f)
     out = []
     for v in sorted(tt.gates):
         for g in tt.gates[v]:
@@ -145,16 +147,18 @@ def _event_depth(f, gates):
     return tau
 
 
-def fold_step(state_graph, f, gates=None, tau=None):
-    """One folding event.  Returns (tau, new_graph, new_residual, edge_map,
-    vertex_map) or None when no gate has two directions.
+def fold_step(event, gates=None, tau=None):
+    """The next folding event after `event`, or None when no gate has
+    two directions.
 
-    f must have slope exactly 1 on every edge of state_graph and at
-    least two gates at every vertex.
+    The event's residual must have slope exactly 1 on every edge and at
+    least two gates at every vertex.  gates (default: every gate of
+    event.gates with two directions) and tau (default: their first
+    event depth) are what is folded.
     """
-    G = state_graph
+    G, f = event.graph, event.residual
     if gates is None:
-        gates = _multi_gates(f)
+        gates = _multi_gates(event.gates)
     if not gates:
         return None
     if tau is None:
@@ -221,7 +225,8 @@ def fold_step(state_graph, f, gates=None, tau=None):
                                               edge_map)
     vertex_map = {v: vmap[v] for v in G.vertices
                   if vmap[v] in new_graph.vertices}
-    return tau, new_graph, residual, edge_map, vertex_map
+    return FoldEvent(event.time + tau, new_graph, residual, edge_map,
+                     vertex_map, gates_of_residual(residual))
 
 
 def _quotient(G, Gp, cells, vmap, sub):
@@ -320,26 +325,20 @@ def folding_path(G, f):
     for e in G.edge_ends:
         if f.slope(e) != 1:
             raise ValueError("natural parametrization requires slope 1 on every edge")
-    tt = gates_of_residual(f)
+    events = [FoldEvent(Fraction(0), G, f, None, None, gates_of_residual(f))]
     for v in G.vertices:
-        if G.degree(v) >= 2 and tt.gate_count(v) < 2:
+        if G.degree(v) >= 2 and events[0].gates.gate_count(v) < 2:
             raise ValueError(f"vertex {v} has one gate; the map is not optimal")
-    events = [FoldEvent(Fraction(0), G, f, None, None)]
-    t = Fraction(0)
-    current_graph, current_map = G, f
     for _ in range(MAX_EVENTS):
-        step = fold_step(current_graph, current_map)
-        if step is None:
-            if not _is_marking_isometry(current_map):
+        ev = fold_step(events[-1])
+        if ev is None:
+            if not _is_marking_isometry(events[-1].residual):
                 raise FoldTerminationError(
                     "no foldable gate but the residual is not an isometry")
             return FoldingPath(G, f.target, events)
-        tau, new_graph, new_map, edge_map, vertex_map = step
-        if new_graph.volume() >= current_graph.volume():
+        if ev.graph.volume() >= events[-1].graph.volume():
             raise FoldTerminationError("volume failed to decrease")
-        t += tau
-        events.append(FoldEvent(t, new_graph, new_map, edge_map, vertex_map))
-        current_graph, current_map = new_graph, new_map
+        events.append(ev)
     raise FoldTerminationError(f"event cap MAX_EVENTS = {MAX_EVENTS} "
                                "exceeded")
 
@@ -359,8 +358,10 @@ def _tighten_plain(f):
     """Slide vertex classes whose every direction shares one germ.
 
     Collapsed edges tie their endpoints into one class; a slide moves
-    the whole class, strictly reducing total image length.  Terminates
-    by the lattice bound and never raises sigma (nothing grows).
+    the whole class along the germ with ``lipschitz._transport`` (so a
+    collapsed edge inside the class moves with its ends), strictly
+    reducing total image length.  Terminates by the lattice bound and
+    never raises sigma (nothing grows).
     """
     G = f.source
     while True:
@@ -370,41 +371,23 @@ def _tighten_plain(f):
         classes = {}
         for v in G.vertices:
             classes.setdefault(vmap[v], []).append(v)
-        moved = False
-        for root, members in sorted(classes.items()):
-            germs = set()
-            live = []
-            for v in members:
-                for d in G.directions_at(v):
-                    germ = f.germ(d)
-                    if germ is None:
-                        continue
-                    germs.add(germ)
-                    live.append((v, d))
-            if len(germs) != 1 or not live:
+        for _, members in sorted(classes.items()):
+            live = [d for v in members for d in G.directions_at(v)
+                    if f.germ(d) is not None]
+            germs = {f.germ(d) for d in live}
+            if len(germs) != 1:
                 continue
-            germ = germs.pop()
-            delta = None
-            for (v, d) in live:
-                seg = f.image_of_direction(d).segs[0]
-                c = seg[2] - seg[1]
-                delta = c if delta is None else min(delta, c)
-            # move every member along the germ; all live directions shrink
-            e_g, a_g = germ
-            new_point = edge_point(f.target, e_g, a_g + delta)
-            for e in sorted(G.edge_ends):
-                o, t = G.edge_ends[e]
-                path = f.edge_images[e]
-                if vmap[o] == root and not path.is_point():
-                    path = path.split_at(delta)[1]
-                if vmap[t] == root and not path.is_point():
-                    path = path.split_at(path.length() - delta)[0]
-                f.edge_images[e] = path
-            for v in members:
-                f.vertex_images[v] = new_point
-            moved = True
+            e_g, a_g = germs.pop()
+            delta = min(seg[2] - seg[1] for seg in
+                        (f.image_of_direction(d).segs[0] for d in live))
+            # every member moves delta into the germ, in +|e_g| offsets;
+            # all live directions shrink
+            x0 = a_g if e_g > 0 else f.target.lengths[-e_g] - a_g
+            x1 = x0 + delta if e_g > 0 else x0 - delta
+            _transport(f, {v: (abs(e_g), x0) for v in members},
+                       dict.fromkeys(members, x1))
             break
-        if not moved:
+        else:
             return f
 
 
@@ -443,8 +426,7 @@ def path_statistics(path, probe_loops=(), probe_subgroups=()):
     """
     rows = []
     for ev in path.events:
-        G, f = ev.graph, ev.residual
-        tt = gates_of_residual(f)
+        G, tt = ev.graph, ev.gates
         vol = G.volume()
         row = {"time": ev.time, "volume": vol, "loops": [], "subgroups": []}
         for cw in probe_loops:

@@ -298,13 +298,9 @@ class GraphMap:
         image."""
         return direction_germ(self.edge_images[abs(d)], d)
 
-    def gates(self, restrict_edges=None):
-        """Train track structure by first-germ partition.
-
-        restrict_edges: positive edge ids (default: tension graph).
-        """
-        if restrict_edges is None:
-            restrict_edges = self.tension_edges()
+    def gates(self, restrict_edges):
+        """Train track structure by first-germ partition of the directions
+        on restrict_edges (positive edge ids)."""
         directions = [d for d in self.source.oriented_edges()
                       if abs(d) in restrict_edges]
         for d in directions:

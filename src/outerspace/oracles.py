@@ -76,11 +76,11 @@ def all_short_loops(graph, max_crossings=2, budget=2_000_000):
     return list(found.values())
 
 
-def brute_stretch(G, Gp, max_crossings=2):
+def brute_stretch(G, Gp):
     """Max of target/source length over ALL loops crossing each edge <= twice."""
     best = None
     best_loop = None
-    for loop in all_short_loops(G, max_crossings):
+    for loop in all_short_loops(G):
         lg = sum(G.lengths[abs(e)] for e in loop)
         lt = Gp.translation_length(class_of_loop(G, loop))
         ratio = lt / lg
@@ -115,20 +115,19 @@ def spanning_legal_loop_bruteforce(tt):
     return False
 
 
-def subgroup_elements_up_to(gen_words, max_length, slack=None):
+def subgroup_elements_up_to(gen_words, max_length):
     """Elements of <gen_words> of word length <= max_length, by BFS closure.
 
     States are reduced words; expansion multiplies by generators on the
-    right, pruned at max_length + slack (slack defaults to the longest
-    generator; long products that dip back under the bound survive).
+    right, pruned at max_length plus the longest generator (long products
+    that dip back under the bound survive).
     """
     group = gen_words[0].group
     gens = []
     for w in gen_words:
         gens.append(w)
         gens.append(w.inverse())
-    slack = max(len(g) for g in gens) if slack is None else slack
-    bound = max_length + slack
+    bound = max_length + max(len(g) for g in gens)
     seen = {group.identity().letters}
     frontier = [group.identity()]
     while frontier:

@@ -70,13 +70,13 @@ def random_automorphism(rng, group, length):
     return phi, inv
 
 
-def random_graph_skeleton(rng, rank, max_tries=500):
+def random_graph_skeleton(rng, rank):
     """Connected graph of the given rank with all degrees >= 3.
 
-    Spanning tree plus chords, rejection-sampled on the degree bound.
-    Returns (vertices, edge_ends).
+    Spanning tree plus chords, rejection-sampled on the degree bound
+    (500 tries).  Returns (vertices, edge_ends).
     """
-    for _ in range(max_tries):
+    for _ in range(500):
         n_vertices = rng.randint(1, 2 * rank - 2)
         vertices = list(range(n_vertices))
         edges = {}
@@ -99,10 +99,9 @@ def random_graph_skeleton(rng, rank, max_tries=500):
     raise RuntimeError("failed to sample a degree-3 skeleton")
 
 
-def random_lengths(rng, edge_ids, max_numerator=6, denominator=24):
-    """Random positive rationals with bounded denominator, volume-normalized."""
-    raw = {e: Fraction(rng.randint(1, max_numerator), denominator)
-           for e in edge_ids}
+def random_lengths(rng, edge_ids):
+    """Random positive rationals k/24 with 1 <= k <= 6, volume-normalized."""
+    raw = {e: Fraction(rng.randint(1, 6), 24) for e in edge_ids}
     vol = sum(raw.values())
     return {e: l / vol for e, l in raw.items()}
 

@@ -80,9 +80,9 @@ class SubgroupCoreGraph:
     def rank(self):
         return len(self.edges) - len(self.vertices) + 1
 
-    def trace(self, letters, start=None):
-        """Follow a letter sequence from start (default basepoint); None if it leaves."""
-        v = self.basepoint if start is None else start
+    def trace(self, letters):
+        """Follow a letter sequence from the basepoint; None if it leaves."""
+        v = self.basepoint
         rows = self.rows
         for x in letters:
             v = rows[v].get(x)

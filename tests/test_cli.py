@@ -395,7 +395,7 @@ def test_random_cyclic_word_rejects_nonpositive_length():
 
 @pytest.mark.parametrize("name, value", [("instances", -1), ("workers", 0),
                                          ("workers", -2), ("word_length", 0),
-                                         ("twist", -2)])
+                                         ("twist", -2), ("bound", -1)])
 def test_experiment_counts_out_of_range_are_usage_errors(name, value, capsys):
     # a random cyclic word of length 0 is never nontrivial: this suite
     # used to loop forever at --word-length 0
@@ -532,7 +532,9 @@ def test_invalid_snapshot_line_exits_2(events_file, capsys):
     ["ball", "--bound", "2", "--cap", "-1", "--out", "OUT"],
     ["ball", "--bound", "2", "--products", "-1", "--out", "OUT"],
     ["qg-check", "--path", "EVENTS", "--products", "-1"],
-], ids=["ball-bound", "ball-cap", "ball-products", "qg-check-products"])
+    ["qg-check", "--path", "EVENTS", "--bound", "-1"],
+], ids=["ball-bound", "ball-cap", "ball-products", "qg-check-products",
+        "qg-check-bound"])
 def test_negative_ball_flags_exit_2(argv, events_file, tmp_path, capsys):
     # `ball` wrote an empty or truncated ball and exited 0, and a
     # negative --products was taken as 0

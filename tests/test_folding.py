@@ -8,13 +8,13 @@ import pytest
 from outerspace import folding
 from outerspace.words import FreeGroup, CyclicWord
 from outerspace.marked_graph import rose
-from outerspace.lipschitz import stretch_factor, optimal_map
+from outerspace.lipschitz import GraphMap, stretch_factor, optimal_map
 from outerspace.folding import (standard_geodesic, folding_path, fold_step,
                                 path_statistics, _multi_gates, _event_depth)
 from outerspace.randomgen import (random_marked_graph, random_cyclic_word,
                                   random_word)
 from outerspace.stallings import core_graph
-from outerspace.paths import TargetPath, seg_reverse
+from outerspace.paths import TargetPath, edge_point, seg_reverse
 
 
 F3 = FreeGroup(3)
@@ -272,20 +272,20 @@ def test_within_event_order_independence():
         Gp = random_marked_graph(rng, F3, 3)
         sg = standard_geodesic(G, Gp)
         ev0 = sg.path.events[0]
-        f = ev0.residual
-        gates = _multi_gates(f)
+        gates = _multi_gates(ev0.gates)
         if len(gates) < 2:
             continue
         found += 1
-        tau = _event_depth(f, gates)
-        _, g_sim, _, _, _ = fold_step(ev0.graph, f, gates=gates, tau=tau)
+        tau = _event_depth(ev0.residual, gates)
+        g_sim = fold_step(ev0, gates=gates, tau=tau).graph
         for order in (list(gates), list(gates)[::-1]):
-            g_seq, f_seq = ev0.graph, f
+            ev_seq = ev0
             pending = list(order)
             while pending:
                 gate = pending.pop(0)
-                step = fold_step(g_seq, f_seq, gates=[gate], tau=tau)
-                _, g_seq, f_seq, emap, vmap = step
+                ev_seq = fold_step(ev_seq, gates=[gate], tau=tau)
+                g_seq = ev_seq.graph
+                emap, vmap = ev_seq.fold_edge_map, ev_seq.fold_vertex_map
                 transported = []
                 for (v2, dirs2) in pending:
                     transported.append((vmap[v2],
@@ -479,7 +479,7 @@ def test_fold_events_reuse_uncut_images(monkeypatch):
     reused = 0
     for ev, kept in zip(events, cells_of[1:]):
         f = ev.residual
-        gates = _multi_gates(f)
+        gates = _multi_gates(ev.gates)
         tau = _event_depth(f, gates)
         folding_dirs = {d for _, dirs in gates for d in dirs}
         glued = {d for _, dirs in gates for d in dirs[1:]}
@@ -491,3 +491,90 @@ def test_fold_events_reuse_uncut_images(monkeypatch):
             assert id(f.edge_images[e]) in kept
             reused += 1
     assert reused > 40
+
+
+def _split_at_slide(f):
+    """The slide of ``_tighten_plain`` as it was before it moved vertices
+    through ``lipschitz._transport``: each edge image is cut with
+    ``split_at`` at a moved end, and each member's vertex image set to
+    the new point, on f itself.  Returns the number of slides."""
+    G = f.source
+    slides = 0
+    while True:
+        vmap = folding._classes(G.vertices, [
+            G.edge_ends[e] for e in G.edge_ends
+            if f.edge_images[e].is_point()])
+        classes = {}
+        for v in G.vertices:
+            classes.setdefault(vmap[v], []).append(v)
+        for root, members in sorted(classes.items()):
+            live = [(v, d) for v in members for d in G.directions_at(v)
+                    if f.germ(d) is not None]
+            germs = {f.germ(d) for _, d in live}
+            if len(germs) != 1:
+                continue
+            e_g, a_g = germs.pop()
+            delta = min(s[2] - s[1] for s in
+                        (f.image_of_direction(d).segs[0] for _, d in live))
+            for e in sorted(G.edge_ends):
+                o, t = G.edge_ends[e]
+                path = f.edge_images[e]
+                if vmap[o] == root and not path.is_point():
+                    path = path.split_at(delta)[1]
+                if vmap[t] == root and not path.is_point():
+                    path = path.split_at(path.length() - delta)[0]
+                f.edge_images[e] = path
+            for v in members:
+                f.vertex_images[v] = edge_point(f.target, e_g, a_g + delta)
+            slides += 1
+            break
+        else:
+            return slides
+
+
+def test_tighten_slide_moves_vertices_through_transport():
+    # the slide moves a class with lipschitz._transport: a collapsed edge
+    # inside the class now moves with its ends (the split_at slide left
+    # its point image behind, and the map failed check_consistency), and
+    # everything else is what the split_at slide made
+    rng = random.Random(5)
+    slid, inconsistent = [], []
+    for k in range(600):
+        group = FreeGroup(3 + k % 3)
+        G, Gp = (random_marked_graph(rng, group, 3) for _ in range(2))
+        lam, _ = stretch_factor(G, Gp)
+        f = optimal_map(G, Gp, lam)
+        old = GraphMap(G, Gp, f.vertex_images, f.edge_images)
+        if not _split_at_slide(old):
+            continue
+        slid.append(k)
+        folding._tighten_plain(f)
+        assert f.check_consistency()
+        assert f.vertex_images == old.vertex_images
+        for e, path in old.edge_images.items():
+            if not path.is_point():
+                assert f.edge_images[e] == path
+        try:
+            old.check_consistency()
+        except AssertionError:
+            inconsistent.append(k)
+    assert len(slid) == 11
+    assert inconsistent == [221]
+
+
+def test_events_carry_their_gates_and_fold_step_makes_the_next():
+    rng = random.Random(31)
+    group = FreeGroup(4)
+    G, Gp = (random_marked_graph(rng, group, 4) for _ in range(2))
+    events = standard_geodesic(G, Gp).path.events
+    assert len(events) > 5
+    for ev, nxt in zip(events, events[1:] + [None]):
+        fresh = folding.gates_of_residual(ev.residual)
+        assert ev.gates.gates == fresh.gates
+        step = fold_step(ev)
+        if nxt is None:
+            assert step is None
+            continue
+        assert step.time == nxt.time
+        assert step.graph.to_json() == nxt.graph.to_json()
+        assert step.fold_edge_map == nxt.fold_edge_map
