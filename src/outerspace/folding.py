@@ -316,12 +316,13 @@ def _is_marking_isometry(f):
     return True
 
 
-def folding_path(G, f):
+def folding_path(f):
     """Iterate fold events until the residual map is an isometry onto the target.
 
-    G: marked graph rescaled so that f has slope 1 on every edge;
-    f: the residual optimal map with >= 2 gates everywhere.
+    f: the residual optimal map with >= 2 gates everywhere, on a source
+    graph rescaled so that f has slope 1 on every edge.
     """
+    G = f.source
     for e in G.edge_ends:
         if f.slope(e) != 1:
             raise ValueError("natural parametrization requires slope 1 on every edge")
@@ -409,7 +410,7 @@ def standard_geodesic(G, Gp):
     sub = {d: () if abs(d) in collapsed else (d,) for d in G.oriented_edges()}
     mid, residual, _ = _quotient(G, Gp, cells, vmap, sub)
     return StandardGeodesic(G, Gp, dict(G.lengths), lengths_end, collapsed,
-                            mid, folding_path(mid, residual))
+                            mid, folding_path(residual))
 
 
 # -- statistics ----------------------------------------------------------------

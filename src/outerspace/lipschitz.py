@@ -42,7 +42,7 @@ class OptimalMapError(RuntimeError):
     """The descent failed to certify sigma = lambda.
 
     optimal_map fills in its state at the failure: sigma of the map, the
-    stretch factor lam, the descent steps taken and the cell LPs solved.
+    stretch factor lam, the descent steps taken and the cells tried.
     """
 
     sigma = lam = None
@@ -52,7 +52,7 @@ class OptimalMapError(RuntimeError):
         if self.sigma is None:
             return self.args[0]
         return (f"{self.args[0]} (sigma {self.sigma}, lambda {self.lam}, "
-                f"{self.steps} steps, {self.cells} cell LPs)")
+                f"{self.steps} steps, {self.cells} cells tried)")
 
 
 class BoundaryOptimumError(RuntimeError):
@@ -379,7 +379,7 @@ def optimal_map(G, Gp, lam=None):
     LP, to the optimum of the first cell of the star that strictly lowers
     sigma.  No cell is visited twice and finitely many lie below the
     starting sigma, so the descent ends.  Raises OptimalMapError, which
-    carries sigma, lambda, the descent steps and the cell LPs solved, if
+    carries sigma, lambda, the descent steps and the cells tried, if
     no cell improves a point with sigma > lambda, sigma drops below
     lambda or a cell model disagrees with the map (none of which happens
     on valid inputs).
@@ -438,9 +438,13 @@ def _star(f):
 def _try_cell_lp(f, sigma, combo):
     """Move f to the optimum of the cell `combo` if that lowers sigma.
 
-    Returns True if the map moved.  A negative right-hand side or an
-    unbounded LP means the cell model is wrong, and so does a moved map
-    whose sigma is not the LP optimum: all three raise OptimalMapError.
+    Returns True if the map moved.  A tension edge's row has right-hand
+    side 0, so sigma drops only if that edge can shorten: when the
+    cell's box lets no end of some tension edge move the way that
+    shortens it, the LP optimum is 0 and no LP is solved.  A negative
+    right-hand side or an unbounded LP means the cell model is wrong,
+    and so does a moved map whose sigma is not the LP optimum: all three
+    raise OptimalMapError.
     """
     G, Gp = f.source, f.target
     verts = sorted(G.vertices)
@@ -470,23 +474,33 @@ def _try_cell_lp(f, sigma, combo):
             # affine model is only valid while its length stays >= 0
             nonneg.append((coef, base))
 
+    b = []
+    for coef, base, e in rows:
+        rhs = sigma * G.lengths[e] - base
+        if rhs < 0:
+            raise OptimalMapError(f"edge {e} is above sigma in the cell model")
+        b.append(rhs)
+    # an end moves up its line (y+) while its offset is below the line's
+    # length, and down (y-) while it is above 0
+    for (coef, _, _), rhs in zip(rows, b):
+        if not rhs and not any(
+                cv < 0 and combo[v][1] < Gp.lengths[combo[v][0]]
+                or cv > 0 and combo[v][1] > 0 for v, cv in coef.items()):
+            return False
+
     # variables: (y+_v, y-_v) per vertex, then z' = sigma - z; maximize z'
     nv = len(verts)
     idx = {v: i for i, v in enumerate(verts)}
     nvar = 2 * nv + 1
     c_obj = [Fraction(0)] * (2 * nv) + [Fraction(1)]
-    A, b = [], []
+    A = []
     for coef, base, e in rows:
         row = [Fraction(0)] * nvar
         for v, cv in coef.items():
             row[2 * idx[v]] += cv
             row[2 * idx[v] + 1] -= cv
         row[-1] = G.lengths[e]
-        rhs = sigma * G.lengths[e] - base
-        if rhs < 0:
-            raise OptimalMapError(f"edge {e} is above sigma in the cell model")
         A.append(row)
-        b.append(rhs)
     for coef, base in nonneg:
         row = [Fraction(0)] * nvar
         for v, cv in coef.items():

@@ -215,28 +215,6 @@ class MarkedMetricGraph:
 
     # -- factors and subgroup cores -----------------------------------------
 
-    def _subgraph_handle(self, edge_subset):
-        """FactorHandle of a connected subgraph given by positive edge ids;
-        None if the subgraph is disconnected.
-
-        The subgraph itself is folded, each edge spelling its
-        marking-out word; its core is the factor's cyclic core.
-        """
-        adjacent = {}
-        for e in edge_subset:
-            o, t = self.edge_ends[e]
-            adjacent.setdefault(o, set()).add(t)
-            adjacent.setdefault(t, set()).add(o)
-        reached = [min(adjacent)]
-        for v in reached:
-            reached.extend(adjacent[v].difference(reached))
-        if len(reached) != len(adjacent):
-            return None
-        core = stallings.folded_core(
-            [(*self.edge_ends[e], self.marking_out[e])
-             for e in sorted(edge_subset)])
-        return stallings.FactorHandle(core, self.group.rank)
-
     def _core_subsets(self):
         """Every nonempty edge subset in which no vertex has valence 1.
 
@@ -284,17 +262,38 @@ class MarkedMetricGraph:
         A subset of edges is its own core exactly when none of its
         vertices has valence below 2.  ``_core_subsets`` searches for
         those subsets, so every core subgraph is met as its own subset
-        and no other subset is visited to the end.  Handles come in the
+        and no other subset is visited to the end.  One pass makes each
+        handle: a union-find over the subset's edge ends counts its
+        vertices and components, a connected subset of proper rank is
+        folded, each edge spelling its marking-out word, and the core of
+        that fold is the factor's cyclic core.  Handles come in the
         order of the subsets' bit masks, each handle once.
         """
+        n, ends, labels = self.group.rank, self.edge_ends, self.marking_out
         handles = {}
         for subset in self._core_subsets():
-            verts = {v for e in subset for v in self.edge_ends[e]}
-            if not 1 <= len(subset) - len(verts) + 1 <= self.group.rank - 1:
+            parent = {}
+            parts = 0
+            for e in subset:
+                o, t = ends[e]
+                if o not in parent:
+                    parent[o] = o
+                    parts += 1
+                if t not in parent:
+                    parent[t] = t
+                    parts += 1
+                while parent[o] != o:
+                    o = parent[o]
+                while parent[t] != t:
+                    t = parent[t]
+                if o != t:
+                    parent[t] = o
+                    parts -= 1
+            if parts != 1 or not 1 <= len(subset) - len(parent) + 1 < n:
                 continue
-            h = self._subgraph_handle(subset)
-            if h is None:  # disconnected
-                continue
+            core = stallings.folded_core(
+                [(*ends[e], labels[e]) for e in subset])
+            h = stallings.FactorHandle(core, n)
             handles[h.code] = h
         return list(handles.values())
 

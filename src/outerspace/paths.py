@@ -14,8 +14,7 @@ A TargetPath is immutable once built: ``segs`` is a tuple, and the
 length is summed at most once per path (``reverse``, ``concat`` and
 ``cut`` hand it to the paths they build), so a path may be shared by
 any number of maps.  ``cut`` is the one splitting routine: it cuts a
-path into consecutive pieces in one pass over its segments, and
-``split_at`` is its two-piece case.
+path into consecutive pieces in one pass over its segments.
 """
 
 from __future__ import annotations
@@ -221,12 +220,6 @@ class TargetPath:
         if rest is not None or next(segs, None) is not None:
             raise ValueError("pieces fall short of the path")
         return tuple(pieces)
-
-    def split_at(self, dist):
-        """Split at arclength `dist`; returns (head, tail).  A distance
-        below 0 or beyond the length leaves a negative piece, which
-        ``cut`` rejects with ValueError."""
-        return self.cut((dist, self.length() - dist))
 
     def common_prefix_length(self, other):
         """Arclength of the maximal common initial portion."""

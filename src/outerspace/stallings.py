@@ -11,28 +11,32 @@ end}``, which every reader uses; data from outside is checked by
 ``SubgroupCoreGraph.from_edges`` (and ``from_json``, its JSON reader).
 
 Graphs are folded by a worklist fold (Stallings, "Topology of finite
-graphs", 1983; Touikan, "A fast algorithm for Stallings' folding
-process", 2006) whose arcs are paths: (origin, target, letters), and an
-arc with no letters identifies its ends.  Two vertices folded together
-go into the least id, so a basepoint 0 stays put and the folded graph's
-ids do not depend on the order of the arcs.  ``_fold`` is the plain
-fold.  ``fold_labeled_graph`` returns its graph; ``folded_core`` trims
-its rows to the core, and builds subgroup cores (``core_graph``),
-subgraph factors, factor-ball images and immersed covers of marked
-graphs.
+graphs", 1983) whose arcs are paths: (origin, target, letters), and an
+arc with no letters identifies its ends.  The plain fold, ``_fold``,
+reads each arc into the graph folded so far (Touikan, "A fast algorithm
+for Stallings' folding process", 2006): it follows the longest prefix
+of the arc's letters from its origin and the longest remaining suffix
+back from its target, and adds only the letters in between.  Two
+vertices folded together go into the least id, so a basepoint 0 stays
+put and the folded graph's ids depend neither on the order of the arcs
+nor on what reading skips.  ``fold_labeled_graph`` returns its graph;
+``folded_core`` trims its rows to the core, and builds subgroup cores
+(``core_graph``), subgraph factors, factor-ball images and immersed
+covers of marked graphs.
 
-``_fold_words`` is the same fold for arcs whose first edge also carries
-a word over another alphabet; it keeps a gauge on every merge.  Its one
-caller, ``express_in_generators``, folds a wedge of loops and reads
-targets as words in the loops; that inverts automorphisms
-(``Automorphism.inverse``) and writes the tree loops of a graph in its
-marking loops (``marked_graph.loop_marked_graph``).  The plain folds
-are kept apart because their cores are tiny and the fixed cost of each
-call sets their price: on the 47,288 folds of the geodesic benchmark's
-seed-1 set (6.7 letters each) the plain fold took 1.20 s, one fold
-keeping nonempty words and gauges in a sparse side table took 1.69 s,
-and the word-carrying fold with empty words 1.91 s, all with identical
-cores (process time, best of five, Python 3.11 on a 2-core Xeon).
+``_fold_words`` is the worklist fold, without reading, for arcs whose
+first edge also carries a word over another alphabet; it keeps a gauge
+on every merge.  Its one caller, ``express_in_generators``, folds a
+wedge of loops and reads targets as words in the loops; that inverts
+automorphisms (``Automorphism.inverse``) and writes the tree loops of a
+graph in its marking loops (``marked_graph.loop_marked_graph``).  The
+plain fold is kept apart because its cores are tiny and the fixed cost
+of each call sets its price: on the 47,288 subset folds of the geodesic
+benchmark's seed-1 projection (6.7 letters each) the reading fold took
+0.46-0.48 s, a fold that adds every letter as an edge before merging
+(the tests' reference) 0.69-0.76 s, and the word-carrying fold with
+empty words 1.19-1.24 s, all with identical rows (process time, best of
+five in each of three runs, Python 3.11 on a 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -135,59 +139,96 @@ class SubgroupCoreGraph:
 def _fold(arcs, basepoint=None):
     """Stallings-fold arcs (origin, target, letters) with integer ends.
 
-    An arc becomes one edge per letter, through new vertices numbered
-    above every given end; an arc with no letters identifies its two
-    ends.  Folding two equally labeled edges v -> y1 and v -> y2 puts
-    the larger of y1, y2 into the smaller, so the least id of each class
-    of vertices survives and the folded graph's vertex ids do not depend
-    on the order of the arcs.
+    Each arc is read into the graph folded so far: the rows are followed
+    from its origin along the longest prefix of its letters, and from
+    its target backwards along the longest remaining suffix.  If no
+    letter is left, the two vertices reached are identified; otherwise
+    the middle letters become new edges.  The k-th interior vertex of an
+    arc is numbered fresh + k - 1, fresh being one above every given
+    end and every earlier arc's interior vertices.  Identifications, and
+    edges whose label is taken at one of their ends (a backtrack, or an
+    arc closing onto its own first letter), go through one merge loop:
+    folding two equally labeled edges v -> y1 and v -> y2 puts the
+    larger of y1, y2 into the smaller.  So each class of vertices keeps
+    its least id.  A vertex that reading skips would have gone into a
+    vertex already in the graph, whose id is smaller, so the ids are
+    those of the fold that adds every letter as an edge, and they do not
+    depend on the order of the arcs.
 
     Returns (out, bp): out maps each vertex of the folded graph to
     {signed letter: far end}; bp is the vertex that basepoint (an arc
     end, or None) went into.
     """
     arcs = list(arcs)
-    fresh = 1 + max((x for arc in arcs for x in arc[:2]), default=0)
-    out = {}                # vertex -> {signed letter: far end}
+    out = {v: {} for arc in arcs for v in arc[:2]}  # vertex -> {letter: end}
+    fresh = 1 + max(out, default=0)
     alias = {}              # merged vertex -> vertex it went into
-    # edges (origin, letter, end) to insert; letter 0 joins the ends
+    # edges (origin, letter, end) to merge; letter 0 joins the ends
     stack = []
     for o, t, letters in arcs:
-        ends = [o, *range(fresh, fresh + len(letters) - 1), t]
-        fresh += max(len(letters) - 1, 0)
-        for v in ends:
-            out.setdefault(v, {})
-        if not letters:
-            stack.append((o, 0, t))
-        for k, a in enumerate(letters):
-            stack.append((ends[k], a, ends[k + 1]))
-    while stack:
-        v, a, w = stack.pop()
-        while v in alias:
-            v = alias[v]
-        while w in alias:
-            w = alias[w]
-        if not a:
-            y1, y2 = v, w
-        elif a in out[v]:
-            y1, y2 = out[v][a], w
-        elif -a in out[w]:
-            y1, y2 = out[w][-a], v
+        while o in alias:
+            o = alias[o]
+        while t in alias:
+            t = alias[t]
+        i, j = 0, len(letters)
+        while i < j:
+            v = out[o].get(letters[i])
+            if v is None:
+                break
+            o = v
+            i += 1
+        while j > i:
+            v = out[t].get(-letters[j - 1])
+            if v is None:
+                break
+            t = v
+            j -= 1
+        if i == j:
+            if o != t:
+                stack.append((o, 0, t))
         else:
-            out[v][a] = w
-            out[w][-a] = v
-            continue
-        if y1 == y2:
-            continue
-        if y1 > y2:
-            y1, y2 = y2, y1
-        alias[y2] = y1
-        for b, x in out.pop(y2).items():
-            if x != y2:
-                del out[x][-b]
-            stack.append((y2, b, x))
-        if a:
-            stack.append((v, a, w))
+            v = o
+            for k in range(i, j):
+                a = letters[k]
+                if k < j - 1:
+                    w = fresh + k
+                    out[w] = {}
+                else:
+                    w = t
+                if a in out[v] or -a in out[w]:
+                    stack.append((v, a, w))
+                else:
+                    out[v][a] = w
+                    out[w][-a] = v
+                v = w
+        fresh += max(len(letters) - 1, 0)
+        while stack:
+            v, a, w = stack.pop()
+            while v in alias:
+                v = alias[v]
+            while w in alias:
+                w = alias[w]
+            if not a:
+                y1, y2 = v, w
+            elif a in out[v]:
+                y1, y2 = out[v][a], w
+            elif -a in out[w]:
+                y1, y2 = out[w][-a], v
+            else:
+                out[v][a] = w
+                out[w][-a] = v
+                continue
+            if y1 == y2:
+                continue
+            if y1 > y2:
+                y1, y2 = y2, y1
+            alias[y2] = y1
+            for b, x in out.pop(y2).items():
+                if x != y2:
+                    del out[x][-b]
+                stack.append((y2, b, x))
+            if a:
+                stack.append((v, a, w))
     while basepoint in alias:
         basepoint = alias[basepoint]
     return out, basepoint
@@ -202,7 +243,8 @@ def _mul(*words):
 
 
 def _fold_words(arcs):
-    """``_fold`` for arcs that carry words over some other alphabet.
+    """The worklist fold, without reading, for arcs that carry words over
+    another alphabet.
 
     arcs: (origin, target, letters, word); an arc's first edge carries
     the word, a reduced tuple, and an arc with no letters identifies its

@@ -305,7 +305,7 @@ def test_fold_precondition_errors():
     R2 = rose(F3, [Fr(1, 2), Fr(1, 4), Fr(1, 4)])
     f = optimal_map(R1, R2)
     with pytest.raises(ValueError):
-        folding_path(R1, f)     # slopes are not 1: wrong parametrization
+        folding_path(f)         # slopes are not 1: wrong parametrization
 
 
 def _keyed_core_chains(core, branch):
@@ -495,9 +495,9 @@ def test_fold_events_reuse_uncut_images(monkeypatch):
 
 def _split_at_slide(f):
     """The slide of ``_tighten_plain`` as it was before it moved vertices
-    through ``lipschitz._transport``: each edge image is cut with
-    ``split_at`` at a moved end, and each member's vertex image set to
-    the new point, on f itself.  Returns the number of slides."""
+    through ``lipschitz._transport``: each edge image is cut in two at
+    a moved end, and each member's vertex image set to the new point,
+    on f itself.  Returns the number of slides."""
     G = f.source
     slides = 0
     while True:
@@ -520,9 +520,9 @@ def _split_at_slide(f):
                 o, t = G.edge_ends[e]
                 path = f.edge_images[e]
                 if vmap[o] == root and not path.is_point():
-                    path = path.split_at(delta)[1]
+                    path = path.cut((delta, path.length() - delta))[1]
                 if vmap[t] == root and not path.is_point():
-                    path = path.split_at(path.length() - delta)[0]
+                    path = path.cut((path.length() - delta, delta))[0]
                 f.edge_images[e] = path
             for v in members:
                 f.vertex_images[v] = edge_point(f.target, e_g, a_g + delta)

@@ -387,7 +387,7 @@ def test_optimal_map_error_carries_state(monkeypatch):
     err = info.value
     assert err.lam == lam and err.sigma > lam
     assert err.steps == 0 and err.cells > 0
-    assert f"{err.cells} cell LPs" in str(err)
+    assert f"{err.cells} cells tried" in str(err)
 
 
 @pytest.fixture(scope="module")
@@ -456,3 +456,117 @@ def test_stretch_rejects_a_non_incident_marking(bad):
         stretch_factor(R_skew(), bad)
     with pytest.raises(ValueError):
         optimize_in_simplex(theta4(), bad)
+
+
+def _cell_lp(f, sigma, combo):
+    """The LP of one cell, built and solved for every cell, kept as the
+    reference for the test that skips cells where no tension edge can
+    shorten.  Returns (value, x_new): the optimum and the offsets it
+    moves the vertices to."""
+    from outerspace import simplex_lp
+    G, Gp = f.source, f.target
+    verts = sorted(G.vertices)
+    rows, nonneg = [], []
+    for e in sorted(G.edge_ends):
+        o, t = G.edge_ends[e]
+        path = f.edge_images[e]
+        if path.is_point() and combo[o] == combo[t]:
+            for s in (1, -1):
+                coef = {o: s}
+                coef[t] = coef.get(t, 0) - s
+                rows.append((coef, Fr(0), e))
+            continue
+        coef = {}
+        for (v, d) in ((o, e), (t, -e)):
+            coef[v] = coef.get(v, 0) + lipschitz._end_coefficient(
+                f.germ(d), *combo[v])
+        rows.append((coef, path.length(), e))
+        if len(path.segs) == 1:
+            nonneg.append((coef, path.length()))
+    idx = {v: i for i, v in enumerate(verts)}
+    nvar = 2 * len(verts) + 1
+    A, b = [], []
+    for coef, base, e in rows:
+        row = [Fr(0)] * nvar
+        for v, cv in coef.items():
+            row[2 * idx[v]] += cv
+            row[2 * idx[v] + 1] -= cv
+        row[-1] = G.lengths[e]
+        A.append(row)
+        b.append(sigma * G.lengths[e] - base)
+    for coef, base in nonneg:
+        row = [Fr(0)] * nvar
+        for v, cv in coef.items():
+            row[2 * idx[v]] -= cv
+            row[2 * idx[v] + 1] += cv
+        A.append(row)
+        b.append(base)
+    for v in verts:
+        e, x_cur = combo[v]
+        for k, bound in ((0, Gp.lengths[e] - x_cur), (1, x_cur)):
+            row = [Fr(0)] * nvar
+            row[2 * idx[v] + k] = Fr(1)
+            A.append(row)
+            b.append(bound)
+    c_obj = [Fr(0)] * (nvar - 1) + [Fr(1)]
+    value, sol = simplex_lp.solve_lp_max(c_obj, A, b)
+    return value, {v: combo[v][1] + sol[2 * idx[v]] - sol[2 * idx[v] + 1]
+                   for v in verts}
+
+
+def _unfiltered_try_cell_lp(f, sigma, combo):
+    value, x_new = _cell_lp(f, sigma, combo)
+    if value <= 0:
+        return False
+    lipschitz._transport(f, combo, x_new)
+    assert f.sigma() == sigma - value
+    return True
+
+
+def _seeded_pairs():
+    rng = random.Random(71)
+    for rank in (3, 4):
+        for _ in range(8):
+            yield (random_marked_graph(rng, FreeGroup(rank), 5),
+                   random_marked_graph(rng, FreeGroup(rank), 5))
+
+
+def test_cells_skipped_without_lp_have_optimum_zero(monkeypatch):
+    # a descent that tries every cell both ways: a cell rejected before
+    # its LP has LP value <= 0, and every other cell moves exactly when
+    # its LP value is positive
+    from outerspace import simplex_lp
+    solved = []
+    solve = simplex_lp.solve_lp_max
+    monkeypatch.setattr(simplex_lp, "solve_lp_max",
+                        lambda *a: solved.append(1) or solve(*a))
+    skipped = tried = 0
+    for G, Gp in _seeded_pairs():
+        lam, _ = stretch_factor(G, Gp)
+        f = lipschitz.initial_difference_of_markings(G, Gp)
+        while f.sigma() != lam:
+            sigma = f.sigma()
+            for combo in lipschitz._star(f):
+                value, _ = _cell_lp(f, sigma, combo)
+                before = len(solved)
+                moved = lipschitz._try_cell_lp(f, sigma, combo)
+                tried += 1
+                assert moved == (value > 0)
+                if len(solved) == before:
+                    skipped += 1
+                    assert value <= 0
+                if moved:
+                    break
+            else:
+                raise AssertionError("no cell lowers sigma")
+    assert tried > 100 and skipped > tried // 4
+
+
+def test_optimal_maps_equal_unfiltered_cell_lps(monkeypatch):
+    pairs = list(_seeded_pairs())
+    got = [optimal_map(G, Gp) for G, Gp in pairs]
+    monkeypatch.setattr(lipschitz, "_try_cell_lp", _unfiltered_try_cell_lp)
+    for f, (G, Gp) in zip(got, pairs):
+        ref = optimal_map(G, Gp)
+        assert f.vertex_images == ref.vertex_images
+        assert f.edge_images == ref.edge_images

@@ -264,13 +264,73 @@ def test_subgraph_factors_match_tree_loop_reference():
                 _reference_factor_codes(G)
 
 
+def _subset_handle(G, edge_subset):
+    """The handle of one edge subset as ``subgraph_factors`` made it one
+    subset at a time, kept as a reference: a BFS over the subset's
+    adjacency decides connectivity (None if disconnected), and the fold
+    of the subset's edges, each spelling its marking-out word, is cut to
+    its core."""
+    from outerspace.stallings import FactorHandle, folded_core
+    adjacent = {}
+    for e in edge_subset:
+        o, t = G.edge_ends[e]
+        adjacent.setdefault(o, set()).add(t)
+        adjacent.setdefault(t, set()).add(o)
+    reached = [min(adjacent)]
+    for v in reached:
+        reached.extend(adjacent[v].difference(reached))
+    if len(reached) != len(adjacent):
+        return None
+    core = folded_core([(*G.edge_ends[e], G.marking_out[e])
+                        for e in sorted(edge_subset)])
+    return FactorHandle(core, G.group.rank)
+
+
+def _per_subset_factors(G):
+    """``subgraph_factors`` one subset at a time, kept as a reference:
+    the rank from a per-subset vertex set, then ``_subset_handle``."""
+    handles = {}
+    for subset in G._core_subsets():
+        verts = {v for e in subset for v in G.edge_ends[e]}
+        if not 1 <= len(subset) - len(verts) + 1 <= G.group.rank - 1:
+            continue
+        h = _subset_handle(G, subset)
+        if h is not None:
+            handles[h.code] = h
+    return list(handles.values())
+
+
 def test_disconnected_core_subset_has_no_handle():
-    # a barbell: loops 1 and 3 at the two ends of edge 2
+    # a barbell: loops 1 and 3 at the two ends of edge 2; the subset
+    # {1, 3} has Euler rank 1 but two components, so only the two loops
+    # give handles
     ends = {1: (0, 0), 2: (0, 1), 3: (1, 1)}
     G = standard_marking(FreeGroup(2), {0, 1}, ends,
                          {e: Fr(1, 3) for e in ends}, 0)
-    assert G._subgraph_handle({1, 3}) is None
-    assert G._subgraph_handle({1}).rank == 1
+    assert _subset_handle(G, {1, 3}) is None
+    handles = G.subgraph_factors()
+    assert [h.rank for h in handles] == [1, 1]
+    assert [h.code for h in handles] == [_subset_handle(G, {e}).code
+                                         for e in (1, 3)]
+
+
+def test_subgraph_factors_match_per_subset_handles():
+    # every event graph of seeded standard geodesics at ranks 3, 4 and
+    # 5: the same handles in the same order, with the same cores
+    from outerspace.folding import standard_geodesic
+    rng = random.Random(820)
+    graphs = []
+    for rank in (3, 4, 5):
+        for _ in range(2):
+            G, Gp = (random_marked_graph(rng, FreeGroup(rank), 3)
+                     for _ in range(2))
+            graphs += [ev.graph for ev in standard_geodesic(G, Gp).path.events]
+    assert len(graphs) > 40
+    for G in graphs:
+        got, ref = G.subgraph_factors(), _per_subset_factors(G)
+        assert [h.code for h in got] == [h.code for h in ref]
+        assert [h.core.rows for h in got] == [h.core.rows for h in ref]
+        assert [h.core.basepoint for h in got] == [None] * len(got)
 
 
 def test_trivial_subgroup_has_no_cover_core():
@@ -309,7 +369,7 @@ def _core_reduce_factors(G):
         verts = {v for e in subset for v in G.edge_ends[e]}
         if not 1 <= len(subset) - len(verts) + 1 <= G.group.rank - 1:
             continue
-        h = G._subgraph_handle(subset)
+        h = _subset_handle(G, subset)
         if h is not None:
             handles[h.code] = h
     return list(handles.values())

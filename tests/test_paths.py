@@ -62,6 +62,11 @@ def _old_closed_class_edges(path):
     return tuple(core)
 
 
+def _cut_at(path, dist):
+    """(head, tail) of path at arclength dist, by ``cut``."""
+    return path.cut((dist, path.length() - dist))
+
+
 def _closed_paths(f, rng):
     """Closed images of f's candidates and marking loops, each also
     restarted at a random interior point of its length."""
@@ -73,7 +78,7 @@ def _closed_paths(f, rng):
         yield closed
         if closed.length() > 0:
             t = closed.length() * Fr(rng.randint(1, 99), 100)
-            head, tail = closed.split_at(t)
+            head, tail = _cut_at(closed, t)
             yield tail.concat(head)
 
 
@@ -120,7 +125,7 @@ def _tight_paths(seed):
     Gp = random_marked_graph(rng, F, 3)
     f = optimal_map(G, Gp)
     paths = list(f.edge_images.values()) + list(_closed_paths(f, rng))
-    paths += [p.split_at(p.length() * Fr(rng.randint(1, 9), 10))[1]
+    paths += [_cut_at(p, p.length() * Fr(rng.randint(1, 9), 10))[1]
               for p in paths if p.length() > 0]
     for _ in range(10):
         start = v = rng.choice(sorted(Gp.vertices))
@@ -139,10 +144,28 @@ def _random_lengths(rng, total, n):
     return [b - a for a, b in zip([0] + marks, marks + [total])]
 
 
+def _split_segments(path, dist):
+    """(head, tail) of path at arclength dist, walked segment by segment
+    apart from ``cut``: the segment that holds dist is cut in two."""
+    head, tail, left = [], [], dist
+    for e, a, b in path.segs:
+        if left >= b - a:
+            head.append((e, a, b))
+            left -= b - a
+        elif left > 0:
+            head.append((e, a, a + left))
+            tail.append((e, a + left, b))
+            left = 0
+        else:
+            tail.append((e, a, b))
+    first = TargetPath(path.graph, path.start, head)
+    return first, TargetPath(path.graph, first.end(), tail)
+
+
 def _by_split_at(path, lengths):
     pieces = []
     for want in lengths[:-1]:
-        head, path = path.split_at(want)
+        head, path = _split_segments(path, want)
         pieces.append(head)
     return pieces + [path]
 
@@ -194,7 +217,7 @@ def test_cut_rejects_lengths_that_miss_the_end():
                     path.cut(lengths)
         for dist in (-Fr(1, 5), L + Fr(1, 5)):
             with pytest.raises(ValueError):
-                path.split_at(dist)
+                _cut_at(path, dist)
 
 
 def test_cached_length_is_the_segment_sum():
@@ -205,10 +228,10 @@ def test_cached_length_is_the_segment_sum():
         made = [TargetPath(path.graph, path.start, path.segs), back,
                 path.concat(back), back.concat(path),
                 *path.cut(_random_lengths(rng, L, 4)),
-                *path.split_at(L * Fr(rng.randint(0, 5), 5))]
+                *_cut_at(path, L * Fr(rng.randint(0, 5), 5))]
         if L > 0:
             # a partial backtrack: _push cancels the reversed head
-            part = back.split_at(L / 3)[0]
+            part = _cut_at(back, L / 3)[0]
             made.append(path.concat(part))
             assert made[-1].length() == L - L / 3
         assert made[2].is_point() and made[3].is_point()

@@ -545,3 +545,101 @@ def test_canonical_code_skips_starts_in_one_orbit():
     t0 = time.process_time()
     canonical_code(core)
     assert time.process_time() - t0 < 0.1
+
+
+def _stack_fold(arcs, basepoint=None):
+    """The fold that adds every letter as an edge before any merge, kept
+    as the reference for reading arcs in: each arc is cut into one edge
+    per letter through vertices numbered above every given end, and one
+    stack merges equally labeled edges, the larger end into the smaller."""
+    arcs = list(arcs)
+    fresh = 1 + max((x for arc in arcs for x in arc[:2]), default=0)
+    out, alias, stack = {}, {}, []
+    for o, t, letters in arcs:
+        ends = [o, *range(fresh, fresh + len(letters) - 1), t]
+        fresh += max(len(letters) - 1, 0)
+        for v in ends:
+            out.setdefault(v, {})
+        if not letters:
+            stack.append((o, 0, t))
+        for k, a in enumerate(letters):
+            stack.append((ends[k], a, ends[k + 1]))
+    while stack:
+        v, a, w = stack.pop()
+        while v in alias:
+            v = alias[v]
+        while w in alias:
+            w = alias[w]
+        if not a:
+            y1, y2 = v, w
+        elif a in out[v]:
+            y1, y2 = out[v][a], w
+        elif -a in out[w]:
+            y1, y2 = out[w][-a], v
+        else:
+            out[v][a] = w
+            out[w][-a] = v
+            continue
+        if y1 == y2:
+            continue
+        y1, y2 = min(y1, y2), max(y1, y2)
+        alias[y2] = y1
+        for b, x in out.pop(y2).items():
+            if x != y2:
+                del out[x][-b]
+            stack.append((y2, b, x))
+        if a:
+            stack.append((v, a, w))
+    while basepoint in alias:
+        basepoint = alias[basepoint]
+    return out, basepoint
+
+
+@pytest.mark.parametrize("seed", [61, 62])
+def test_read_in_fold_matches_stack_fold(seed):
+    # arcs drawn from a few words that share prefixes and suffixes, so
+    # later arcs read along earlier ones; empty arcs, loops, backtracks
+    # and arcs that close onto their own first letter (a w a^-1 at one
+    # vertex), with and without a basepoint
+    from outerspace.stallings import _fold
+    rng = random.Random(seed)
+    letters = [1, -1, 2, -2, 3, -3]
+    kinds = dict.fromkeys(("empty", "loop", "backtrack", "closing"), 0)
+    for _ in range(400):
+        stems = [tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+                 for _ in range(3)]
+        arcs = []
+        for _ in range(rng.randint(1, 7)):
+            o, t = rng.randrange(5), rng.randrange(5)
+            pick = rng.randrange(6)
+            if pick == 0:
+                word = ()
+            elif pick == 1:
+                a = rng.choice(letters)
+                word = (a, *rng.choice(stems), -a)
+                t = o
+            else:
+                word = rng.choice(stems) + rng.choice(((),) + tuple(stems))
+            arcs.append((o, t, word))
+            kinds["empty"] += not word
+            kinds["loop"] += bool(word) and o == t
+            kinds["closing"] += pick == 1
+            kinds["backtrack"] += any(x == -y for x, y in zip(word, word[1:]))
+        bp = rng.choice([None, arcs[0][0]])
+        assert _fold(arcs, bp) == _stack_fold(arcs, bp)
+    assert min(kinds.values()) > 100
+
+
+def test_read_in_fold_by_hand():
+    from outerspace.stallings import _fold
+    # a b a^-1 at 0 closes onto its first letter: the two ends of the
+    # a-edges meet in vertex 1, which carries the b-loop
+    assert _fold([(0, 0, (1, 2, -1))]) == ({0: {1: 1}, 1: {-1: 0, 2: 1, -2: 1}},
+                                          None)
+    # the second arc reads a b along the first, to vertex 1, and adds
+    # c c as a loop there; of its interior vertices 3, 4 and 5, reading
+    # skips 3 and 4 and the middle c c keeps 5
+    arcs = [(0, 1, (1, 2)), (0, 1, (1, 2, 3, 3))]
+    assert _fold(arcs, 0) == _stack_fold(arcs, 0) == (
+        {0: {1: 2}, 1: {-2: 2, 3: 5, -3: 5}, 2: {-1: 0, 2: 1},
+         5: {-3: 1, 3: 1}}, 0)
