@@ -24,7 +24,10 @@ same parameters.  Adjacency is a function of the two codes, so a seeded
 ball copies the standard adjacency and tests only the pairs that hold a
 seed outside the standard part.  Each handle keeps its own replay walk
 (``FactorHandle.walk``), and the standard handles are the same objects
-in every ball, so each is walked once per process.
+in every ball, so each is walked once per process.  A handle keeps its
+class's canonical core (``stallings.FactorHandle``), so the cores a ball
+lists depend on the classes alone, not on the generating sets they
+were folded from or their order.
 
 Nothing evicts these per-process caches: ``_standard``, ``_saturated``
 and the walks kept on standard handles live until the process ends.
@@ -45,8 +48,11 @@ from .words import substitute
 
 
 def project(G):
-    """Projection of a marked graph: its subgraph factors, one handle per
-    code, as a list."""
+    """Projection of a marked graph: the handles of its connected proper
+    core subgraphs, one per subgraph, in subset order
+    (``MarkedMetricGraph.subgraph_factors``).  A fold event's graph
+    whose parent graph still holds its projection's table carries those
+    handles through the fold map; the result is the same either way."""
     if G.group.rank < 3:
         raise ValueError("the factor graph degenerates below rank 3")
     return G.subgraph_factors()

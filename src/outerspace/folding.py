@@ -154,7 +154,9 @@ def fold_step(event, gates=None, tau=None):
     The event's residual must have slope exactly 1 on every edge and at
     least two gates at every vertex.  gates (default: every gate of
     event.gates with two directions) and tau (default: their first
-    event depth) are what is folded.
+    event depth) are what is folded.  The new event's graph keeps a link
+    to event.graph and the fold edge map (``folded_from``), through
+    which its projection carries event.graph's subgraph factors.
     """
     G, f = event.graph, event.residual
     if gates is None:
@@ -225,6 +227,7 @@ def fold_step(event, gates=None, tau=None):
                                               edge_map)
     vertex_map = {v: vmap[v] for v in G.vertices
                   if vmap[v] in new_graph.vertices}
+    new_graph.folded_from = (G, edge_map)
     return FoldEvent(event.time + tau, new_graph, residual, edge_map,
                      vertex_map, gates_of_residual(residual))
 

@@ -54,6 +54,12 @@ class MarkedMetricGraph:
         self._marking = signed_table(self.marking_in)
         self._labels = signed_table(self.marking_out)
         self._ends, self._leaving = _incidence(self.vertices, self.edge_ends)
+        # (graph, fold edge map) this graph was folded from, set by
+        # folding.fold_step until subgraph_factors takes the parent's
+        # table; core subset -> handle, kept by subgraph_factors until a
+        # graph folded from this one takes it
+        self.folded_from = None
+        self._factor_table = None
 
     # -- basic incidence ------------------------------------------------
 
@@ -223,7 +229,7 @@ class MarkedMetricGraph:
         come in increasing order of their bit masks (bit k for the k-th
         least edge).  A vertex is closed once its least edge is decided;
         a branch that closes a vertex of valence 1 is dropped.  Each
-        subset is a list of edge ids in increasing order.
+        subset is a tuple of edge ids in increasing order.
         """
         edges = sorted(self.edge_ends)
         closes = [[] for _ in edges]       # vertices closed by edges[k]
@@ -239,7 +245,7 @@ class MarkedMetricGraph:
         def decide(k):
             if k < 0:
                 if chosen:
-                    subsets.append(chosen[::-1])
+                    subsets.append(tuple(chosen[::-1]))
                 return
             if all(deg[v] != 1 for v in closes[k]):
                 decide(k - 1)
@@ -262,40 +268,83 @@ class MarkedMetricGraph:
         A subset of edges is its own core exactly when none of its
         vertices has valence below 2.  ``_core_subsets`` searches for
         those subsets, so every core subgraph is met as its own subset
-        and no other subset is visited to the end.  One pass makes each
-        handle: a union-find over the subset's edge ends counts its
-        vertices and components, a connected subset of proper rank is
-        folded, each edge spelling its marking-out word, and the core of
-        that fold is the factor's cyclic core.  Handles come in the
-        order of the subsets' bit masks, each handle once.
+        and no other subset is visited to the end.  A subset that
+        ``_carried`` reads off the graph this one was folded from takes
+        that graph's handle.  One pass makes every other handle: a
+        union-find over the subset's edge ends counts its vertices and
+        components, a connected subset of proper rank is folded, each
+        edge spelling its marking-out word, and the core of that fold is
+        the factor's cyclic core.
+
+        Distinct connected core subgraphs of a marked graph carry
+        distinct factor classes (the core subgraph is the image of the
+        class's minimal subtree in the universal cover), so no two
+        handles share a code.  The graph keeps its table, subset ->
+        handle, and the handles come in the table's order, that of the
+        subsets' bit masks.  Handles are canonical (``FactorHandle``), so
+        the result depends on this graph alone, not on what was
+        projected before.
         """
         n, ends, labels = self.group.rank, self.edge_ends, self.marking_out
-        handles = {}
+        carried = self._carried()
+        table = {}
         for subset in self._core_subsets():
-            parent = {}
-            parts = 0
-            for e in subset:
-                o, t = ends[e]
-                if o not in parent:
-                    parent[o] = o
-                    parts += 1
-                if t not in parent:
-                    parent[t] = t
-                    parts += 1
-                while parent[o] != o:
-                    o = parent[o]
-                while parent[t] != t:
-                    t = parent[t]
-                if o != t:
-                    parent[t] = o
-                    parts -= 1
-            if parts != 1 or not 1 <= len(subset) - len(parent) + 1 < n:
-                continue
-            core = stallings.folded_core(
-                [(*ends[e], labels[e]) for e in subset])
-            h = stallings.FactorHandle(core, n)
-            handles[h.code] = h
-        return list(handles.values())
+            h = carried.get(subset)
+            if h is None:
+                parent = {}
+                parts = 0
+                for e in subset:
+                    o, t = ends[e]
+                    if o not in parent:
+                        parent[o] = o
+                        parts += 1
+                    if t not in parent:
+                        parent[t] = t
+                        parts += 1
+                    while parent[o] != o:
+                        o = parent[o]
+                    while parent[t] != t:
+                        t = parent[t]
+                    if o != t:
+                        parent[t] = o
+                        parts -= 1
+                if parts != 1 or not 1 <= len(subset) - len(parent) + 1 < n:
+                    continue
+                h = stallings.FactorHandle(stallings.folded_core(
+                    [(*ends[e], labels[e]) for e in subset]), n)
+            table[subset] = h
+        self._factor_table = table
+        return list(table.values())
+
+    def _carried(self):
+        """Core subsets of this graph that keep a handle of the graph it
+        was folded from, as a dict subset -> handle.
+
+        When that graph still holds its table, this graph takes it over:
+        the link and the old table are dropped, so a chain of fold events
+        keeps at most two tables alive.  The fold map f is a homotopy
+        equivalence that respects the markings, so it sends the factor of
+        an old subset S into the factor of S' = {|x| : x in f(e), e in S},
+        a connected subgraph.  A free factor inside a free factor of equal
+        rank is all of it, so S' carries S's class when |S'| - |V(S')| + 1
+        equals S's rank.  (S' may still fail to be a core subset; then
+        ``subgraph_factors`` never asks for it.)
+        """
+        link, self.folded_from = self.folded_from, None
+        if link is None:
+            return {}
+        old, edge_map = link
+        table, old._factor_table = old._factor_table, None
+        if table is None:
+            return {}
+        ends = self.edge_ends
+        carried = {}
+        for subset, h in table.items():
+            image = {abs(x) for e in subset for x in edge_map[e]}
+            if len(image) - len({v for x in image for v in ends[x]}) + 1 \
+                    == h.rank:
+                carried[tuple(sorted(image))] = h
+        return carried
 
     def subgroup_core_in_graph(self, H):
         """Immersed cyclic core of the H-cover over this graph, with volume.

@@ -37,6 +37,13 @@ benchmark's seed-1 projection (6.7 letters each) the reading fold took
 (the tests' reference) 0.69-0.76 s, and the word-carrying fold with
 empty words 1.19-1.24 s, all with identical rows (process time, best of
 five in each of three runs, Python 3.11 on a 2-core Xeon).
+
+A folded core's vertex ids still depend on its arcs: on the generators
+and their order, or on the ids of the graph whose edges were folded.  A
+``FactorHandle`` does not keep that core.  It keeps its class's
+canonical core, the rows of the BFS that won ``canonical_code``'s search
+(``_canonical``), numbered 0..k-1 in the order that BFS met them, so
+every handle of one class has the same core, row entry order included.
 """
 
 from __future__ import annotations
@@ -472,8 +479,9 @@ def _bfs_rows(rows, signed, order):
         yield tuple(code)
 
 
-def canonical_code(graph):
-    """Canonical byte string: equal exactly for isomorphic labeled graphs.
+def _canonical(graph):
+    """The canonical code of a nonempty connected graph and its canonical
+    rows.
 
     BFS with label-sorted edge exploration; the lexicographically least
     serialization over all start vertices wins.  A start's first row
@@ -483,9 +491,12 @@ def canonical_code(graph):
     map that carries each start to a start of the same code; starts in
     the orbit of a start already run, under the maps found so far, are
     skipped.
+
+    The canonical rows are the winning BFS's rows read back: vertex i is
+    the i-th vertex it met, and each row lists its signed labels in the
+    order a, a^-1, b, b^-1, ...  Isomorphic labeled graphs get equal
+    rows, entry order included.
     """
-    if not graph.vertices:
-        return b"empty"
     labels = sorted({lab for (_, _, lab) in graph.edges})
     signed = [s * l for l in labels for s in (1, -1)]
     orders = [[v] for v in graph.vertices]
@@ -494,33 +505,44 @@ def canonical_code(graph):
     least = min(firsts)
     starts = [k for k, first in enumerate(firsts) if first == least]
     if len(starts) == 1:
-        return repr((tuple(labels), (least, *walks[starts[0]]))).encode()
-    parent = {}             # union-find over the orbits of the maps found
-    done = set()            # roots of the orbits of starts already run
+        best = (least, *walks[starts[0]])
+    else:
+        parent = {}         # union-find over the orbits of the maps found
+        done = set()        # roots of the orbits of starts already run
 
-    def root(v):
-        while v in parent:
-            parent[v] = parent.get(parent[v], parent[v])
-            v = parent[v]
-        return v
+        def root(v):
+            while v in parent:
+                parent[v] = parent.get(parent[v], parent[v])
+                v = parent[v]
+            return v
 
-    best = first = None
-    for k in starts:
-        if root(orders[k][0]) in done:
-            continue
-        code = (least, *walks[k])
-        if best is None or code < best:
-            best, first = code, orders[k]
-        elif code == best:
-            for v, w in zip(first, orders[k]):
-                v, w = root(v), root(w)
-                if v != w:
-                    parent[w] = v
-                    if w in done:
-                        done.discard(w)
-                        done.add(v)
-        done.add(root(orders[k][0]))
-    return repr((tuple(labels), best)).encode()
+        best = first = None
+        for k in starts:
+            if root(orders[k][0]) in done:
+                continue
+            code = (least, *walks[k])
+            if best is None or code < best:
+                best, first = code, orders[k]
+            elif code == best:
+                for v, w in zip(first, orders[k]):
+                    v, w = root(v), root(w)
+                    if v != w:
+                        parent[w] = v
+                        if w in done:
+                            done.discard(w)
+                            done.add(v)
+            done.add(root(orders[k][0]))
+    rows = {i: {lab: w for lab, w in zip(signed, row) if w >= 0}
+            for i, row in enumerate(best)}
+    return repr((tuple(labels), best)).encode(), rows
+
+
+def canonical_code(graph):
+    """Canonical byte string: equal exactly for isomorphic labeled
+    graphs (connected ones; see ``_canonical``)."""
+    if not graph.vertices:
+        return b"empty"
+    return _canonical(graph)[0]
 
 
 class FactorHandle:
@@ -529,10 +551,13 @@ class FactorHandle:
     Handles do not verify free-factor-ness; they are built only through
     provenance-safe constructors (subgraph factors, automorphism images
     of coordinate factors, explicit sub-bases).  FactorHandle(core, n)
-    takes the cyclic core of a factor of F_n and checks only that its
-    rank is between 1 and n - 1.  ``walk()`` is built on first use and
-    kept with the handle, so a handle shared by many balls is walked
-    once.
+    takes the connected cyclic core of a factor of F_n and checks only
+    that its rank is between 1 and n - 1.  The handle keeps the class's
+    canonical core, the rows ``_canonical`` read back from the search
+    that made the code (vertices 0..k-1), so two handles of one class
+    have identical cores whatever core and vertex ids they were made
+    from.  ``walk()`` is built on first use and kept with the handle, so
+    a handle shared by many balls is walked once.
     """
 
     __slots__ = ("core", "code", "rank", "_walked")
@@ -542,8 +567,8 @@ class FactorHandle:
             raise ValueError("factor must have rank >= 1")
         if core.rank() >= n:
             raise ValueError("factor must be proper")
-        self.core = core
-        self.code = canonical_code(core)
+        self.code, rows = _canonical(core)
+        self.core = SubgroupCoreGraph(rows)
         self.rank = core.rank()
         self._walked = None
 

@@ -95,6 +95,32 @@ def test_project_command(graph_files, capsys):
     assert len(out) == 6
 
 
+def test_project_json_ignores_vertex_ids(tmp_path, capsys):
+    # the fold snapshot with the most vertices on a seeded rank-3 path,
+    # and a copy of its file with every vertex renumbered: the factors
+    # are printed with their canonical cores, so the output bytes agree
+    import random
+    rng = random.Random(850)
+    G, Gp = (randomgen.random_marked_graph(rng, F3, 3) for _ in range(2))
+    data = max((ev.graph.to_json() for ev in
+                folding.standard_geodesic(G, Gp).path.events),
+               key=lambda d: len(d["vertices"]))
+    assert len(data["vertices"]) >= 4
+    perm = dict(zip(data["vertices"], [7 + 3 * v for v in
+                                       reversed(data["vertices"])]))
+    copy = dict(data, vertices=sorted(perm.values()),
+                basepoint=perm[data["basepoint"]],
+                edges=[dict(e, **{"from": perm[e["from"]], "to": perm[e["to"]]})
+                       for e in data["edges"]])
+    outs = []
+    for name, graph in (("g.json", data), ("renumbered.json", copy)):
+        (tmp_path / name).write_text(json.dumps(graph))
+        assert main(["project", str(tmp_path / name), "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])) > 6
+
+
 def test_ball_and_ffdist(tmp_path, capsys):
     ball = tmp_path / "ball.json"
     assert main(["ball", "--bound", "4", "--products", "2",

@@ -58,8 +58,10 @@ def test_ball_file_digest(tmp_path, capsys):
     assert main(["ball", "--rank", "3", "--bound", "6", "--products", "2",
                  "--out", str(out)]) == 0
     capsys.readouterr()
+    # re-pinned when handles began to keep canonical cores: ball files
+    # now list each factor's canonical core (vertices 0..k-1)
     assert _sha256(out) == (
-        "5d2a7f799efe072044ef3a391d7b2fb90d411ec37e8873cc7c90102b1853d554")
+        "d758effe3538fa936e52362fc349923d0542b8dcee8173edf1b6843c6c428cbb")
 
 
 def test_truncated_rank_four_ball_file_digest(tmp_path, capsys):
@@ -68,8 +70,10 @@ def test_truncated_rank_four_ball_file_digest(tmp_path, capsys):
     assert main(["ball", "--rank", "4", "--bound", "12", "--products", "3",
                  "--cap", "6000", "--out", str(out)]) == 0
     assert "6000 factors" in capsys.readouterr().out
+    # re-pinned when handles began to keep canonical cores: ball files
+    # now list each factor's canonical core (vertices 0..k-1)
     assert _sha256(out) == (
-        "97df557c34c2b5a40f2f895b8d664bac75b4c13e6ec9c94c3e53b2bfbc3c09e5")
+        "ddaa7897ee1a06b9e88bfb1d028d8752a6d120969de6dbc7b89439ab9afb5181")
 
 
 def test_fold_events_and_stats_digests(tmp_path, capsys):

@@ -472,3 +472,71 @@ def test_incidence_table_matches_edge_scan():
             assert G.directions_at(v) == _scanned_directions(G, v)
             assert G.degree(v) == len(_scanned_directions(G, v))
             assert G.spanning_tree(v) == _scanned_spanning_tree(G, v)
+
+
+def _seeded_paths(seed):
+    """The event graphs of seeded standard geodesics at ranks 3, 4 and 5,
+    one list per path, none of them projected yet."""
+    from outerspace.folding import standard_geodesic
+    rng = random.Random(seed)
+    paths = []
+    for rank in (3, 4, 5):
+        for _ in range(2):
+            G, Gp = (random_marked_graph(rng, FreeGroup(rank), 3)
+                     for _ in range(2))
+            paths.append([ev.graph
+                          for ev in standard_geodesic(G, Gp).path.events])
+    return paths
+
+
+def _projection_key(handles):
+    """Codes in order, and each canonical core's rows with their entry
+    order."""
+    return [(h.code, [(v, list(row.items())) for v, row in h.core.rows.items()])
+            for h in handles]
+
+
+@pytest.mark.parametrize("order", ["forward", "last-first", "shuffled"])
+def test_projection_equals_projection_of_the_graph_read_back(order):
+    # events projected in fold order carry their factors; in any other
+    # order some do and some do not; every projection equals that of the
+    # same graph read back from JSON, which has no parent to carry from
+    rng = random.Random(831)
+    paths = _seeded_paths(830)
+    assert sum(len(p) for p in paths) > 40
+    for graphs in paths:
+        if order == "last-first":
+            graphs = graphs[::-1]
+        elif order == "shuffled":
+            rng.shuffle(graphs)
+        for G in graphs:
+            got = G.subgraph_factors()
+            fresh = MarkedMetricGraph.from_json(G.to_json()).subgraph_factors()
+            assert _projection_key(got) == _projection_key(fresh)
+            assert G.folded_from is None
+
+
+def test_fold_order_projection_folds_fewer_subsets(monkeypatch):
+    from outerspace import stallings
+    folds = []
+    real = stallings.folded_core
+
+    def counted(arcs, basepoint=None):
+        folds.append(1)
+        return real(arcs, basepoint)
+
+    monkeypatch.setattr(stallings, "folded_core", counted)
+    handles = 0
+    for graphs in _seeded_paths(832):
+        # the first event has nothing to carry: one fold per handle
+        first, made = len(folds), len(graphs[0].subgraph_factors())
+        assert len(folds) - first == made
+        handles += made
+        for G in graphs[1:]:
+            handles += len(G.subgraph_factors())
+        # each graph handed its table to the next: only the last keeps one
+        assert [G._factor_table is not None for G in graphs] == \
+            [False] * (len(graphs) - 1) + [True]
+    # the later events carry more than half of all handles (1,062 folds
+    # for 2,272 handles)
+    assert 0 < 2 * len(folds) < handles

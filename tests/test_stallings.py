@@ -643,3 +643,30 @@ def test_read_in_fold_by_hand():
     assert _fold(arcs, 0) == _stack_fold(arcs, 0) == (
         {0: {1: 2}, 1: {-2: 2, 3: 5, -3: 5}, 2: {-1: 0, 2: 1},
          5: {-3: 1, 3: 1}}, 0)
+
+
+def test_factor_handle_keeps_the_canonical_core():
+    from outerspace.stallings import SubgroupCoreGraph
+    rng = random.Random(840)
+    for _ in range(60):
+        gens = [random_word(rng, F3, rng.randint(1, 7)) for _ in range(2)]
+        gens = [g for g in gens if len(g)] or [F3.word("ab")]
+        core = core_graph(gens, based=False)
+        if not 1 <= core.rank() < 3:
+            continue
+        h = FactorHandle(core, 3)
+        assert canonical_code(h.core) == h.code
+        assert sorted(h.core.vertices) == list(range(len(core.vertices)))
+        for _ in range(3):
+            ids = rng.sample(range(10, 10 + 5 * len(core.vertices)),
+                             len(core.vertices))
+            perm = dict(zip(rng.sample(sorted(core.vertices),
+                                       len(core.vertices)), ids))
+            copy = SubgroupCoreGraph.from_edges(
+                [perm[v] for v in core.vertices],
+                [(perm[o], perm[t], a) for (o, t, a) in core.edges])
+            h2 = FactorHandle(copy, 3)
+            assert h2.code == h.code
+            assert ([(v, list(row.items())) for v, row in h2.core.rows.items()]
+                    == [(v, list(row.items()))
+                        for v, row in h.core.rows.items()])
