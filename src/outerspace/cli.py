@@ -263,17 +263,16 @@ def _factor_from_words(group, text):
 def _load_ball(group, path):
     """The FactorBall in a `ball` output file; anything else is a usage
     error, as is a handle whose core is not a cyclic core (disconnected,
-    or with a vertex of valence below 2) or whose core's code is not its
-    key, or an adjacency that is not a symmetric relation on the
-    handles."""
+    which FactorHandle rejects, or with a vertex of valence below 2) or
+    whose core's code is not its key, or an adjacency that is not a
+    symmetric relation on the handles."""
     try:
         with open(path) as fh:
             data = json.load(fh)
         ball = factor_complex.FactorBall(bound=data["bound"])
         for key, core_json in data["handles"].items():
             core = stallings.SubgroupCoreGraph.from_json(core_json, group.rank)
-            if (stallings._walk(core)[1] is None
-                    or stallings._pruned(core.rows, None)):
+            if stallings._pruned(core.rows, None):
                 raise ValueError(f"handle {key[:16]}... is not a cyclic core")
             h = stallings.FactorHandle(core, group.rank)
             if h.code.hex() != key:
@@ -389,11 +388,16 @@ def _qg_certificate(group, graphs, K, bound, products):
 # -- experiment suites ------------------------------------------------------
 
 
-def _suite_distance_oracle(seed, index, rank, twist, **_):
+def _instance_pair(seed, index, rank, twist):
+    """The instance's two random marked graphs, drawn from its rng."""
     rng = _instance_rng(seed, index)
     group = FreeGroup(rank)
-    G = randomgen.random_marked_graph(rng, group, twist)
-    Gp = randomgen.random_marked_graph(rng, group, twist)
+    return (randomgen.random_marked_graph(rng, group, twist),
+            randomgen.random_marked_graph(rng, group, twist))
+
+
+def _suite_distance_oracle(seed, index, rank, twist, **_):
+    G, Gp = _instance_pair(seed, index, rank, twist)
     lam, wit = lipschitz.stretch_factor(G, Gp)
     blam, _ = oracles.brute_stretch(G, Gp)
     return {"index": index, "lambda": _frac_str(lam),
@@ -402,10 +406,7 @@ def _suite_distance_oracle(seed, index, rank, twist, **_):
 
 
 def _suite_fold_additivity(seed, index, rank, twist, **_):
-    rng = _instance_rng(seed, index)
-    group = FreeGroup(rank)
-    G = randomgen.random_marked_graph(rng, group, twist)
-    Gp = randomgen.random_marked_graph(rng, group, twist)
+    G, Gp = _instance_pair(seed, index, rank, twist)
     sg = folding.standard_geodesic(G, Gp)
     snaps = [ev.graph.normalize() for ev in sg.path.events]
     lams = {}
@@ -435,13 +436,10 @@ def _suite_whitehead_oracle(seed, index, rank, word_length, **_):
 
 
 def _suite_qg_check(seed, index, rank, twist, K, bound, **_):
-    rng = _instance_rng(seed, index)
-    group = FreeGroup(rank)
-    G = randomgen.random_marked_graph(rng, group, twist + 2)
-    Gp = randomgen.random_marked_graph(rng, group, twist + 2)
+    G, Gp = _instance_pair(seed, index, rank, twist + 2)
     events = folding.standard_geodesic(G, Gp).path.events
     try:
-        report, ball = _qg_certificate(group, [ev.graph for ev in events],
+        report, ball = _qg_certificate(G.group, [ev.graph for ev in events],
                                        K, bound, 2)
     except factor_complex.SeedExceedsBound as exc:
         # the path leaves the ball: uncertified, and the run goes on

@@ -14,8 +14,8 @@ represented by its event snapshots:
   gate stubs into plain cells (ends, length, image).  On the cells it
   merges every vertex other than the basepoint with two directions on
   distinct edges with distinct germs (a legal degree-2 vertex), then
-  builds the marked graph, with its marking pushed through the fold,
-  and the residual map once.
+  builds the marked graph, whose marking loops and labels both come
+  through the fold map, and the residual map once.
 
 A standard geodesic precomposes this with a segment inside the source
 simplex: the edge lengths move to the pullback lengths of an optimal
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .words import inverse, substitute
-from .marked_graph import MarkedMetricGraph, loop_marked_graph
+from .marked_graph import MarkedMetricGraph, folded_marked_graph
 from .lipschitz import (GraphMap, optimal_map, stretch_factor,
                         OptimalMapError, _transport)
 from .paths import direction_germ
@@ -154,9 +154,8 @@ def fold_step(event, gates=None, tau=None):
     The event's residual must have slope exactly 1 on every edge and at
     least two gates at every vertex.  gates (default: every gate of
     event.gates with two directions) and tau (default: their first
-    event depth) are what is folded.  The new event's graph keeps a link
-    to event.graph and the fold edge map (``folded_from``), through
-    which its projection carries event.graph's subgraph factors.
+    event depth) are what is folded.  The new graph's ``folded_from``,
+    set by ``folded_marked_graph``, carries event.graph's factors.
     """
     G, f = event.graph, event.residual
     if gates is None:
@@ -227,7 +226,6 @@ def fold_step(event, gates=None, tau=None):
                                               edge_map)
     vertex_map = {v: vmap[v] for v in G.vertices
                   if vmap[v] in new_graph.vertices}
-    new_graph.folded_from = (G, edge_map)
     return FoldEvent(event.time + tau, new_graph, residual, edge_map,
                      vertex_map, gates_of_residual(residual))
 
@@ -243,7 +241,8 @@ def _quotient(G, Gp, cells, vmap, sub):
     first, whose two directions d1, d2 (in oriented_edges() order) lie on
     distinct edges with distinct germs is merged: the path (-d1, d2)
     becomes one new edge max + 1, and sub is composed with the merge.
-    The marked graph and the residual are built once, at the end.
+    The marked graph (``folded_marked_graph``, from G through sub) and
+    the residual are built once, at the end.
     """
     cells = {e: (vmap[o], vmap[t], L, img)
              for e, (o, t, L, img) in cells.items()}
@@ -285,11 +284,7 @@ def _quotient(G, Gp, cells, vmap, sub):
         # every path through v crosses (-d1, d2) or (-d2, d1)
         sub = {d: substitute(path, step) for d, path in sub.items()}
 
-    graph = loop_marked_graph(
-        G.group, vertices, {e: c[:2] for e, c in cells.items()},
-        {e: c[2] for e, c in cells.items()},
-        {i: substitute(loop, sub) for i, loop in G.marking_in.items()},
-        basepoint, True)
+    graph = folded_marked_graph(G, sub, vertices, cells, basepoint)
     vertex_images = {}
     for o, t, _, img in cells.values():
         vertex_images[o] = img.start

@@ -55,7 +55,7 @@ class MarkedMetricGraph:
         self._labels = signed_table(self.marking_out)
         self._ends, self._leaving = _incidence(self.vertices, self.edge_ends)
         # (graph, fold edge map) this graph was folded from, set by
-        # folding.fold_step until subgraph_factors takes the parent's
+        # folded_marked_graph until subgraph_factors takes the parent's
         # table; core subset -> handle, kept by subgraph_factors until a
         # graph folded from this one takes it
         self.folded_from = None
@@ -484,15 +484,27 @@ def standard_marking(group, vertices, edge_ends, lengths, basepoint):
                              marking_out, basepoint)
 
 
-def loop_marked_graph(group, vertices, edge_ends, lengths, marking_in,
-                      basepoint, subdivided):
-    """The marked graph with the given marking loops and, as marking-out,
-    the tree cocycle: the label of an edge is its tree loop written in
-    the marking loops (``stallings.express_in_generators``).  Tree edges
-    come out trivial, and products along based loops telescope to the
-    right word."""
+def folded_marked_graph(G, sub, vertices, cells, basepoint):
+    """The subdivided marked graph on cells that the fold map sub carries
+    G to, keeping (G, sub) as ``folded_from``.
+
+    sub: oriented edge of G -> edge path over the cells, a homotopy
+    equivalence taking G's basepoint to basepoint; cells: edge id ->
+    (origin, terminus, length, ...).  The marking loops are G's pushed
+    through sub, and the labels the tree cocycle: each tree loop is read
+    in one fold of G's edges, e spelling sub[e] and carrying G's label
+    (``stallings.express_in_generators``), G's basepoint numbered 0.
+    """
+    edge_ends = {e: c[:2] for e, c in cells.items()}
     loops = _tree_loops(vertices, edge_ends, basepoint)
+    number = {v: k for k, v in
+              enumerate([G.basepoint, *(G.vertices - {G.basepoint})])}
     labels = stallings.express_in_generators(
-        [marking_in[i] for i in range(1, group.rank + 1)], loops.values())
-    return MarkedMetricGraph(group, vertices, edge_ends, lengths, marking_in,
-                             dict(zip(loops, labels)), basepoint, subdivided)
+        [(number[o], number[t], sub[e], G.marking_out[e])
+         for e, (o, t) in G.edge_ends.items()], loops.values())
+    graph = MarkedMetricGraph(
+        G.group, vertices, edge_ends, {e: c[2] for e, c in cells.items()},
+        {i: substitute(loop, sub) for i, loop in G.marking_in.items()},
+        dict(zip(loops, labels)), basepoint, True)
+    graph.folded_from = (G, sub)
+    return graph

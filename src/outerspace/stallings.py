@@ -26,17 +26,18 @@ covers of marked graphs.
 
 ``_fold_words`` is the worklist fold, without reading, for arcs whose
 first edge also carries a word over another alphabet; it keeps a gauge
-on every merge.  Its one caller, ``express_in_generators``, folds a
-wedge of loops and reads targets as words in the loops; that inverts
-automorphisms (``Automorphism.inverse``) and writes the tree loops of a
-graph in its marking loops (``marked_graph.loop_marked_graph``).  The
-plain fold is kept apart because its cores are tiny and the fixed cost
-of each call sets its price: on the 47,288 subset folds of the geodesic
-benchmark's seed-1 projection (6.7 letters each) the reading fold took
-0.46-0.48 s, a fold that adds every letter as an edge before merging
-(the tests' reference) 0.69-0.76 s, and the word-carrying fold with
-empty words 1.19-1.24 s, all with identical rows (process time, best of
-five in each of three runs, Python 3.11 on a 2-core Xeon).
+on every merge.  Its one caller, ``express_in_generators``, folds arcs
+and reads targets as words in the words they carry: the generators in
+the wedge of an automorphism's images (``Automorphism.inverse``), and
+the tree loops of a folded graph in the edges of the graph it was
+folded from (``marked_graph.folded_marked_graph``).  The plain fold is
+kept apart because its cores are tiny and the fixed cost of each call
+sets its price: on the 47,288 subset folds of the geodesic benchmark's
+seed-1 projection (6.7 letters each) the reading fold took 0.46-0.48 s,
+a fold that adds every letter as an edge before merging (the tests'
+reference) 0.69-0.76 s, and the word-carrying fold with empty words
+1.19-1.24 s, all with identical rows (process time, best of five in
+each of three runs, Python 3.11 on a 2-core Xeon).
 
 A folded core's vertex ids still depend on its arcs: on the generators
 and their order, or on the ids of the graph whose edges were folded.  A
@@ -495,7 +496,7 @@ def _canonical(graph):
     The canonical rows are the winning BFS's rows read back: vertex i is
     the i-th vertex it met, and each row lists its signed labels in the
     order a, a^-1, b, b^-1, ...  Isomorphic labeled graphs get equal
-    rows, entry order included.
+    rows, entry order included.  A disconnected graph raises ValueError.
     """
     labels = sorted({lab for (_, _, lab) in graph.edges})
     signed = [s * l for l in labels for s in (1, -1)]
@@ -504,34 +505,33 @@ def _canonical(graph):
     firsts = [next(rows) for rows in walks]
     least = min(firsts)
     starts = [k for k, first in enumerate(firsts) if first == least]
-    if len(starts) == 1:
-        best = (least, *walks[starts[0]])
-    else:
-        parent = {}         # union-find over the orbits of the maps found
-        done = set()        # roots of the orbits of starts already run
+    parent = {}         # union-find over the orbits of the maps found
+    done = set()        # roots of the orbits of starts already run
 
-        def root(v):
-            while v in parent:
-                parent[v] = parent.get(parent[v], parent[v])
-                v = parent[v]
-            return v
+    def root(v):
+        while v in parent:
+            parent[v] = parent.get(parent[v], parent[v])
+            v = parent[v]
+        return v
 
-        best = first = None
-        for k in starts:
-            if root(orders[k][0]) in done:
-                continue
-            code = (least, *walks[k])
-            if best is None or code < best:
-                best, first = code, orders[k]
-            elif code == best:
-                for v, w in zip(first, orders[k]):
-                    v, w = root(v), root(w)
-                    if v != w:
-                        parent[w] = v
-                        if w in done:
-                            done.discard(w)
-                            done.add(v)
-            done.add(root(orders[k][0]))
+    best = first = None
+    for k in starts:
+        if root(orders[k][0]) in done:
+            continue
+        code = (least, *walks[k])
+        if best is None or code < best:
+            best, first = code, orders[k]
+        elif code == best:
+            for v, w in zip(first, orders[k]):
+                v, w = root(v), root(w)
+                if v != w:
+                    parent[w] = v
+                    if w in done:
+                        done.discard(w)
+                        done.add(v)
+        done.add(root(orders[k][0]))
+    if len(best) != len(graph.vertices):
+        raise ValueError("graph is not connected")
     rows = {i: {lab: w for lab, w in zip(signed, row) if w >= 0}
             for i, row in enumerate(best)}
     return repr((tuple(labels), best)).encode(), rows
@@ -539,7 +539,7 @@ def _canonical(graph):
 
 def canonical_code(graph):
     """Canonical byte string: equal exactly for isomorphic labeled
-    graphs (connected ones; see ``_canonical``)."""
+    graphs (connected ones; ``_canonical`` rejects any other)."""
     if not graph.vertices:
         return b"empty"
     return _canonical(graph)[0]
@@ -552,7 +552,8 @@ class FactorHandle:
     provenance-safe constructors (subgraph factors, automorphism images
     of coordinate factors, explicit sub-bases).  FactorHandle(core, n)
     takes the connected cyclic core of a factor of F_n and checks only
-    that its rank is between 1 and n - 1.  The handle keeps the class's
+    that its rank is between 1 and n - 1 and (in ``_canonical``) that
+    it is connected.  The handle keeps the class's
     canonical core, the rows ``_canonical`` read back from the search
     that made the code (vertices 0..k-1), so two handles of one class
     have identical cores whatever core and vertex ids they were made
@@ -597,32 +598,24 @@ class FactorHandle:
         return f"FactorHandle(rank={self.rank}, edges={self.edge_count()})"
 
 
-def express_in_generators(loop_words, targets):
-    """Rewrite target letter-tuples as words in the given generating loops.
+def express_in_generators(arcs, targets):
+    """Read targets, loops at vertex 0, as words in the words arcs carry.
 
-    loop_words: list of letter tuples over some signed alphabet, which
-    must be a free basis of the subgroup they generate in the ambient
-    free group on that alphabet; every target must lie in that subgroup.
-
-    One fold (``_fold_words``) of the wedge of the loops at basepoint 0, in
-    which loop ``i`` carries generator ``i``.  The folded graph reads
-    each target from the basepoint; the product of the words met on the
-    way is the target's unique expression in the loops.
-
-    Returns one reduced letter tuple per target, over the generators
-    1..len(loop_words), such that substituting loop_words into it and
-    reducing gives back the target.  Raises ValueError if a loop is
-    empty, the loops are not a free basis, or a target is not in their
-    subgroup.
+    arcs: (origin, target, letters, word), as ``_fold_words`` takes
+    them, on ends numbered from 0: each arc spells its letters and
+    carries its word.  The fold never regauges vertex 0, the least id,
+    so the product of the words met while reading a loop there is the
+    loop's expression.  Returns one reduced letter tuple per target;
+    raises ValueError if the fold kills a nontrivial word or a target
+    is not a loop at 0 that the folded graph reads.
     """
-    out = _fold_words((0, 0, loop, (i,))
-                      for i, loop in enumerate(loop_words, start=1))
+    out = _fold_words(arcs)
     results = []
     for t in targets:
         v, letters = 0, []
         for x in t:
             if x not in out[v]:
-                raise ValueError("target not readable in the folded wedge")
+                raise ValueError("target not readable in the folded graph")
             v, u = out[v][x]
             letters.extend(u)
         if v != 0:

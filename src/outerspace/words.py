@@ -295,9 +295,9 @@ class Automorphism:
     through it.
 
     Invertibility is certified lazily: ``inverse()`` folds the wedge of
-    the images with word-carrying edges (``stallings.express_in_generators``)
-    and reads each generator in the folded graph; it raises ValueError
-    if the images do not form a basis.
+    the images, loop i carrying generator i, and reads each generator in
+    the folded graph (``stallings.express_in_generators``); it raises
+    ValueError if the images do not form a basis.
     """
 
     __slots__ = ("group", "images", "_table", "_inverse_cache")
@@ -354,8 +354,10 @@ class Automorphism:
         if self._inverse_cache is None:
             from .stallings import express_in_generators
             n = self.group.rank
-            inv = express_in_generators([im.letters for im in self.images],
-                                        [(j,) for j in range(1, n + 1)])
+            inv = express_in_generators(
+                [(0, 0, im.letters, (i,))
+                 for i, im in enumerate(self.images, start=1)],
+                [(j,) for j in range(1, n + 1)])
             object.__setattr__(self, "_inverse_cache", Automorphism(
                 self.group, [Word(self.group, w) for w in inv]))
         return self._inverse_cache

@@ -187,16 +187,19 @@ def _one_way_edge(data, key):
     assert key in data["adjacency"][other]
 
 
-def _not_a_core(extra_edge):
+def _not_a_core(extra_edge, rekey=True):
     """Give <c>'s core one more edge (and vertex 1), and re-key the
-    handle and the adjacency by the new graph's own code."""
+    handle and the adjacency by the new graph's own code; a disconnected
+    core has no code (FactorHandle rejects it, as the loader does before
+    it reads the key), so rekey=False keeps the old key."""
     def corrupt(data, key):
         from outerspace.stallings import FactorHandle, SubgroupCoreGraph
         old = FactorHandle.from_words([F3.word("c")]).code.hex()
         core = data["handles"].pop(old)
         core["vertices"].append(1)
         core["edges"].append(extra_edge)
-        new = FactorHandle(SubgroupCoreGraph.from_json(core, 3), 3).code.hex()
+        new = FactorHandle(SubgroupCoreGraph.from_json(core, 3),
+                           3).code.hex() if rekey else old
         data["handles"][new] = core
         data["adjacency"][new] = data["adjacency"].pop(old)
         for row in data["adjacency"].values():
@@ -208,7 +211,7 @@ def _not_a_core(extra_edge):
     _unlisted_vertex, _label("z"), _label("ab"), _swapped_core,
     _unknown_neighbour, _one_way_edge,
     _not_a_core({"from": 0, "label": "b", "to": 1}),
-    _not_a_core({"from": 1, "label": "a", "to": 1}),
+    _not_a_core({"from": 1, "label": "a", "to": 1}, rekey=False),
 ], ids=["unlisted-vertex", "label-outside-rank", "two-letter-label",
         "code-not-key", "unknown-neighbour", "one-way-edge", "hanging-edge",
         "two-components"])

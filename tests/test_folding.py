@@ -578,3 +578,103 @@ def test_events_carry_their_gates_and_fold_step_makes_the_next():
         assert step.time == nxt.time
         assert step.graph.to_json() == nxt.graph.to_json()
         assert step.fold_edge_map == nxt.fold_edge_map
+
+
+def _wedge_labels(H):
+    """The tree loops of H written in its marking loops, read in the
+    folded wedge of those loops: the labels H's marking loops fix."""
+    from outerspace.marked_graph import _tree_loops
+    from outerspace.stallings import express_in_generators
+    loops = _tree_loops(H.vertices, H.edge_ends, H.basepoint)
+    labels = express_in_generators(
+        [(0, 0, H.marking_in[i], (i,)) for i in range(1, H.group.rank + 1)],
+        loops.values())
+    return dict(zip(loops, labels))
+
+
+def _renumbered(G, g):
+    """G with its basepoint renumbered to the greatest vertex and its
+    labels regauged by the word g at its least other vertex v: each
+    edge's label is multiplied by g on the left where it leaves v and by
+    g^-1 on the right where it enters v.  The marking is G's."""
+    from outerspace.marked_graph import MarkedMetricGraph
+    from outerspace.words import free_reduce, inverse
+    others = sorted(G.vertices - {G.basepoint})
+    new = {v: k for k, v in enumerate(others + [G.basepoint])}
+    v = others[0]
+    labels = {e: tuple(free_reduce((g if o == v else ()) + G.marking_out[e]
+                                   + (inverse(g) if t == v else ())))
+              for e, (o, t) in G.edge_ends.items()}
+    H = MarkedMetricGraph(G.group, new.values(),
+                          {e: (new[o], new[t])
+                           for e, (o, t) in G.edge_ends.items()},
+                          G.lengths, G.marking_in, labels, new[G.basepoint],
+                          G.subdivided)
+    assert H.validate() == [] and H.marking_out != G.marking_out
+    return H
+
+
+@pytest.mark.parametrize("renumber", [False, True],
+                         ids=["as-drawn", "renumbered-regauged"])
+def test_snapshot_labels_are_the_tree_cocycle_of_the_marking_loops(renumber):
+    # every snapshot's labels are those its marking loops fix, also when
+    # the source's basepoint is not its least vertex and its labels are
+    # not a tree cocycle; every snapshot is valid
+    rng = random.Random(290)
+    snapshots = 0
+    for rank in (3, 4, 5):
+        F = FreeGroup(rank)
+        for _ in range(2):
+            G, Gp = (random_marked_graph(rng, F, 3) for _ in range(2))
+            while renumber and len(G.vertices) < 2:
+                G = random_marked_graph(rng, F, 3)
+            if renumber:
+                G = _renumbered(G, random_word(rng, F, 3).letters or (1,))
+            for ev in standard_geodesic(G, Gp).path.events:
+                assert ev.graph.marking_out == _wedge_labels(ev.graph)
+                assert ev.graph.validate() == []
+                snapshots += 1
+    assert snapshots > 40
+
+
+def _reducible_axis(k):
+    """The rose and its remarking by phi^k, for the reducible
+    a -> ab, b -> bab, c -> ca."""
+    from outerspace.words import Automorphism
+    phi = Automorphism(F3, [F3.word("ab"), F3.word("bab"), F3.word("ca")])
+    power = Automorphism.identity(F3)
+    for _ in range(k):
+        power = phi.compose(power)
+    R = rose(F3)
+    return R, R.remark(power, power.inverse())
+
+
+@pytest.mark.parametrize("case", ["seeded", "reducible-axis-4"])
+def test_each_snapshot_folds_its_fold_map_letters(case, monkeypatch):
+    # labelling a snapshot folds the old graph's edges, each spelling its
+    # image: sum |sub[e]| letters over the old graph's edges, however long
+    # the marking loops have grown
+    from outerspace import stallings
+    if case == "seeded":
+        rng = random.Random(291)
+        G, Gp = (random_marked_graph(rng, FreeGroup(4), 4) for _ in range(2))
+    else:
+        G, Gp = _reducible_axis(4)
+    folded = []
+    real = stallings._fold_words
+
+    def counted(arcs):
+        arcs = list(arcs)
+        folded.append(sum(len(arc[2]) for arc in arcs))
+        return real(arcs)
+
+    monkeypatch.setattr(stallings, "_fold_words", counted)
+    events = standard_geodesic(G, Gp).path.events
+    assert len(events) > 10
+    expected = []
+    for ev in events:
+        old, sub = ev.graph.folded_from
+        expected.append(sum(len(sub[e]) for e in old.edge_ends))
+    assert folded == expected
+    if case != "seeded":
+        assert (len(events) - 1, sum(folded)) == (55, 278)

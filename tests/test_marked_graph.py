@@ -6,7 +6,7 @@ import pytest
 
 from outerspace.words import FreeGroup, CyclicWord, Word, RankMismatchError
 from outerspace.marked_graph import (MarkedMetricGraph, rose, standard_marking,
-                                     loop_marked_graph)
+                                     folded_marked_graph)
 from outerspace.stallings import core_graph
 from outerspace.randomgen import (random_marked_graph, random_cyclic_word,
                                   random_word)
@@ -179,18 +179,22 @@ def test_loop_representative_is_cyclically_reduced_tuple():
         rose(F3).loop_representative(F3.identity().cyclic())
 
 
-def test_loop_marked_graph_is_the_tree_cocycle():
+def test_folded_marked_graph_is_the_tree_cocycle():
     # random_marked_graph remarks a standard marking, whose marking-out
-    # is already the tree cocycle that loop_marked_graph computes
+    # is already the tree cocycle that folded_marked_graph computes; on
+    # the identity fold map it gives back the graph, flagged subdivided
     for rank in (3, 4, 5):
         F = FreeGroup(rank)
         for k in range(12):
             G = random_marked_graph(random.Random(k), F, k % 7)
-            H = loop_marked_graph(F, G.vertices, G.edge_ends, G.lengths,
-                                  G.marking_in, G.basepoint, G.subdivided)
+            sub = {d: (d,) for d in G.oriented_edges()}
+            cells = {e: (o, t, G.lengths[e])
+                     for e, (o, t) in G.edge_ends.items()}
+            H = folded_marked_graph(G, sub, G.vertices, cells, G.basepoint)
             assert H.marking_out == G.marking_out
-            assert H.to_json() == G.to_json()
+            assert H.to_json() == {**G.to_json(), "subdivided": True}
             assert H.validate() == []
+            assert H.folded_from[0] is G and H.folded_from[1] is sub
 
 
 def test_rose_is_the_standard_marking_of_one_vertex():

@@ -221,6 +221,20 @@ def test_codes_separate_factors():
     assert h3 != h4
 
 
+@pytest.mark.parametrize("rows", [
+    {0: {3: 0, -3: 0}, 1: {1: 1, -1: 1}},              # <c> and <a>
+    {0: {1: 0, -1: 0, 2: 0, -2: 0}, 5: {3: 6, -3: 6}, 6: {3: 5, -3: 5}},
+], ids=["two-circles", "rose-and-circle"])
+def test_factor_handle_rejects_a_disconnected_core(rows):
+    # each BFS of the canonical search meets one component only, so the
+    # winning one meets fewer vertices than the core has
+    from outerspace.stallings import SubgroupCoreGraph
+    core = SubgroupCoreGraph(rows)
+    assert 1 <= core.rank() < 3
+    with pytest.raises(ValueError, match="not connected"):
+        FactorHandle(core, 3)
+
+
 def test_code_constant_over_representations():
     # re-present <a,b> by images under automorphisms fixing the factor
     rng = random.Random(14)
@@ -250,10 +264,16 @@ def test_folding_confluent_under_generator_permutation():
         assert canonical_code(c1) == canonical_code(c2)
 
 
+def _wedge(loops):
+    """The wedge of loops at vertex 0 as word-carrying arcs, loop i
+    carrying generator i."""
+    return [(0, 0, loop, (i,)) for i, loop in enumerate(loops, start=1)]
+
+
 def test_express_in_generators_roundtrip():
     loops = [(1, 2), (2,), (3, -1)]
     targets = [(1,), (3,), (1, 2, 3)]
-    exprs = express_in_generators(loops, targets)
+    exprs = express_in_generators(_wedge(loops), targets)
     for target, expr in zip(targets, exprs):
         letters = []
         for x in expr:
@@ -319,15 +339,16 @@ def test_from_edges_rejects_unfolded_pairs():
     assert g.edges == {(0, 1, 1)} and g.rows == {0: {1: 1}, 1: {-1: 0}}
 
 
-@pytest.mark.parametrize("loops, targets", [
-    ([(1,), (1,)], [(1,)]),                  # not free
-    ([(1, 2), (), (3,)], [(3,)]),            # an empty loop
-    ([(1, 1), (2,), (3,)], [(1,)]),          # target outside the subgroup
-    ([(1, 1), (2,)], [(1, 2, 1)]),           # target leaves the folded wedge
-])
-def test_express_in_generators_rejects(loops, targets):
-    with pytest.raises(ValueError):
-        express_in_generators(loops, targets)
+@pytest.mark.parametrize("loops, targets, reason", [
+    ([(1,), (1,)], [(1,)], "kills a nontrivial word"),        # not free
+    ([(1, 2), (), (3,)], [(3,)], "kills a nontrivial word"),  # an empty loop
+    # target outside the subgroup: a reads to the middle of the loop a a
+    ([(1, 1), (2,), (3,)], [(1,)], "not a loop at the basepoint"),
+    ([(1, 1), (2,)], [(1, 2, 1)], "not readable"),  # leaves the folded wedge
+], ids=[f"loops{k}-targets{k}" for k in range(4)])
+def test_express_in_generators_rejects(loops, targets, reason):
+    with pytest.raises(ValueError, match=reason):
+        express_in_generators(_wedge(loops), targets)
 
 
 def test_express_in_generators_inverts_automorphisms():
@@ -337,8 +358,9 @@ def test_express_in_generators_inverts_automorphisms():
         F = FreeGroup(rank)
         for k in range(20):
             phi, phi_inv = random_automorphism(rng, F, k % 9)
-            exprs = express_in_generators([im.letters for im in phi.images],
-                                          [(j,) for j in range(1, rank + 1)])
+            exprs = express_in_generators(
+                _wedge([im.letters for im in phi.images]),
+                [(j,) for j in range(1, rank + 1)])
             assert exprs == [w.letters for w in phi_inv.images]
 
 
