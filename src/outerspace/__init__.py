@@ -30,7 +30,7 @@ from .whitehead import (WhiteheadGraph, WhiteheadAutomorphism,
                         connectivity_report,
                         apply_whitehead, reduce_to_minimal, is_simple,
                         all_type_ii_automorphisms, outer_moves,
-                        SimplicityCertificateError)
+                        SimplicityCertificateError, GreedyDescentError)
 from .factor_complex import (FactorBall, project, build_ball,
                              check_reparam_quasigeodesic, SeedExceedsBound)
 

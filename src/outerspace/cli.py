@@ -642,7 +642,7 @@ def main(argv=None):
         print(f"usage error: {exc}; raise --bound", file=sys.stderr)
         return 2
     except (lipschitz.OptimalMapError, folding.FoldTerminationError,
-            whitehead.SimplicityCertificateError,
+            whitehead.SimplicityCertificateError, whitehead.GreedyDescentError,
             oracles.OracleBudgetExceeded) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -241,7 +241,7 @@ def _standard(moves, n, bound, aut_product_length, vertex_cap):
         most = max(most, h.edge_count())
         if ball.add(h):
             queue.append((gens, 0))
-    tables = [t.automorphism().table for t in moves]
+    tables = [t.table for t in moves]
     images = ((tuple(substitute(g, t) for g in gens), k + 1)
               for gens, k in queue if k < aut_product_length
               for t in tables)

@@ -2,12 +2,16 @@
 
 The Whitehead graph of a cyclically reduced word has one vertex per
 signed letter and, for each cyclically adjacent pair (x, y), an edge
-between x^-1 and y.  Type-II Whitehead automorphisms are parametrized
-by a special letter v and a cut set Y with v in Y, v^-1 not in Y:
+between x^-1 and y (x^-1 != y).  ``edges`` counts the edges by the bit
+set of their ends, bit letter_key(x) for the letter x; every reader of
+the graph reads this one table.  Type-II Whitehead automorphisms are
+parametrized by a special letter v and a cut set Y with v in Y, v^-1
+not in Y:
 
     x  ->  v^(-1 if x^-1 in Y else 0) . x . v^(1 if x in Y else 0)
 
-for letters x not in {v, v^-1}, and v -> v.
+for letters x not in {v, v^-1}, and v -> v.  A move acts through its
+signed table (``WhiteheadAutomorphism.table``, built on first use).
 
 Every move's length change is read off the Whitehead graph (see
 ``length_changes``), so a greedy descent rewrites the word once per
@@ -34,7 +38,8 @@ from dataclasses import dataclass
 from collections import Counter
 from functools import cache
 
-from .words import Word, Automorphism, letter_str, letter_key
+from .words import (Word, Automorphism, CyclicWord, letter_str, letter_key,
+                    signed_table, substitute, _same_group)
 
 
 class SimplicityCertificateError(RuntimeError):
@@ -52,59 +57,54 @@ class SimplicityCertificateError(RuntimeError):
                 f"support but its Whitehead graph is {self.report}")
 
 
-def _letter_bits(letters):
-    """Bit set of signed letters, bit letter_key(x) for the letter x."""
-    bits = 0
-    for x in letters:
-        bits |= 1 << letter_key(x)
-    return bits
+class GreedyDescentError(RuntimeError):
+    """A greedy move whose image misses its scored length change."""
+
+    def __init__(self, word, descent, move, change):
+        super().__init__(word, descent, move, change)  # args rebuild it when unpickled
+        self.word = word
+        self.descent = descent
+        self.move = move
+        self.change = change
+
+    def __str__(self):
+        return (f"{self.move} takes {self.descent[-1]} to "
+                f"{apply_whitehead(self.move, self.descent[-1])}, not a "
+                f"length change of {self.change}")
+
+
+def _letter(key):
+    """The signed letter numbered key by letter_key."""
+    return -(key // 2 + 1) if key & 1 else key // 2 + 1
+
+
+def _ends(edge):
+    """The letter keys (low, high) of an edge's two ends."""
+    return (edge & -edge).bit_length() - 1, edge.bit_length() - 1
 
 
 class WhiteheadGraph:
-    """Letter-adjacency graph of a cyclic word."""
+    """Letter-adjacency graph of a cyclic word, edges keyed by bit set."""
 
     def __init__(self, cw):
         if cw.is_trivial():
             raise ValueError("trivial word has no Whitehead graph")
         self.group = cw.group
         self.word = cw
-        self.edges = Counter()
         letters = cw.letters
-        n = len(letters)
-        for k in range(n):
-            x, y = letters[k], letters[(k + 1) % n]
-            self.edges[frozenset((-x, y)) if -x != y else frozenset((y,))] += 1
-
-    def vertices(self):
-        return self.group.all_letters()
-
-    def support_vertices(self):
-        sup = set()
-        for e in self.edges:
-            sup |= e
-        return sup
+        self.edges = Counter(1 << letter_key(-x) | 1 << letter_key(y)
+                             for x, y in zip(letters, letters[1:] + letters[:1]))
 
     def multiplicity(self, x, y):
-        key = frozenset((x, y)) if x != y else frozenset((x,))
-        return self.edges.get(key, 0)
-
-    def neighbors(self, v):
-        out = set()
-        for e in self.edges:
-            if v in e:
-                out |= (e - {v}) if len(e) > 1 else {v}
-        return out
+        return self.edges.get(1 << letter_key(x) | 1 << letter_key(y), 0)
 
     def to_dot(self, name="whitehead"):
+        support = sorted({k for e in self.edges for k in _ends(e)})
         lines = [f"graph {name} {{"]
-        for v in sorted(self.support_vertices(), key=letter_key):
-            lines.append(f'  "{letter_str(v)}";')
-        for e, m in sorted(self.edges.items(), key=lambda kv: sorted(map(letter_key, kv[0]))):
-            vs = sorted(e, key=letter_key)
-            a = vs[0]
-            b = vs[-1]
-            for _ in range(m):
-                lines.append(f'  "{letter_str(a)}" -- "{letter_str(b)}";')
+        lines += [f'  "{letter_str(_letter(k))}";' for k in support]
+        for e in sorted(self.edges, key=_ends):
+            a, b = map(_letter, _ends(e))
+            lines += [f'  "{letter_str(a)}" -- "{letter_str(b)}";'] * self.edges[e]
         lines.append("}")
         return "\n".join(lines)
 
@@ -122,37 +122,39 @@ class ConnectivityReport:
 
 
 def connectivity_report(W):
-    """Connectivity / cut-vertex analysis on the support of the graph."""
-    support = sorted(W.support_vertices(), key=letter_key)
-    isolated = tuple(v for v in W.vertices() if v not in support)
-    adjacency = {v: W.neighbors(v) for v in support}
+    """Connectivity / cut-vertex analysis on the support of the graph,
+    by bit-set searches over each letter's neighbour set."""
+    neighbours = [0] * (2 * W.group.rank)
+    for e in W.edges:
+        low, high = _ends(e)
+        neighbours[low] |= 1 << high
+        neighbours[high] |= 1 << low
+    isolated = tuple(_letter(k) for k, nb in enumerate(neighbours) if not nb)
+    full = sum(1 << k for k, nb in enumerate(neighbours) if nb)
 
-    def connected(verts, skip=None):
-        verts = [v for v in verts if v != skip]
-        if not verts:
-            return True
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if w != skip and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
+    def connected(verts):
+        seen = frontier = verts & -verts
+        while frontier:
+            k = (frontier & -frontier).bit_length() - 1
+            frontier ^= 1 << k
+            new = neighbours[k] & verts & ~seen
+            seen |= new
+            frontier |= new
+        return seen == verts
 
-    if not connected(support):
+    if not connected(full):
         return ConnectivityReport("disconnected", isolated=isolated)
-    for v in support:
-        if len(support) > 2 and not connected(support, skip=v):
-            return ConnectivityReport("cut-vertex", cut_vertex=v, isolated=isolated)
+    for k, nb in enumerate(neighbours):   # one letter left is connected
+        if nb and not connected(full ^ 1 << k):
+            return ConnectivityReport("cut-vertex", cut_vertex=_letter(k),
+                                      isolated=isolated)
     return ConnectivityReport("two-connected", isolated=isolated)
 
 
 class WhiteheadAutomorphism:
     """Type-II Whitehead automorphism (special letter v, cut set Y)."""
 
-    __slots__ = ("group", "special", "cut", "_aut", "_inverse_cut_bits",
+    __slots__ = ("group", "special", "cut", "_table", "_inverse_cut_bits",
                  "_inverse_special_bit")
 
     def __init__(self, group, special, cut):
@@ -165,28 +167,25 @@ class WhiteheadAutomorphism:
         self.group = group
         self.special = special
         self.cut = cut
-        self._aut = None
-        self._inverse_cut_bits = _letter_bits(-x for x in cut)
-        self._inverse_special_bit = _letter_bits((-special,))
+        self._table = None
+        self._inverse_cut_bits = sum(1 << letter_key(-x) for x in cut)
+        self._inverse_special_bit = 1 << letter_key(-special)
+
+    @property
+    def table(self):
+        """Signed-letter images, built on first use: most moves are only scored."""
+        if self._table is None:
+            v, cut = self.special, self.cut
+            self._table = signed_table({
+                i: (i,) if i == abs(v) else
+                (-v,) * (-i in cut) + (i,) + (v,) * (i in cut)
+                for i in range(1, self.group.rank + 1)})
+        return self._table
 
     def automorphism(self):
-        if self._aut is not None:
-            return self._aut
-        v = self.special
-        images = []
-        for i in range(1, self.group.rank + 1):
-            if i == abs(v):
-                images.append(self.group.generator(i))
-                continue
-            letters = []
-            if -i in self.cut:
-                letters.append(-v)
-            letters.append(i)
-            if i in self.cut:
-                letters.append(v)
-            images.append(Word(self.group, letters))
-        self._aut = Automorphism(self.group, images)
-        return self._aut
+        """The move as a words.Automorphism."""
+        return Automorphism(self.group, [Word(self.group, self.table[i])
+                                         for i in range(1, self.group.rank + 1)])
 
     def sort_key(self):
         return (letter_key(self.special),
@@ -237,7 +236,8 @@ def outer_moves(group):
 
 def apply_whitehead(tau, cw):
     """Image of a CyclicWord under a WhiteheadAutomorphism, a CyclicWord."""
-    return tau.automorphism().apply(cw)
+    _same_group(tau, cw)
+    return CyclicWord(cw.group, substitute(cw.letters, tau.table))
 
 
 @dataclass
@@ -254,7 +254,7 @@ def length_changes(W, moves):
     Y^-1 = {y^-1 : y in Y} and cap counts the edges with exactly one end
     in Y^-1.
     """
-    edges = [(_letter_bits(e), m) for e, m in W.edges.items()]
+    edges = list(W.edges.items())
 
     def cap(bits):
         return sum(m for ends, m in edges if 0 != ends & bits != ends)
@@ -271,7 +271,8 @@ def greedy_descent(cw):
     (outer_moves; partners score alike) from the Whitehead graph and
     applies only the one that shortens most, the first in
     all_type_ii_automorphisms order on ties.  The rewritten word's
-    length is checked against the score, so the chain strictly shortens.
+    length is checked against the score, so the chain strictly shortens;
+    a miss raises GreedyDescentError with the chain so far.
     """
     moves = outer_moves(cw.group)
     chain = [cw]
@@ -285,8 +286,7 @@ def greedy_descent(cw):
         tau = moves[changes.index(best)]
         img = apply_whitehead(tau, chain[-1])
         if len(img) != len(chain[-1]) + best:
-            raise RuntimeError(f"{tau} takes {chain[-1]} to {img}, not a "
-                               f"length change of {best}")
+            raise GreedyDescentError(cw, chain, tau, best)
         chain.append(img)
 
 

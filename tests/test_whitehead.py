@@ -348,3 +348,56 @@ def test_certificate_error_crosses_a_spawned_worker():
     assert (back.word, back.descent, back.report) == \
         (exc.word, exc.descent, exc.report)
     assert str(back) == str(exc)
+
+
+def test_a_move_that_misses_its_score_raises_a_typed_error(monkeypatch,
+                                                            capsys):
+    # length_changes under-reports the best score by one: the first move
+    # taken misses it, which greedy_descent reports with its chain
+    import pickle
+    real = whitehead.length_changes
+
+    def under_report(W, moves):
+        changes = real(W, moves)
+        changes[changes.index(min(changes))] -= 1
+        return changes
+
+    w = cw("abAcab")
+    changes = real(WhiteheadGraph(w), outer_moves(F3))
+    best = min(changes)
+    monkeypatch.setattr(whitehead, "length_changes", under_report)
+    with pytest.raises(whitehead.GreedyDescentError) as info:
+        greedy_descent(w)
+    exc = info.value
+    assert (exc.word, exc.descent, exc.change) == (w, [w], best - 1)
+    assert exc.move is outer_moves(F3)[changes.index(best)]
+    for command in ("simple", "reduce"):
+        assert main([command, "abAcab"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.count("\n") == 1
+        assert err.startswith("error: GreedyDescentError: ")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is whitehead.GreedyDescentError
+    assert (back.word, back.descent, back.change) == \
+        (exc.word, exc.descent, exc.change)
+    assert back.move.sort_key() == exc.move.sort_key()
+    assert str(back) == str(exc)
+
+
+def test_moves_act_through_their_signed_table_alone(monkeypatch):
+    from outerspace import words
+
+    def refuse(*args):
+        raise AssertionError("a Whitehead move went through an Automorphism")
+
+    rng = random.Random(80)
+    planted = [(_planted_rank4(rng, k % 2 == 0), k % 2 == 0)
+               for k in range(10)]
+    monkeypatch.setattr(WhiteheadAutomorphism, "automorphism", refuse)
+    monkeypatch.setattr(words.Automorphism, "apply", refuse)
+    assert [is_simple(w) for w, _ in planted] == [s for _, s in planted]
+    moves = outer_moves(F4)
+    for w, _ in planted[:2]:
+        changes = length_changes(WhiteheadGraph(w), moves)
+        assert [len(apply_whitehead(t, w)) - len(w) for t in moves] == changes
