@@ -33,6 +33,7 @@ from .marked_graph import MarkedMetricGraph, folded_marked_graph
 from .lipschitz import (GraphMap, optimal_map, stretch_factor,
                         OptimalMapError, _transport)
 from .paths import direction_germ
+from .stallings import _arcs
 from .traintrack import TrainTrackStructure, illegal_turn_count
 
 
@@ -448,11 +449,18 @@ def path_statistics(path, probe_loops=(), probe_subgroups=()):
 
 def _long_legal_segment_in_core(G, tt, core, total_vol):
     """Any legal segment of normalized length > 2 inside a topological edge
-    of the immersed core?"""
-    deg = core.degrees()
-    branch = {v for v, d in deg.items() if d != 2}
-    chains = _core_chains(core, branch)
-    for chain in chains:
+    of the immersed core?
+
+    The topological edges are the arcs between the core's branch
+    vertices, those of valence other than 2 (``stallings._arcs``).  A
+    core with no branch vertex is a circle, walked from the origin of
+    its least edge.  Each arc is read from both ends, and the flag is
+    the same either way: turns are unordered pairs.
+    """
+    rows = core.rows
+    branch = ({v for v, row in rows.items() if len(row) != 2}
+              or {min(core.edges)[0]})
+    for chain, _ in _arcs(rows, branch).values():
         run = Fraction(0)
         best = Fraction(0)
         for k, lab in enumerate(chain):
@@ -465,41 +473,3 @@ def _long_legal_segment_in_core(G, tt, core, total_vol):
         if best > 2:
             return True
     return False
-
-
-def _core_chains(core, branch):
-    """Maximal label chains between branch vertices of an immersed core.
-
-    rows[v] lists (signed label, far end, edge) for each oriented edge
-    leaving v, over the (origin, target, label) edges of the core in
-    sorted order.  A chain starts on every edge not yet walked at each
-    branch vertex, least vertex first, and follows the one unwalked edge
-    at each vertex of valence 2 until it reaches a branch vertex.  A
-    core with no branch vertex is a circle, walked once forward from its
-    least edge.  Edges are told apart by the whole triple, so both edges
-    of a same-label 2-cycle o -> t -> o are walked.
-    """
-    rows = {v: [] for v in core.vertices}
-    for edge in sorted(core.edges):
-        o, t, lab = edge
-        rows[o].append((lab, t, edge))
-        rows[t].append((-lab, o, edge))
-    if branch:
-        starts = [row for b in sorted(branch) for row in rows[b]]
-    else:
-        o, t, lab = min(core.edges)
-        starts = [(lab, t, (o, t, lab))]
-    used = set()
-    chains = []
-    for row in starts:
-        chain = []
-        while row is not None and row[2] not in used:
-            lab, v, edge = row
-            used.add(edge)
-            chain.append(lab)
-            if v in branch:
-                break
-            row = next((r for r in rows[v] if r[2] not in used), None)
-        if chain:
-            chains.append(tuple(chain))
-    return chains

@@ -42,14 +42,20 @@ each of three runs, Python 3.11 on a 2-core Xeon).
 A folded core's vertex ids still depend on its arcs: on the generators
 and their order, or on the ids of the graph whose edges were folded.  A
 ``FactorHandle`` does not keep that core.  It keeps its class's
-canonical core, the rows of the BFS that won ``canonical_code``'s search
-(``_canonical``), numbered 0..k-1 in the order that BFS met them, so
-every handle of one class has the same core, row entry order included.
+canonical core, read back from the code that won ``canonical_code``'s
+search (``_canonical``), so every handle of one class has the same
+core, row entry order included.  Codes are read on the core's skeleton:
+its branch vertices (valence other than 2) and the arcs between them,
+which one walk (``_arcs``) reads for the codes and for the legal
+segments of ``folding.path_statistics``.  A cyclic core of rank r has
+at most 2r - 2 branch vertices, so a long core costs one walk of its
+edges and a BFS over a few vertices from each of a few starts.
 """
 
 from __future__ import annotations
 
-from .words import free_reduce, inverse, letter_key, letter_str, FreeGroup
+from .words import (free_reduce, inverse, least_rotation, letter_key,
+                    letter_str, FreeGroup)
 
 
 class SubgroupCoreGraph:
@@ -459,82 +465,94 @@ def conjugate_into(H, K):
     return vmap is not None, vmap
 
 
-def _bfs_rows(rows, signed, order):
-    """The rows of a BFS, one per vertex in the order met: for each
-    signed label, the number of the vertex it leads to, or -1.
+def _arcs(rows, branch):
+    """The arcs between the vertices of branch: (b, x) -> (letters, far
+    end), for each vertex b of branch and each label x leaving it.
 
-    order holds the start; the BFS appends the vertices it meets."""
-    number = {order[0]: 0}
-    for v in order:
-        row = rows[v]
-        code = []
-        for lab in signed:
-            w = row.get(lab)
-            if w is None:
-                code.append(-1)
-                continue
-            if w not in number:
-                number[w] = len(order)
-                order.append(w)
-            code.append(number[w])
-        yield tuple(code)
+    An arc leaves b by x and, at each vertex outside branch (valence 2),
+    goes on by the label it did not come in by, until it reaches a
+    vertex of branch; letters spells it.  Each arc is met once from
+    each end.
+    """
+    arcs = {}
+    for b in branch:
+        for x, v in rows[b].items():
+            letters = [x]
+            while v not in branch:
+                y, z = rows[v]
+                if y == -letters[-1]:
+                    y = z
+                letters.append(y)
+                v = rows[v][y]
+            arcs[b, x] = (tuple(letters), v)
+    return arcs
 
 
 def _canonical(graph):
     """The canonical code of a nonempty connected graph and its canonical
-    rows.
+    rows, read on the graph's skeleton.
 
-    BFS with label-sorted edge exploration; the lexicographically least
-    serialization over all start vertices wins.  A start's first row
-    depends only on its own out-edges, so the BFS runs on past the first
-    row only from starts whose first row is least.  When two starts give
-    the same least code, pairing their BFS orders is a label-preserving
-    map that carries each start to a start of the same code; starts in
-    the orbit of a start already run, under the maps found so far, are
-    skipped.
+    The skeleton is the branch vertices, those of valence other than 2,
+    and the arcs between them (``_arcs``); a cyclic core of rank r has
+    at most 2r - 2 branch vertices.  A code is one BFS over the branch vertices
+    from a start: for each branch vertex met, one entry per label
+    leaving it, in numeric order, giving the arc's letters and the
+    number of its far end.  The least code over all starts wins.  A
+    graph with no branch vertex is a circle, coded as one vertex with
+    one arc back to itself: the least rotation of its word or of the
+    word's inverse (``words.least_rotation``).
 
-    The canonical rows are the winning BFS's rows read back: vertex i is
-    the i-th vertex it met, and each row lists its signed labels in the
-    order a, a^-1, b, b^-1, ...  Isomorphic labeled graphs get equal
+    An isomorphism carries branch vertices, arcs and letters to their
+    like, so isomorphic graphs get equal codes; a code spells its graph
+    back, so equal codes mean isomorphic graphs.  The canonical rows are
+    read back from the winning code: branch vertices 0..k-1 in BFS
+    order, then the interior vertices of each arc, arcs in the order
+    the code first meets them.  Isomorphic labeled graphs get equal
     rows, entry order included.  A disconnected graph raises ValueError.
     """
-    labels = sorted({lab for (_, _, lab) in graph.edges})
-    signed = [s * l for l in labels for s in (1, -1)]
-    orders = [[v] for v in graph.vertices]
-    walks = [_bfs_rows(graph.rows, signed, order) for order in orders]
-    firsts = [next(rows) for rows in walks]
-    least = min(firsts)
-    starts = [k for k, first in enumerate(firsts) if first == least]
-    parent = {}         # union-find over the orbits of the maps found
-    done = set()        # roots of the orbits of starts already run
-
-    def root(v):
-        while v in parent:
-            parent[v] = parent.get(parent[v], parent[v])
-            v = parent[v]
-        return v
-
-    best = first = None
-    for k in starts:
-        if root(orders[k][0]) in done:
-            continue
-        code = (least, *walks[k])
-        if best is None or code < best:
-            best, first = code, orders[k]
-        elif code == best:
-            for v, w in zip(first, orders[k]):
-                v, w = root(v), root(w)
-                if v != w:
-                    parent[w] = v
-                    if w in done:
-                        done.discard(w)
-                        done.add(v)
-        done.add(root(orders[k][0]))
-    if len(best) != len(graph.vertices):
+    rows = graph.rows
+    branch = {v for v, row in rows.items() if len(row) != 2}
+    if branch:
+        arcs = _arcs(rows, branch)
+        best = None
+        for s in branch:
+            number = {s: 0}
+            order = [s]
+            code = []
+            for b in order:
+                row = []
+                for x in sorted(rows[b]):
+                    letters, w = arcs[b, x]
+                    if w not in number:
+                        number[w] = len(order)
+                        order.append(w)
+                    row.append((letters, number[w]))
+                code.append(tuple(row))
+            code = tuple(code)
+            if best is None or code < best:
+                best = code
+    else:
+        v = next(iter(rows))
+        (word, _), (back, _) = _arcs(rows, {v}).values()
+        best = (((min(least_rotation(word), least_rotation(back)), 0),),)
+    out = {i: {} for i in range(len(best))}
+    placed = set()      # (vertex, label) of the far end of each arc placed
+    for i, row in enumerate(best):
+        for letters, j in row:
+            if (i, letters[0]) in placed:
+                continue
+            placed.add((j, -letters[-1]))
+            v = i
+            for x in letters[:-1]:
+                w = len(out)
+                out[v][x] = w
+                out[w] = {-x: v}
+                v = w
+            out[v][letters[-1]] = j
+            out[j][-letters[-1]] = v
+    if len(out) != len(rows):
         raise ValueError("graph is not connected")
-    rows = {i: {lab: w for lab, w in zip(signed, row) if w >= 0}
-            for i, row in enumerate(best)}
-    return repr((tuple(labels), best)).encode(), rows
+    return repr(best).encode(), out
 
 
 def canonical_code(graph):
@@ -554,11 +572,11 @@ class FactorHandle:
     takes the connected cyclic core of a factor of F_n and checks only
     that its rank is between 1 and n - 1 and (in ``_canonical``) that
     it is connected.  The handle keeps the class's
-    canonical core, the rows ``_canonical`` read back from the search
-    that made the code (vertices 0..k-1), so two handles of one class
-    have identical cores whatever core and vertex ids they were made
-    from.  ``walk()`` is built on first use and kept with the handle, so
-    a handle shared by many balls is walked once.
+    canonical core, the rows ``_canonical`` read back from the code
+    (branch vertices first, then arc interiors; vertices 0..k-1), so two
+    handles of one class have identical cores whatever core and vertex
+    ids they were made from.  ``walk()`` is built on first use and kept
+    with the handle, so a handle shared by many balls is walked once.
     """
 
     __slots__ = ("core", "code", "rank", "_walked")

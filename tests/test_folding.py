@@ -13,7 +13,7 @@ from outerspace.folding import (standard_geodesic, folding_path, fold_step,
                                 path_statistics, _multi_gates, _event_depth)
 from outerspace.randomgen import (random_marked_graph, random_cyclic_word,
                                   random_word)
-from outerspace.stallings import core_graph
+from outerspace.stallings import SubgroupCoreGraph, _arcs, core_graph
 from outerspace.paths import TargetPath, edge_point, seg_reverse
 
 
@@ -367,13 +367,32 @@ def _up_to_reversal(chains):
     return sorted(min(c, tuple(-x for x in reversed(c))) for c in chains)
 
 
+def _arcs_once(core):
+    """The letters of each arc of the core (``stallings._arcs``), taken
+    once up to reversal."""
+    arcs = _arcs(core.rows, _branch(core) or {min(core.edges)[0]})
+    return _up_to_reversal(letters for (b, x), (letters, end) in arcs.items()
+                           if (b, x) < (end, -letters[-1]))
+
+
+def _keyed_arcs(rows, branch):
+    """The reference chains in ``_arcs``' shape, read by path_statistics;
+    the reference finds its own branch vertices."""
+    core = SubgroupCoreGraph(rows)
+    chains = _keyed_core_chains(core, _branch(core))
+    return {k: (chain, None) for k, chain in enumerate(chains)}
+
+
 def test_core_chains_walk_both_edges_of_a_same_label_two_cycle():
     # <aa, b> over the rose: a b-loop at 0 and the 2-cycle 0 -a-> 1 -a-> 0
     R = rose(F3, [Fr(1, 3)] * 3)
     core, _ = R.subgroup_core_in_graph(core_graph([F3.word("aa"),
                                                    F3.word("b")]))
     assert core.edges == {(0, 0, 2), (0, 1, 1), (1, 0, 1)}
-    assert folding._core_chains(core, _branch(core)) == [(2,), (1, 1)]
+    assert _arcs(core.rows, _branch(core)) == {
+        (0, 1): ((1, 1), 0), (0, -1): ((-1, -1), 0),
+        (0, 2): ((2,), 0), (0, -2): ((-2,), 0)}
+    assert _arcs_once(core) == [(-2,), (-1, -1)]
     assert _keyed_core_chains(core, _branch(core)) == [(2,), (1,)]
 
 
@@ -394,7 +413,7 @@ def test_core_chains_match_keyed_walk_on_probe_cores(monkeypatch):
         for ev in path.events:
             for H in probes:
                 core, _ = ev.graph.subgroup_core_in_graph(H)
-                chains = folding._core_chains(core, _branch(core))
+                chains = _arcs_once(core)
                 # every edge of the core is walked exactly once
                 assert sum(map(len, chains)) == len(core.edges)
                 compared += 1
@@ -402,10 +421,10 @@ def test_core_chains_match_keyed_walk_on_probe_cores(monkeypatch):
                        for (o, t, lab) in core.edges):
                     two_cycles += 1
                     continue
-                assert _up_to_reversal(chains) == _up_to_reversal(
+                assert chains == _up_to_reversal(
                     _keyed_core_chains(core, _branch(core)))
         rows = path_statistics(path, probe_subgroups=probes)
-        monkeypatch.setattr(folding, "_core_chains", _keyed_core_chains)
+        monkeypatch.setattr(folding, "_arcs", _keyed_arcs)
         assert path_statistics(path, probe_subgroups=probes) == rows
         monkeypatch.undo()
     assert compared > 100 and two_cycles > 0

@@ -1,7 +1,7 @@
-"""Experiment reports, ball files and the event and statistics files of
-one fold are pinned byte for byte; the recurrence verdicts of seeded
-random gate structures, and the adjacency of seeded factor balls, by one
-digest each.
+"""Experiment reports, ball files, one graph's projection and the event
+and statistics files of one fold are pinned byte for byte; the
+recurrence verdicts of seeded random gate structures, and the adjacency
+of seeded factor balls, by one digest each.
 
 A change that must leave outputs unchanged (a refactor, a speed-up)
 keeps these digests; a change that means to alter an output updates the
@@ -58,10 +58,11 @@ def test_ball_file_digest(tmp_path, capsys):
     assert main(["ball", "--rank", "3", "--bound", "6", "--products", "2",
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    # re-pinned when handles began to keep canonical cores: ball files
-    # now list each factor's canonical core (vertices 0..k-1)
+    # re-pinned when canonical codes moved to the core's skeleton: codes
+    # and canonical cores are new bytes; the handles and the adjacency
+    # are the same up to that relabelling of codes
     assert _sha256(out) == (
-        "d758effe3538fa936e52362fc349923d0542b8dcee8173edf1b6843c6c428cbb")
+        "e569ff43216cc4626aa0faece57d3610d54fc7ba805c1856ecb618807e7fa8f9")
 
 
 def test_truncated_rank_four_ball_file_digest(tmp_path, capsys):
@@ -70,10 +71,11 @@ def test_truncated_rank_four_ball_file_digest(tmp_path, capsys):
     assert main(["ball", "--rank", "4", "--bound", "12", "--products", "3",
                  "--cap", "6000", "--out", str(out)]) == 0
     assert "6000 factors" in capsys.readouterr().out
-    # re-pinned when handles began to keep canonical cores: ball files
-    # now list each factor's canonical core (vertices 0..k-1)
+    # re-pinned when canonical codes moved to the core's skeleton: codes
+    # and canonical cores are new bytes; the handles and the adjacency
+    # are the same up to that relabelling of codes
     assert _sha256(out) == (
-        "ddaa7897ee1a06b9e88bfb1d028d8752a6d120969de6dbc7b89439ab9afb5181")
+        "c19a263732f441eb565e6edcaea10b64123ed911c7b0a9f16267c37a7a96f412")
 
 
 def test_fold_events_and_stats_digests(tmp_path, capsys):
@@ -143,8 +145,22 @@ def test_seeded_ball_adjacency_digest():
                               aut_product_length=2)
             lines.append(repr(sorted((c.hex(), sorted(x.hex() for x in s))
                                      for c, s in ball.adjacency.items())))
-    # re-pinned when seeds stopped suppressing standard handles: each
-    # ball now holds the whole seedless ball (checked by conjugate_into)
+    # re-pinned when canonical codes moved to the core's skeleton: the
+    # lines hash codes, which are new bytes; each ball's handles and
+    # adjacency are the same up to that relabelling of codes
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
-        "361c7524ef7b95c7f0455efa02858fa5a43210b9cb98e86a4eb20c90a76f92c5")
+        "ecef2f6351e5aca92a588fbee7bb306154072064d20c0c5c89beb96d8bc33e4f")
+
+
+def test_project_json_digest(tmp_path, capsys):
+    # project lists a seeded rank-4 graph's subgraph factors in code order
+    # with their canonical cores
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(random_marked_graph(
+        random.Random(32), FreeGroup(4), 4).to_json()))
+    assert main(["project", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)) == 14
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2d73d93c49d53474ac4f560e36496fb61f23eb223ef13c551a987f1e12d58495")

@@ -502,7 +502,10 @@ def test_plain_fold_matches_word_fold(seed):
 
 
 def _code_from_every_start(graph):
-    """canonical_code with a full BFS from every start vertex."""
+    """A vertex-level canonical code, kept as the reference: a full BFS
+    from every start vertex, each row giving, for each signed label in
+    the order a, a^-1, b, b^-1, ..., the number of the vertex it leads
+    to, or -1; the least serialization wins."""
     if not graph.vertices:
         return b"empty"
     best = None
@@ -530,10 +533,36 @@ def _code_from_every_start(graph):
     return repr(best).encode()
 
 
-def test_canonical_code_from_least_first_rows_matches_every_start():
+def _same_classes(codes, other):
+    """Do two codings split the same items into the same classes?"""
+    return len(set(zip(codes, other))) == len(set(codes)) == len(set(other))
+
+
+def _renumbered(core, rng):
+    """A copy of core on other vertex ids, each row in another order."""
+    from outerspace.stallings import SubgroupCoreGraph
+    ids = rng.sample(range(10, 10 + 5 * len(core.rows)), len(core.rows))
+    perm = dict(zip(core.rows, ids))
+    vertices = list(core.rows)
+    rng.shuffle(vertices)
+    rows = {}
+    for v in vertices:
+        items = list(core.rows[v].items())
+        rng.shuffle(items)
+        rows[perm[v]] = {a: perm[w] for a, w in items}
+    return SubgroupCoreGraph(rows)
+
+
+def test_skeleton_codes_match_every_start_classes_and_are_canonical():
+    # skeleton codes split the corpus into the reference's classes, every
+    # canonical core re-codes to its own code, and renumbered copies get
+    # equal codes
     from outerspace.factor_complex import build_ball, project
     from outerspace.folding import standard_geodesic
+    from outerspace.marked_graph import rose
     from outerspace.randomgen import random_marked_graph
+    from outerspace.stallings import SubgroupCoreGraph, _canonical
+    from outerspace.words import Automorphism
     cores = [h.core for h in
              build_ball(F3, bound=4, aut_product_length=2).handles.values()]
     rng = random.Random(10)
@@ -543,30 +572,54 @@ def test_canonical_code_from_least_first_rows_matches_every_start():
         Gp = random_marked_graph(rng, group, 3)
         for ev in standard_geodesic(G, Gp).path.events:
             cores += [h.core for h in project(ev.graph)]
-    # cycles with letters repeated, where several starts share the least
-    # first row
+    # the reducible axis a -> ab, b -> bab, c -> ca, from the rose R to
+    # R.phi^k for k = 1, ..., 4: long cores with few branch vertices
+    phi = Automorphism(F3, [F3.word("ab"), F3.word("bab"), F3.word("ca")])
+    power = Automorphism.identity(F3)
+    for _ in range(4):
+        power = phi.compose(power)
+        R = rose(F3)
+        for ev in standard_geodesic(R, R.remark(power, power.inverse())
+                                    ).path.events:
+            cores += [h.core for h in project(ev.graph)]
+    # based and cyclic cores with letters repeated
     for _ in range(100):
         gens = [random_word(rng, F3, rng.randint(1, 8)) for _ in range(2)]
         cores.append(core_graph([g for g in gens if len(g)] or [F3.word("a")],
-                                based=False))
-    # cycles whose starts all look alike: the cyclic cores of (ab)^n at
-    # 150, 300 and 600 vertices
+                                based=rng.random() < 0.5))
+    # circles whose vertices all look alike: the cyclic cores of (ab)^n
+    # at 150, 300 and 600 vertices
     cores += [core_graph([F3.word("ab" * n)], based=False)
               for n in (75, 150, 300)]
-    assert max(len(core.vertices) for core in cores) >= 5
-    for core in cores:
-        assert canonical_code(core) == _code_from_every_start(core)
+    assert max(len(core.vertices) for core in cores) >= 80
+    codes = [canonical_code(core) for core in cores]
+    assert _same_classes(codes, [_code_from_every_start(c) for c in cores])
+    for core, code in zip(cores, codes):
+        assert canonical_code(SubgroupCoreGraph(_canonical(core)[1])) == code
+        assert canonical_code(_renumbered(core, rng)) == code
 
 
-def test_canonical_code_skips_starts_in_one_orbit():
-    # the 300 starts of (ab)^300's 600-vertex cycle that have the least
-    # first row are one orbit of its rotations; a BFS from each of them
-    # took 0.2 s
+def test_canonical_code_of_a_long_circle_is_fast():
+    # (ab)^300's 600-vertex circle has no branch vertex, so its code is a
+    # least rotation; a vertex-level search from each of the 300 starts
+    # with the least first row took 0.2 s
     import time
     core = core_graph([F3.word("ab" * 300)], based=False)
     t0 = time.process_time()
     canonical_code(core)
     assert time.process_time() - t0 < 0.1
+
+
+def test_factor_handle_of_a_long_loop_is_fast():
+    # <(ab)^1000 a, c>: one branch vertex and a 2,001-letter arc; a
+    # vertex-level search took 3 s
+    import time
+    core = core_graph([F3.word("ab" * 1000 + "a"), F3.word("c")],
+                      based=False)
+    assert len(core.vertices) == 2001
+    t0 = time.process_time()
+    FactorHandle(core, 3)
+    assert time.process_time() - t0 < 0.5
 
 
 def _stack_fold(arcs, basepoint=None):
