@@ -438,7 +438,7 @@ def path_statistics(path, probe_loops=(), probe_subgroups=()):
             })
         for H in probe_subgroups:
             core, hvol = G.subgroup_core_in_graph(H)
-            flag = _long_legal_segment_in_core(G, tt, core, vol)
+            flag = _long_legal_segment_in_core(G, tt, core)
             row["subgroups"].append({
                 "volume": hvol,
                 "long_legal_segment": flag,
@@ -447,7 +447,7 @@ def path_statistics(path, probe_loops=(), probe_subgroups=()):
     return rows
 
 
-def _long_legal_segment_in_core(G, tt, core, total_vol):
+def _long_legal_segment_in_core(G, tt, core):
     """Any legal segment of normalized length > 2 inside a topological edge
     of the immersed core?
 
@@ -455,21 +455,21 @@ def _long_legal_segment_in_core(G, tt, core, total_vol):
     vertices, those of valence other than 2 (``stallings._arcs``).  A
     core with no branch vertex is a circle, walked from the origin of
     its least edge.  Each arc is read from both ends, and the flag is
-    the same either way: turns are unordered pairs.
+    the same either way: turns are unordered pairs.  Lengths are G's
+    integers over its scale, so a segment is long when its integer
+    length exceeds twice G's integer volume.
     """
     rows = core.rows
     branch = ({v for v, row in rows.items() if len(row) != 2}
               or {min(core.edges)[0]})
+    ints = G.int_lengths
+    bound = 2 * sum(ints[e] for e in G.edge_ends)
     for chain, _ in _arcs(rows, branch).values():
-        run = Fraction(0)
-        best = Fraction(0)
+        run = 0
         for k, lab in enumerate(chain):
-            run += G.lengths[abs(lab)] / total_vol
-            best = max(best, run)
-            if k + 1 < len(chain):
-                turn_ok = not tt.is_illegal_turn(-lab, chain[k + 1])
-                if not turn_ok:
-                    run = Fraction(0)
-        if best > 2:
-            return True
+            run += ints[lab]
+            if run > bound:
+                return True
+            if k + 1 < len(chain) and tt.is_illegal_turn(-lab, chain[k + 1]):
+                run = 0
     return False

@@ -4,14 +4,17 @@ The stretch factor of a pair is the maximum, over the finite candidate
 family (embedded circles, figure-eights, barbells), of target length
 over source length.  Each candidate is built once: every embedded circle
 is met from its least edge, crossed forwards, and one pass over the
-pairs of circles builds the figure-eights and barbells.
+pairs of circles builds the figure-eights and barbells.  The family
+depends on the source's topology alone, so a graph keeps its list once
+a stretch has built it, and so do the graph's ``with_lengths`` copies.
 
 One kernel gives the candidates' lengths in both graphs, to the stretch
 factor and to the in-simplex minimizer.  The target image loop of each
 oriented source edge is built and checked once; a candidate's image is
 the concatenation of its edges' images, freely reduced on one stack and
-trimmed cyclically.  Lengths add as integers over the lcm of each
-graph's denominators, and ratios compare by cross-multiplying.  The word
+trimmed cyclically.  Lengths add as integers, read off each graph's
+one integer length table (over the lcm of its denominators), and
+ratios compare by cross-multiplying.  The word
 route (``class_of_loop``, then ``MarkedMetricGraph.translation_length``)
 stays as the independent check of the kernel.
 
@@ -28,10 +31,9 @@ the maximal slope equals the known stretch factor.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
-from .words import CyclicWord, inverse, least_rotation
+from .words import CyclicWord, inverse, least_rotation, signed_table
 from .paths import (TargetPath, vertex_point, edge_point, seg_start,
                     seg_reverse, direction_germ)
 from .traintrack import TrainTrackStructure
@@ -189,40 +191,40 @@ def class_of_loop(graph, edges):
     return CyclicWord(graph.group, graph.path_word(edges))
 
 
-def _scaled_lengths(graph):
-    """Edge lengths as integers over the lcm of their denominators, keyed
-    by oriented edge; returns (lengths, lcm)."""
-    scale = math.lcm(*(l.denominator for l in graph.lengths.values()))
-    ints = {}
-    for e, l in graph.lengths.items():
-        ints[e] = ints[-e] = l.numerator * (scale // l.denominator)
-    return ints, scale
+def _candidates_of(graph):
+    """The graph's candidate loops, as a tuple: built by ``candidates``
+    the first time a stretch needs them, then kept on the graph (and on
+    its ``with_lengths`` copies, which share the topology)."""
+    if graph.candidates is None:
+        graph.candidates = tuple(candidates(graph))
+    return graph.candidates
 
 
 def _candidate_lengths(G, Gp, cands):
     """The length of each candidate loop of G in G and in Gp, exactly.
 
     Returns (pairs, scale, scale_p): pairs[k] holds the two lengths of
-    cands[k] as integers over scale (G) and scale_p (Gp).  The image
-    loop of each oriented edge of G is built and checked once; a loop's
-    image is the concatenation of its edges' images, freely reduced on
-    one stack and trimmed cyclically.  The images are closed at Gp's
-    basepoint, so the concatenation is an edge path, and its cyclic
-    reduction is the immersed loop of the class.
+    cands[k] as integers over scale (G) and scale_p (Gp), read off each
+    graph's integer length table.  The image loop of each edge of G is
+    built and checked once, and the reverse edge's is its inverse; a
+    loop's image is the concatenation of its edges' images, freely
+    reduced on one stack and trimmed cyclically.  The images are closed
+    at Gp's basepoint, so the concatenation is an edge path, and its
+    cyclic reduction is the immersed loop of the class.
     """
     if G.group.rank != Gp.group.rank:
         raise ValueError("rank mismatch")
-    images = {}
-    for d in G.oriented_edges():
-        loop = Gp.based_loop_of(G.path_word((d,)))
+    loops = {}
+    for e in sorted(G.edge_ends):
+        loop = Gp.based_loop_of(G.path_word((e,)))
         Gp.check_path(loop)
         if loop and not (Gp.origin(loop[0]) == Gp.terminus(loop[-1])
                          == Gp.basepoint):
-            raise ValueError(f"image of edge {d} is not a loop at the "
+            raise ValueError(f"image of edge {e} is not a loop at the "
                              "basepoint")
-        images[d] = loop
-    source, scale = _scaled_lengths(G)
-    target, scale_p = _scaled_lengths(Gp)
+        loops[e] = loop
+    images = signed_table(loops)
+    source, target = G.int_lengths, Gp.int_lengths
     pairs = []
     for cand in cands:
         path = []
@@ -239,7 +241,7 @@ def _candidate_lengths(G, Gp, cands):
             j -= 1
         pairs.append((sum(map(source.__getitem__, cand.edges)),
                       sum(map(target.__getitem__, path[i:j + 1]))))
-    return pairs, scale, scale_p
+    return pairs, G.scale, Gp.scale
 
 
 def stretch_factor(G, Gp):
@@ -248,7 +250,7 @@ def stretch_factor(G, Gp):
     Ratios compare by cross-multiplying integer lengths, in candidate
     order with a strict >, so the witness is the first maximum.
     """
-    cands = candidates(G)
+    cands = _candidates_of(G)
     pairs, scale, scale_p = _candidate_lengths(G, Gp, cands)
     best = 0
     lg, lt = pairs[0]
@@ -585,7 +587,7 @@ def optimize_in_simplex(G, Gp):
     sum x = 1, x >= 0.  A zero coordinate in the optimum is reported as
     a boundary optimum (caller misuse or degenerate target).
     """
-    cands = candidates(G)
+    cands = _candidates_of(G)
     pairs, _, scale_p = _candidate_lengths(G, Gp, cands)
     target_lengths = [Fraction(lt, scale_p) for _, lt in pairs]
     edges = sorted(G.edge_ends)

@@ -22,6 +22,7 @@ word and a word's based loop are each one ``words.substitute``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .words import (FreeGroup, RankMismatchError, free_reduce, cyclic_reduce,
@@ -49,11 +50,18 @@ class MarkedMetricGraph:
         self.subdivided = subdivided
         # v -> oriented edges leaving v, in oriented_edges() order,
         # oriented edge -> (origin, terminus), signed letter -> marking
-        # loop and oriented edge -> label; no code changes vertices,
-        # edge_ends or either marking after construction
+        # loop, oriented edge -> label, and oriented edge -> length as an
+        # integer over scale, the lcm of the lengths' denominators; no
+        # code changes vertices, edge_ends, lengths or either marking
+        # after construction
         self._marking = signed_table(self.marking_in)
         self._labels = signed_table(self.marking_out)
         self._ends, self._leaving = _incidence(self.vertices, self.edge_ends)
+        self.int_lengths, self.scale = _scaled(self.lengths)
+        # the candidate loops of this graph's topology (a tuple), built
+        # by lipschitz the first time a stretch needs them and handed to
+        # every copy with_lengths makes
+        self.candidates = None
         # (graph, fold edge map) this graph was folded from, set by
         # folded_marked_graph until subgraph_factors takes the parent's
         # table; core subset -> handle, kept by subgraph_factors until a
@@ -91,7 +99,8 @@ class MarkedMetricGraph:
             raise ValueError("cyclic path does not close up")
 
     def volume(self):
-        return sum(self.lengths.values())
+        ints = self.int_lengths
+        return Fraction(sum(ints[e] for e in self.edge_ends), self.scale)
 
     def rank(self):
         return len(self.edge_ends) - len(self.vertices) + 1
@@ -108,7 +117,8 @@ class MarkedMetricGraph:
         return substitute(letters, self._marking)
 
     def path_length(self, edges):
-        return sum(self.lengths[abs(e)] for e in edges)
+        return Fraction(sum(map(self.int_lengths.__getitem__, edges)),
+                        self.scale)
 
     def loop_representative(self, cw):
         """The immersed cyclic edge path of a CyclicWord: its based loop,
@@ -128,9 +138,13 @@ class MarkedMetricGraph:
     # -- normalization ---------------------------------------------------
 
     def with_lengths(self, lengths):
-        return MarkedMetricGraph(self.group, self.vertices, self.edge_ends,
-                                 lengths, self.marking_in, self.marking_out,
-                                 self.basepoint, self.subdivided)
+        """This marked graph with other lengths; it keeps the candidate
+        loops, which depend on the topology alone."""
+        graph = MarkedMetricGraph(self.group, self.vertices, self.edge_ends,
+                                  lengths, self.marking_in, self.marking_out,
+                                  self.basepoint, self.subdivided)
+        graph.candidates = self.candidates
+        return graph
 
     def normalize(self):
         vol = self.volume()
@@ -327,8 +341,10 @@ class MarkedMetricGraph:
         an old subset S into the factor of S' = {|x| : x in f(e), e in S},
         a connected subgraph.  A free factor inside a free factor of equal
         rank is all of it, so S' carries S's class when |S'| - |V(S')| + 1
-        equals S's rank.  (S' may still fail to be a core subset; then
-        ``subgraph_factors`` never asks for it.)
+        equals S's rank.  Then S' is trimmed to its core: removing a
+        hanging tree keeps the fundamental group, so the trimmed S' is a
+        connected core subset with S's class, one that
+        ``subgraph_factors`` meets.
         """
         link, self.folded_from = self.folded_from, None
         if link is None:
@@ -341,9 +357,12 @@ class MarkedMetricGraph:
         carried = {}
         for subset, h in table.items():
             image = {abs(x) for e in subset for x in edge_map[e]}
-            if len(image) - len({v for x in image for v in ends[x]}) + 1 \
-                    == h.rank:
-                carried[tuple(sorted(image))] = h
+            deg = {}
+            for x in image:
+                for v in ends[x]:
+                    deg[v] = deg.get(v, 0) + 1
+            if len(image) - len(deg) + 1 == h.rank:
+                carried[_core_of(image, deg, ends)] = h
         return carried
 
     def subgroup_core_in_graph(self, H):
@@ -357,7 +376,9 @@ class MarkedMetricGraph:
             raise ValueError("trivial subgroup")
         core = stallings.folded_core(
             [(o, t, self.marking_in[lab]) for (o, t, lab) in sorted(H.edges)])
-        vol = sum(self.lengths[lab] for (_, _, lab) in core.edges)
+        ints = self.int_lengths
+        vol = Fraction(sum(ints[lab] for (_, _, lab) in core.edges),
+                       self.scale)
         return core, vol
 
     # -- serialization ------------------------------------------------------
@@ -410,6 +431,35 @@ def rose(group, lengths=None):
         lengths = [Fraction(1, n)] * n
     return standard_marking(group, {0}, {i: (0, 0) for i in range(1, n + 1)},
                             dict(zip(range(1, n + 1), lengths)), 0)
+
+
+def _scaled(lengths):
+    """(ints, scale): scale is the lcm of the lengths' denominators, and
+    ints maps each oriented edge to its length times scale."""
+    scale = math.lcm(*(l.denominator for l in lengths.values()))
+    ints = {}
+    for e, l in lengths.items():
+        ints[e] = ints[-e] = l.numerator * (scale // l.denominator)
+    return ints, scale
+
+
+def _core_of(subset, deg, edge_ends):
+    """The edges of a connected subgraph of rank at least 1 that are left
+    once its valence-1 vertices are removed, one after another, as a
+    sorted tuple; deg (vertex -> valence in the subgraph) is used up."""
+    stack = [v for v, d in deg.items() if d == 1]
+    if not stack:
+        return tuple(sorted(subset))
+    left = set(subset)
+    while stack:
+        v = stack.pop()
+        e = next(e for e in left if v in edge_ends[e])
+        left.remove(e)
+        for w in edge_ends[e]:
+            deg[w] -= 1
+            if deg[w] == 1:
+                stack.append(w)
+    return tuple(sorted(left))
 
 
 def _incidence(vertices, edge_ends):

@@ -54,6 +54,8 @@ edges and a BFS over a few vertices from each of a few starts.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .words import (free_reduce, inverse, least_rotation, letter_key,
                     letter_str, FreeGroup)
 
@@ -63,15 +65,19 @@ class SubgroupCoreGraph:
 
     rows: dict vertex -> {signed label: far end}, trusted, with edge
     v -a-> w as rows[v][a] == w and rows[w][-a] == v; vertices: set of
-    ints; edges: set of (origin, target, label>0), derived from rows.
+    ints; edges: set of (origin, target, label>0), read off the rows on
+    first use.
     """
 
     def __init__(self, rows, basepoint=None):
         self.rows = rows
         self.vertices = set(rows)
-        self.edges = {(v, w, a) for v, row in rows.items()
-                      for a, w in row.items() if a > 0}
         self.basepoint = basepoint
+
+    @cached_property
+    def edges(self):
+        return {(v, w, a) for v, row in self.rows.items()
+                for a, w in row.items() if a > 0}
 
     @classmethod
     def from_edges(cls, vertices, edges, basepoint=None):
@@ -96,7 +102,7 @@ class SubgroupCoreGraph:
         return {v: len(row) for v, row in self.rows.items()}
 
     def rank(self):
-        return len(self.edges) - len(self.vertices) + 1
+        return sum(map(len, self.rows.values())) // 2 - len(self.rows) + 1
 
     def trace(self, letters):
         """Follow a letter sequence from the basepoint; None if it leaves."""
@@ -582,13 +588,13 @@ class FactorHandle:
     __slots__ = ("core", "code", "rank", "_walked")
 
     def __init__(self, core, n):
-        if core.rank() < 1:
+        self.rank = core.rank()
+        if self.rank < 1:
             raise ValueError("factor must have rank >= 1")
-        if core.rank() >= n:
+        if self.rank >= n:
             raise ValueError("factor must be proper")
         self.code, rows = _canonical(core)
         self.core = SubgroupCoreGraph(rows)
-        self.rank = core.rank()
         self._walked = None
 
     @classmethod

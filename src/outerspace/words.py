@@ -222,13 +222,42 @@ def least_rotation(seq, keys=None):
     keys = seq if keys is None else tuple(keys)
     if not seq:
         return seq
-    # a least rotation starts at a least key, so only those starts compete
+    # a least rotation starts at a least key: when only one key is
+    # least, that is the start
     first = min(keys)
     r = keys.index(first)
     if keys.count(first) > 1:
-        r = min((r for r, k in enumerate(keys) if k == first),
-                key=lambda r: keys[r:] + keys[:r])
+        r = _least_start(keys)
     return seq[r:] + seq[:r]
+
+
+def _least_start(keys):
+    """The first start of a least rotation of keys, in linear time.
+
+    Two candidate starts i < j compare their rotations key by key.  At
+    the first difference, after k equal keys, the start whose rotation
+    is greater and the k starts after it are each strictly beaten by the
+    start as far after the other candidate, so all k + 1 are dropped.
+    Every start below j is then i or beaten, so when the two rotations
+    agree all the way round (or j runs out), i is the first least start.
+    """
+    n = len(keys)
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = keys[(i + k) % n], keys[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return i
 
 
 class CyclicWord:

@@ -697,3 +697,45 @@ def test_each_snapshot_folds_its_fold_map_letters(case, monkeypatch):
     assert folded == expected
     if case != "seeded":
         assert (len(events) - 1, sum(folded)) == (55, 278)
+
+
+def _fraction_long_legal_segment(G, tt, core):
+    """The Fraction reference for ``_long_legal_segment_in_core``: each
+    arc's legal runs summed in lengths normalized by the volume."""
+    rows = core.rows
+    branch = ({v for v, row in rows.items() if len(row) != 2}
+              or {min(core.edges)[0]})
+    vol = sum(G.lengths.values())
+    for chain, _ in _arcs(rows, branch).values():
+        run = best = Fr(0)
+        for k, lab in enumerate(chain):
+            run += G.lengths[abs(lab)] / vol
+            best = max(best, run)
+            if k + 1 < len(chain) and tt.is_illegal_turn(-lab, chain[k + 1]):
+                run = Fr(0)
+        if best > 2:
+            return True
+    return False
+
+
+def test_long_legal_segment_flags_match_fraction_reference():
+    flags = []
+    for k in range(30):
+        rng = random.Random(860 + k)
+        F = FreeGroup(3 + k % 2)
+        path = standard_geodesic(random_marked_graph(rng, F, 3),
+                                 random_marked_graph(rng, F, 3)).path
+        probes = [core_graph([random_word(rng, F, rng.randint(3, 9))
+                              for _ in range(rng.randint(1, 2))])
+                  for _ in range(3)]
+        for ev in path.events:
+            for H in probes:
+                if H.rank() < 1:
+                    continue
+                core, _ = ev.graph.subgroup_core_in_graph(H)
+                flag = folding._long_legal_segment_in_core(ev.graph,
+                                                           ev.gates, core)
+                assert flag == _fraction_long_legal_segment(ev.graph,
+                                                            ev.gates, core)
+                flags.append(flag)
+    assert len(flags) > 800 and 100 < sum(flags) < len(flags) - 100

@@ -570,3 +570,41 @@ def test_optimal_maps_equal_unfiltered_cell_lps(monkeypatch):
         ref = optimal_map(G, Gp)
         assert f.vertex_images == ref.vertex_images
         assert f.edge_images == ref.edge_images
+
+
+def test_stretch_builds_candidates_once_per_topology(monkeypatch):
+    built = []
+    real = lipschitz.candidates
+
+    def counted(graph):
+        built.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(lipschitz, "candidates", counted)
+    rng = random.Random(850)
+    G, X, Y = (random_marked_graph(rng, F3, 3) for _ in range(3))
+    lam, wit = stretch_factor(G, X)
+    N = G.normalize()
+    assert N.candidates is G.candidates
+    assert stretch_factor(N, Y) == stretch_factor(G, Y)
+    assert optimize_in_simplex(G, X)[1] <= lam
+    assert built == [G]
+    assert lam == brute_stretch(G, X)[0]
+    assert list(G.candidates) == real(G)
+
+
+def test_optimize_in_simplex_values():
+    # the lengths and lambda* of the seeded cases above, exact
+    rng = random.Random(36)
+    cases = [(R_skew(), ({1: Fr(1, 2), 2: Fr(1, 4), 3: Fr(1, 4)}, Fr(1))),
+             (theta4(), ({1: Fr(1, 3), 2: Fr(1, 3), 3: Fr(1, 3)}, Fr(3, 2)))]
+    for got in [((6, 19), (9, 19), (4, 19), (19, 11)),
+                ((3, 17), (9, 34), (19, 34), (17, 5)),
+                ((7, 15), (4, 15), (4, 15), (15, 11)),
+                ((2, 19), (23, 38), (11, 38), (38, 15)),
+                ((3, 10), (11, 20), (3, 20), (20, 9))]:
+        *xs, lam = (Fr(*q) for q in got)
+        cases.append((random_marked_graph(rng, F3, 3),
+                      (dict(zip((1, 2, 3), xs)), lam)))
+    for Gp, want in cases:
+        assert optimize_in_simplex(R_unit(), Gp) == want

@@ -218,3 +218,31 @@ def test_values_survive_pickling():
         back = pickle.loads(pickle.dumps(value))
         assert type(back) is type(value) and back == value
     assert pickle.loads(pickle.dumps(phi)).inverse() == phi.inverse()
+
+
+def _slice_min_rotation(seq, keys):
+    r = min(range(len(seq)), key=lambda r: keys[r:] + keys[:r], default=0)
+    return seq[r:] + seq[:r]
+
+
+def test_least_rotation_on_ties_matches_slice_min():
+    from outerspace.words import least_rotation
+    rng = random.Random(870)
+    letters = (1, -1, 2, -2, 3)
+    for _ in range(2000):
+        period = tuple(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+        seq = period * rng.randint(1, 8)
+        if rng.random() < 0.3:
+            seq += tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+        for keys in (seq, tuple(abs(x) for x in seq), tuple(x % 2 for x in seq)):
+            assert least_rotation(seq, keys) == _slice_min_rotation(seq, keys)
+
+
+def test_least_rotation_of_a_periodic_word_is_linear():
+    import time
+    from outerspace.words import least_rotation
+    word = (1, 2) * 5000
+    t0 = time.perf_counter()
+    assert least_rotation(word) == word
+    assert least_rotation(word[1:] + word[:1]) == word
+    assert time.perf_counter() - t0 < 0.1
