@@ -378,13 +378,12 @@ def _tighten_plain(f):
             if len(germs) != 1:
                 continue
             e_g, a_g = germs.pop()
-            delta = min(seg[2] - seg[1] for seg in
+            delta = min(abs(seg[2] - seg[1]) for seg in
                         (f.image_of_direction(d).segs[0] for d in live))
-            # every member moves delta into the germ, in +|e_g| offsets;
-            # all live directions shrink
-            x0 = a_g if e_g > 0 else f.target.lengths[-e_g] - a_g
-            x1 = x0 + delta if e_g > 0 else x0 - delta
-            _transport(f, {v: (abs(e_g), x0) for v in members},
+            # every member moves delta into the germ; all live
+            # directions shrink
+            x1 = a_g + delta if e_g > 0 else a_g - delta
+            _transport(f, {v: (abs(e_g), a_g) for v in members},
                        dict.fromkeys(members, x1))
             break
         else:

@@ -34,8 +34,7 @@ import itertools
 from fractions import Fraction
 
 from .words import CyclicWord, inverse, least_rotation, signed_table
-from .paths import (TargetPath, vertex_point, edge_point, seg_start,
-                    seg_reverse, direction_germ)
+from .paths import TargetPath, vertex_point, edge_point, direction_germ
 from .traintrack import TrainTrackStructure
 from . import simplex_lp
 
@@ -560,17 +559,15 @@ def _transport(f, combo, x_new):
     conn = {}
     for v, (e, x0) in combo.items():
         x1 = x_new[v]
-        if x1 > x0:
+        if x1 != x0:
             conn[v] = (e, x0, x1)
-        elif x1 < x0:
-            conn[v] = seg_reverse(Gp, (e, x1, x0))
         f.vertex_images[v] = edge_point(Gp, e, x1)
     for eid in sorted(G.edge_ends):
         o, t = G.edge_ends[eid]
         path = f.edge_images[eid]
         if o in conn:
-            back = seg_reverse(Gp, conn[o])
-            path = TargetPath(Gp, seg_start(Gp, back), [back]).concat(path)
+            e, x0, x1 = conn[o]
+            path = TargetPath(Gp, f.vertex_images[o], [(e, x1, x0)]).concat(path)
         if t in conn:
             path = path.concat(TargetPath(Gp, path.end(), [conn[t]]))
         f.edge_images[eid] = path

@@ -341,10 +341,11 @@ class MarkedMetricGraph:
         an old subset S into the factor of S' = {|x| : x in f(e), e in S},
         a connected subgraph.  A free factor inside a free factor of equal
         rank is all of it, so S' carries S's class when |S'| - |V(S')| + 1
-        equals S's rank.  Then S' is trimmed to its core: removing a
-        hanging tree keeps the fundamental group, so the trimmed S' is a
-        connected core subset with S's class, one that
-        ``subgraph_factors`` meets.
+        equals S's rank.  Then S' is trimmed to its core by the fold's
+        trim, ``stallings._pruned`` on the rows of S', which keeps an edge
+        when both of its ends survive: removing a hanging tree keeps the
+        fundamental group, so the trimmed S' is a connected core subset
+        with S's class, one that ``subgraph_factors`` meets.
         """
         link, self.folded_from = self.folded_from, None
         if link is None:
@@ -357,12 +358,15 @@ class MarkedMetricGraph:
         carried = {}
         for subset, h in table.items():
             image = {abs(x) for e in subset for x in edge_map[e]}
-            deg = {}
+            rows = {}
             for x in image:
-                for v in ends[x]:
-                    deg[v] = deg.get(v, 0) + 1
-            if len(image) - len(deg) + 1 == h.rank:
-                carried[_core_of(image, deg, ends)] = h
+                o, t = ends[x]
+                rows.setdefault(o, {})[x] = t
+                rows.setdefault(t, {})[-x] = o
+            if len(image) - len(rows) + 1 == h.rank:
+                gone = stallings._pruned(rows, None)
+                carried[tuple(sorted(
+                    x for x in image if gone.isdisjoint(ends[x])))] = h
         return carried
 
     def subgroup_core_in_graph(self, H):
@@ -441,25 +445,6 @@ def _scaled(lengths):
     for e, l in lengths.items():
         ints[e] = ints[-e] = l.numerator * (scale // l.denominator)
     return ints, scale
-
-
-def _core_of(subset, deg, edge_ends):
-    """The edges of a connected subgraph of rank at least 1 that are left
-    once its valence-1 vertices are removed, one after another, as a
-    sorted tuple; deg (vertex -> valence in the subgraph) is used up."""
-    stack = [v for v, d in deg.items() if d == 1]
-    if not stack:
-        return tuple(sorted(subset))
-    left = set(subset)
-    while stack:
-        v = stack.pop()
-        e = next(e for e in left if v in edge_ends[e])
-        left.remove(e)
-        for w in edge_ends[e]:
-            deg[w] -= 1
-            if deg[w] == 1:
-                stack.append(w)
-    return tuple(sorted(left))
 
 
 def _incidence(vertices, edge_ends):

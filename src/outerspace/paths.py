@@ -1,10 +1,12 @@
 """Points and piecewise-linear paths in a metric graph.
 
 A Point is a vertex or an interior position on an edge; a TargetPath is
-a tight PL path given by segments ``(signed edge, a, b)`` traversing the
-oriented edge from parameter ``a`` to ``b`` (0 <= a < b <= length), the
-parameter measured along the segment's own orientation.  All arithmetic
-is exact rational.
+a tight PL path given by segments ``(e, a, b)``.  One edge coordinate
+serves points, segments and germs alike: e > 0 is an edge id, and a
+and b are offsets from the origin of e (0 <= a, b <= length, a != b).
+A segment runs up its edge when b > a and down it when b < a, so its
+reverse is ``(e, b, a)``.  A germ is (signed direction of travel, start
+offset).  All arithmetic is exact rational.
 
 These paths are the images of graph maps: vertex images are Points and
 edge images TargetPaths.  Tightening, cutting, common-prefix length and
@@ -29,10 +31,8 @@ def vertex_point(v):
 
 
 def edge_point(graph, e, offset):
-    """Canonical point at `offset` from the origin of oriented edge e."""
-    L = graph.lengths[abs(e)]
-    if e < 0:
-        e, offset = -e, L - offset
+    """Canonical point at `offset` from the origin of edge e > 0."""
+    L = graph.lengths[e]
     if offset == 0:
         return ("v", graph.origin(e))
     if offset == L:
@@ -52,21 +52,17 @@ def seg_end(graph, seg):
     return edge_point(graph, e, b)
 
 
-def seg_reverse(graph, seg):
-    e, a, b = seg
-    L = graph.lengths[abs(e)]
-    return (-e, L - b, L - a)
-
-
 def direction_germ(image, d):
-    """The first germ (signed edge, start parameter) of the image of
-    oriented edge d, given the image of the edge |d|; None for a point.
-    Read off the edge image without reversing it."""
+    """The first germ (signed direction of travel, start offset) of the
+    image of oriented edge d, given the image of the edge |d|; None for
+    a point.  Read off the edge image without reversing it."""
     if not image.segs:
         return None
-    e, a, _ = (image.segs[0] if d > 0
-               else seg_reverse(image.graph, image.segs[-1]))
-    return (e, a)
+    if d > 0:
+        e, a, b = image.segs[0]
+    else:
+        e, b, a = image.segs[-1]
+    return (e if b > a else -e, a)
 
 
 class TargetPath:
@@ -84,50 +80,32 @@ class TargetPath:
         self.segs = tuple(self.segs)
 
     def _push(self, seg):
-        """Append a segment, cancelling backtracks against the tail.
+        """Append a segment, cancelling a backtrack against the tail.
         Returns the arclength cancelled from the tail, which is also the
-        arclength cancelled from seg."""
+        arclength cancelled from seg.
+
+        A segment that goes on along the last one's edge from the
+        offset where it stopped joins it: the two become one segment
+        from the last one's start to seg's end, dropped if it is empty.
+        Nothing further back can cancel: in a tight path only the first
+        segment starts inside an edge, and a backtrack cannot run past
+        the vertex where any other segment starts.
+        """
         e, a, b = seg
         if a == b:
             return 0
-        if a > b:
-            raise ValueError("segment must move forward")
         segs = self.segs
-        cancelled = 0
-        while True:
-            if not segs:
-                if seg_start(self.graph, seg) != self.start:
-                    raise ValueError("segment does not start at path start")
-                segs.append(seg)
-                return cancelled
-            last = segs[-1]
-            if seg_end(self.graph, last) != seg_start(self.graph, seg):
-                raise ValueError("segments not contiguous")
-            le, la, lb = last
-            e, a, b = seg
-            if e == le and a == lb:           # same direction, contiguous
-                segs[-1] = (e, la, b)
-                return cancelled
-            if e == -le:                      # potential backtrack
-                L = self.graph.lengths[abs(e)]
-                # seg runs over the same edge in reverse; overlap length
-                delta = min(lb - la, b - a)
-                if delta > 0 and a == L - lb:
-                    cancelled += delta
-                    new_last = (le, la, lb - delta)
-                    new_seg = (e, a + delta, b)
-                    segs.pop()
-                    if new_last[1] != new_last[2]:
-                        segs.append(new_last)
-                        if new_seg[1] != new_seg[2]:
-                            segs.append(new_seg)
-                        return cancelled
-                    if new_seg[1] == new_seg[2]:
-                        return cancelled
-                    seg = new_seg
-                    continue
-            segs.append(seg)
-            return cancelled
+        if segs:
+            le, la, lb = segs[-1]
+            if le == e and lb == a:
+                segs.pop()
+                if la != b:
+                    segs.append((e, la, b))
+                return (abs(lb - la) + abs(b - a) - abs(b - la)) / 2
+        if seg_start(self.graph, seg) != self.end():
+            raise ValueError("segment does not start where the path ends")
+        segs.append(seg)
+        return 0
 
     # -- construction -----------------------------------------------------
 
@@ -138,14 +116,15 @@ class TargetPath:
         segs = []
         for e in edges:
             L = graph.lengths[abs(e)]
-            segs.append((e, Fraction(0), L))
+            segs.append((e, Fraction(0), L) if e > 0
+                        else (-e, L, Fraction(0)))
         return cls(graph, start, segs)
 
     # -- geometry ---------------------------------------------------------
 
     def length(self):
         if self._length is None:
-            self._length = sum(b - a for (_, a, b) in self.segs)
+            self._length = sum(abs(b - a) for (_, a, b) in self.segs)
         return self._length
 
     def end(self):
@@ -157,11 +136,12 @@ class TargetPath:
         return not self.segs
 
     def reverse(self):
-        """The path run backwards.  Its segments are built directly: the
-        reverse of a tight, contiguous path is tight and contiguous,
-        since ``_push`` merges and cancels pairs by symmetric rules."""
+        """The path run backwards: each segment ``(e, a, b)`` becomes
+        ``(e, b, a)``, in reverse order.  The reverse of a tight,
+        contiguous path is tight and contiguous, since ``_push`` joins
+        pairs by a rule that reversal keeps."""
         out = TargetPath(self.graph, self.end())
-        out.segs = tuple(seg_reverse(self.graph, s) for s in reversed(self.segs))
+        out.segs = tuple((e, b, a) for e, a, b in reversed(self.segs))
         out._length = self._length
         return out
 
@@ -204,14 +184,15 @@ class TargetPath:
                     if rest is None:
                         raise ValueError("pieces overshoot the path")
                 e, a, b = rest
-                span = b - a
+                span = abs(b - a)
                 if span <= remaining:
                     head.append(rest)
                     remaining -= span
                     rest = None
                 else:
-                    head.append((e, a, a + remaining))
-                    rest = (e, a + remaining, b)
+                    mid = a + remaining if b > a else a - remaining
+                    head.append((e, a, mid))
+                    rest = (e, mid, b)
                     remaining = 0
             piece = TargetPath(self.graph, start, head)
             piece._length = want
@@ -231,14 +212,14 @@ class TargetPath:
         while i < len(sa) and j < len(sb):
             e1, a1, b1 = sa[i]
             e2, a2, b2 = sb[j]
-            if e1 != e2 or a1 != a2:
+            if e1 != e2 or a1 != a2 or (b1 > a1) != (b2 > a2):
                 break
-            step = min(b1, b2) - a1
-            total += step
-            if b1 == b2:
+            s1, s2 = abs(b1 - a1), abs(b2 - a2)
+            total += min(s1, s2)
+            if s1 == s2:
                 i += 1
                 j += 1
-            elif b1 < b2:
+            elif s1 < s2:
                 sb[j] = (e2, b1, b2)
                 i += 1
             else:
@@ -262,7 +243,7 @@ class TargetPath:
             stub = TargetPath(self.graph, vertex_point(self.graph.origin(e)),
                               [(e, Fraction(0), x)])
             path = stub.concat(self).concat(stub.reverse())
-        core, _ = cyclic_reduce([e for e, _, _ in path.segs])
+        core, _ = cyclic_reduce([e if b > a else -e for e, a, b in path.segs])
         return tuple(core)
 
     def __eq__(self, other):

@@ -14,7 +14,8 @@ from outerspace.folding import (standard_geodesic, folding_path, fold_step,
 from outerspace.randomgen import (random_marked_graph, random_cyclic_word,
                                   random_word)
 from outerspace.stallings import SubgroupCoreGraph, _arcs, core_graph
-from outerspace.paths import TargetPath, edge_point, seg_reverse
+from outerspace.paths import TargetPath, seg_end
+from test_paths import other_form
 
 
 F3 = FreeGroup(3)
@@ -432,21 +433,25 @@ def test_core_chains_match_keyed_walk_on_probe_cores(monkeypatch):
 
 def _pushed_reverse(p):
     """The reverse of a path with every reversed segment pushed through
-    ``TargetPath._push``, as the path constructor builds it."""
-    return TargetPath(p.graph, p.end(),
-                      [seg_reverse(p.graph, s) for s in reversed(p.segs)])
+    ``TargetPath._push``, as the path constructor builds it; each
+    segment is reversed in the signed form, (-e, L - b, L - a)."""
+    g = p.graph
+    return TargetPath(g, p.end(), [
+        other_form(g, (-e, g.lengths[abs(e)] - b, g.lengths[abs(e)] - a))
+        for e, a, b in (other_form(g, s) for s in reversed(p.segs))])
 
 
 def _first_germ(p):
-    """Direction of departure of a path: (signed edge, start parameter),
-    or None for a point."""
+    """Direction of departure of a path: (signed edge of travel, start
+    offset from the origin of its edge), or None for a point."""
     if not p.segs:
         return None
-    e, a, _ = p.segs[0]
-    return (e, a)
+    e, a, _ = other_form(p.graph, p.segs[0])
+    return (e, a if e > 0 else p.graph.lengths[-e] - a)
 
 
-def test_germs_and_reverses_of_optimal_maps_and_residuals():
+def _maps_of_ranks_three_to_five():
+    """Optimal maps at ranks 3-5 and the residuals of their folds."""
     rng = random.Random(1203)
     maps = []
     for rank in (3, 4, 5):
@@ -455,6 +460,11 @@ def test_germs_and_reverses_of_optimal_maps_and_residuals():
             G, Gp = (random_marked_graph(rng, group, 3) for _ in range(2))
             maps.append(optimal_map(G, Gp))
             maps += [ev.residual for ev in standard_geodesic(G, Gp).path.events]
+    return maps
+
+
+def test_germs_and_reverses_of_optimal_maps_and_residuals():
+    maps = _maps_of_ranks_three_to_five()
     points = 0
     for f in maps:
         for e, p in f.edge_images.items():
@@ -468,6 +478,24 @@ def test_germs_and_reverses_of_optimal_maps_and_residuals():
             assert f.germ(-e) == _first_germ(f.image_of_direction(-e))
     # collapsed edges: point images, whose germ is None
     assert points > 0
+
+
+def test_segments_are_in_one_edge_coordinate():
+    # every segment is (e, a, b): e > 0, a and b offsets from the origin
+    # of e, a != b; a path rebuilds from its segments, and its reverse
+    # swaps each segment's ends
+    downs = 0
+    for f in _maps_of_ranks_three_to_five():
+        g = f.target
+        for p in f.edge_images.values():
+            for e, a, b in p.segs:
+                assert e > 0 and a != b
+                assert 0 <= a <= g.lengths[e] and 0 <= b <= g.lengths[e]
+                downs += b < a
+            assert TargetPath(g, p.start, p.segs) == p
+            assert p.reverse().segs == tuple(
+                (e, b, a) for e, a, b in reversed(p.segs))
+    assert downs > 0
 
 
 # sha256 of the (time, graph JSON) list of the events of the seed-8 path
@@ -532,9 +560,11 @@ def _split_at_slide(f):
             germs = {f.germ(d) for _, d in live}
             if len(germs) != 1:
                 continue
-            e_g, a_g = germs.pop()
-            delta = min(s[2] - s[1] for s in
-                        (f.image_of_direction(d).segs[0] for _, d in live))
+            # the shared germ and each first segment in the signed form
+            firsts = [other_form(f.target, f.image_of_direction(d).segs[0])
+                      for _, d in live]
+            e_g, a_g, _ = firsts[0]
+            delta = min(s[2] - s[1] for s in firsts)
             for e in sorted(G.edge_ends):
                 o, t = G.edge_ends[e]
                 path = f.edge_images[e]
@@ -543,8 +573,10 @@ def _split_at_slide(f):
                 if vmap[t] == root and not path.is_point():
                     path = path.cut((path.length() - delta, delta))[0]
                 f.edge_images[e] = path
+            moved = seg_end(f.target, other_form(
+                f.target, (e_g, a_g, a_g + delta)))
             for v in members:
-                f.vertex_images[v] = edge_point(f.target, e_g, a_g + delta)
+                f.vertex_images[v] = moved
             slides += 1
             break
         else:

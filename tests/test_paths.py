@@ -1,5 +1,10 @@
 """The path layer: cutting, cached lengths, and closed_class_edges, one
-tightening through TargetPath._push."""
+tightening through TargetPath._push.
+
+Several references here were written for the signed segment form the
+paths once stored, (signed edge of travel, a, b) with a < b measured
+along that edge; ``other_form`` maps each segment between that form and
+today's, so the references run as they were written."""
 
 import random
 from fractions import Fraction as Fr
@@ -8,9 +13,22 @@ import pytest
 
 from outerspace.folding import standard_geodesic
 from outerspace.lipschitz import candidates, optimal_map
-from outerspace.paths import TargetPath, seg_end
+from outerspace.paths import TargetPath, seg_end, seg_start
 from outerspace.randomgen import random_marked_graph
 from outerspace.words import FreeGroup, cyclic_reduce, free_reduce, least_rotation
+
+
+def other_form(graph, seg):
+    """The segment in the other of its two forms.  Paths store (e, a, b)
+    with e > 0 and a, b offsets from the origin of e; the signed form is
+    (signed edge of travel, a, b) with a < b measured along that edge.
+    A segment that runs up its edge reads the same in both, and one
+    that runs down maps by (e, a, b) <-> (-e, L - a, L - b) either way."""
+    e, a, b = seg
+    if e > 0 and a < b:
+        return seg
+    L = graph.lengths[abs(e)]
+    return (-e, L - a, L - b)
 
 
 def _old_closed_class_edges(path):
@@ -21,7 +39,7 @@ def _old_closed_class_edges(path):
         raise ValueError("path is not closed")
     if not path.segs:
         return ()
-    segs = list(path.segs)
+    segs = [other_form(path.graph, s) for s in path.segs]
     while len(segs) > 1:
         s1, s2 = segs[-1], segs[0]
         if s1[0] == s2[0] and s1[2] == s2[1]:
@@ -50,7 +68,8 @@ def _old_closed_class_edges(path):
         return (e,) if a == 0 and b == L else ()
     n = len(segs)
     rot = next((k for k in range(n)
-                if seg_end(path.graph, segs[(k - 1) % n])[0] == "v"), None)
+                if seg_end(path.graph, other_form(
+                    path.graph, segs[(k - 1) % n]))[0] == "v"), None)
     if rot is None:
         return ()
     segs = segs[rot:] + segs[:rot]
@@ -109,7 +128,7 @@ def test_closed_class_edges_of_short_paths():
     mid = TargetPath(G, ("e", e, L / 2))
     assert mid.closed_class_edges() == ()
     there_and_back = TargetPath(G, ("e", e, L / 2), [(e, L / 2, L),
-                                                      (-e, 0, L / 2)])
+                                                      (e, L, L / 2)])
     assert there_and_back.closed_class_edges() == ()
     with pytest.raises(ValueError):
         TargetPath(G, ("e", e, L / 2), [(e, L / 2, L)]).closed_class_edges()
@@ -148,7 +167,7 @@ def _split_segments(path, dist):
     """(head, tail) of path at arclength dist, walked segment by segment
     apart from ``cut``: the segment that holds dist is cut in two."""
     head, tail, left = [], [], dist
-    for e, a, b in path.segs:
+    for e, a, b in (other_form(path.graph, s) for s in path.segs):
         if left >= b - a:
             head.append((e, a, b))
             left -= b - a
@@ -158,8 +177,9 @@ def _split_segments(path, dist):
             left = 0
         else:
             tail.append((e, a, b))
-    first = TargetPath(path.graph, path.start, head)
-    return first, TargetPath(path.graph, first.end(), tail)
+    g = path.graph
+    first = TargetPath(g, path.start, [other_form(g, s) for s in head])
+    return first, TargetPath(g, first.end(), [other_form(g, s) for s in tail])
 
 
 def _by_split_at(path, lengths):
@@ -237,4 +257,117 @@ def test_cached_length_is_the_segment_sum():
         assert made[2].is_point() and made[3].is_point()
         for p in [path] + made:
             assert isinstance(p.segs, tuple)
-            assert p.length() == sum(b - a for _, a, b in p.segs)
+            assert p.length() == sum(
+                b - a for _, a, b in (other_form(p.graph, s) for s in p.segs))
+
+
+def _old_push(graph, start, segs, seg):
+    """``TargetPath._push`` as it was when paths stored the signed form,
+    loop and all: push the signed-form seg onto the signed-form list
+    segs of a path from start, and return the arclength cancelled."""
+    def first(s):
+        return seg_start(graph, other_form(graph, s))
+
+    def last(s):
+        return seg_end(graph, other_form(graph, s))
+
+    e, a, b = seg
+    if a == b:
+        return 0
+    if a > b:
+        raise ValueError("segment must move forward")
+    cancelled = 0
+    while True:
+        if not segs:
+            if first(seg) != start:
+                raise ValueError("segment does not start at path start")
+            segs.append(seg)
+            return cancelled
+        if last(segs[-1]) != first(seg):
+            raise ValueError("segments not contiguous")
+        le, la, lb = segs[-1]
+        e, a, b = seg
+        if e == le and a == lb:           # same direction, contiguous
+            segs[-1] = (e, la, b)
+            return cancelled
+        if e == -le:                      # potential backtrack
+            L = graph.lengths[abs(e)]
+            # seg runs over the same edge in reverse; overlap length
+            delta = min(lb - la, b - a)
+            if delta > 0 and a == L - lb:
+                cancelled += delta
+                new_last = (le, la, lb - delta)
+                new_seg = (e, a + delta, b)
+                segs.pop()
+                if new_last[1] != new_last[2]:
+                    segs.append(new_last)
+                    if new_seg[1] != new_seg[2]:
+                        segs.append(new_seg)
+                    return cancelled
+                if new_seg[1] == new_seg[2]:
+                    return cancelled
+                seg = new_seg
+                continue
+        segs.append(seg)
+        return cancelled
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_push_joins_as_the_old_loop_cancelled(seed):
+    # every push of a construction or a concatenation, on tight paths,
+    # random cuts of them and their reverses, gives the old loop's
+    # segments (converted) and cancels the same arclength
+    rng, paths = _tight_paths(seed)
+    g = paths[0].graph
+    pieces = [q for p in paths
+              for q in p.cut(_random_lengths(rng, p.length(), 3))]
+    paths += pieces + [p.reverse() for p in pieces]
+    from_start = {}
+    for p in paths:
+        from_start.setdefault(p.start, []).append(p)
+    pushes = through = 0
+    for p in paths:
+        nexts = from_start[p.end()]
+        for q in [p.reverse()] + rng.sample(nexts, min(2, len(nexts))):
+            for head in ((), p.segs):       # built from scratch; concat
+                new = TargetPath(g, p.start)
+                new.segs = list(head)
+                old = [other_form(g, s) for s in head]
+                for s in (p.segs if not head else ()) + q.segs:
+                    tail = new.segs[-1] if new.segs else None
+                    cancelled = new._push(s)
+                    assert cancelled == _old_push(g, p.start, old,
+                                                  other_form(g, s))
+                    assert [other_form(g, t) for t in new.segs] == old
+                    pushes += 1
+                    # the old loop ran on: the tail cancelled whole and
+                    # seg went on past its start
+                    through += (tail is not None and cancelled > 0
+                                and cancelled == abs(tail[2] - tail[1])
+                                < abs(s[2] - s[1]))
+    assert pushes > 1000 and through > 0
+
+
+@pytest.mark.parametrize("seed", [10, 11])
+def test_common_prefix_is_what_backtracking_cancels(seed):
+    # p run backwards and then q cancels exactly their common prefix;
+    # pieces starting inside an edge meet others that leave the same
+    # offset the other way
+    rng, paths = _tight_paths(seed)
+    pieces = [q for p in paths
+              for q in p.cut(_random_lengths(rng, p.length(), 3))]
+    paths += pieces + [p.reverse() for p in pieces]
+    from_start = {}
+    for p in paths:
+        from_start.setdefault(p.start, []).append(p)
+    opposite = 0
+    for p in paths:
+        for q in from_start[p.start]:
+            c = p.common_prefix_length(q)
+            assert c == (p.length() + q.length()
+                         - p.reverse().concat(q).length()) / 2
+            opposite += bool(p.segs and q.segs and p.start[0] == "e"
+                             and p.segs[0][:2] == q.segs[0][:2]
+                             and (p.segs[0][2] > p.segs[0][1])
+                             != (q.segs[0][2] > q.segs[0][1]))
+    assert opposite > 0
