@@ -64,8 +64,9 @@ class MarkedMetricGraph:
         self.candidates = None
         # (graph, fold edge map) this graph was folded from, set by
         # folded_marked_graph until subgraph_factors takes the parent's
-        # table; core subset -> handle, kept by subgraph_factors until a
-        # graph folded from this one takes it
+        # table; core subset, as a mask whose bit k is the k-th least
+        # edge id -> handle, kept by subgraph_factors until a graph
+        # folded from this one takes it
         self.folded_from = None
         self._factor_table = None
 
@@ -235,115 +236,81 @@ class MarkedMetricGraph:
 
     # -- factors and subgroup cores -----------------------------------------
 
-    def _core_subsets(self):
-        """Every nonempty edge subset in which no vertex has valence 1.
-
-        A depth-first include/exclude search decides the edges from the
-        greatest id down, excluding before including, so the subsets
-        come in increasing order of their bit masks (bit k for the k-th
-        least edge).  A vertex is closed once its least edge is decided;
-        a branch that closes a vertex of valence 1 is dropped.  Each
-        subset is a tuple of edge ids in increasing order.
-        """
-        edges = sorted(self.edge_ends)
-        closes = [[] for _ in edges]       # vertices closed by edges[k]
-        least = {}
-        for k, e in enumerate(edges):
-            for v in self.edge_ends[e]:
-                if v not in least:
-                    least[v] = k
-                    closes[k].append(v)
-        deg = dict.fromkeys(least, 0)
-        chosen, subsets = [], []
-
-        def decide(k):
-            if k < 0:
-                if chosen:
-                    subsets.append(tuple(chosen[::-1]))
-                return
-            if all(deg[v] != 1 for v in closes[k]):
-                decide(k - 1)
-            o, t = self.edge_ends[edges[k]]
-            deg[o] += 1
-            deg[t] += 1
-            chosen.append(edges[k])
-            if all(deg[v] != 1 for v in closes[k]):
-                decide(k - 1)
-            deg[o] -= 1
-            deg[t] -= 1
-            chosen.pop()
-
-        decide(len(edges) - 1)
-        return subsets
-
     def subgraph_factors(self):
         """Handles of all connected proper core subgraphs (rank 1..N-1).
 
         A subset of edges is its own core exactly when none of its
         vertices has valence below 2.  ``_core_subsets`` searches for
-        those subsets, so every core subgraph is met as its own subset
-        and no other subset is visited to the end.  A subset that
-        ``_carried`` reads off the graph this one was folded from takes
-        that graph's handle.  One pass makes every other handle: a
-        union-find over the subset's edge ends counts its vertices and
-        components, a connected subset of proper rank is folded, each
-        edge spelling its marking-out word, and the core of that fold is
-        the factor's cyclic core.
+        those subsets, as bit masks over ``_edge_masks``'s table, so
+        every core subgraph is met as its own subset and no other subset
+        is visited to the end.  A subset that ``_carried`` reads off the
+        graph this one was folded from takes that graph's handle.  One
+        pass makes every other handle: the subset's rank is its edge
+        count minus the popcount of its vertex mask, plus one.  A subset
+        of proper rank is connected when a flood from its least edge's
+        ends, joining the ends of every edge that meets the flood until
+        none is joined, reaches its whole vertex mask; then it is
+        folded, its edges in increasing id, each spelling its
+        marking-out word, and the core of that fold is the factor's
+        cyclic core.
 
         Distinct connected core subgraphs of a marked graph carry
         distinct factor classes (the core subgraph is the image of the
         class's minimal subtree in the universal cover), so no two
-        handles share a code.  The graph keeps its table, subset ->
+        handles share a code.  The graph keeps its table, subset mask ->
         handle, and the handles come in the table's order, that of the
-        subsets' bit masks.  Handles are canonical (``FactorHandle``), so
-        the result depends on this graph alone, not on what was
-        projected before.
+        masks.  Handles are canonical (``FactorHandle``), so the result
+        depends on this graph alone, not on what was projected before.
         """
-        n, ends, labels = self.group.rank, self.edge_ends, self.marking_out
-        carried = self._carried()
+        n = self.group.rank
+        masks = _edge_masks(self.edge_ends)
+        carried = self._carried(masks)
+        # each edge's bit, end vertices and fold arc, in increasing id
+        cells = [(1 << k, vs, (*self.edge_ends[e], self.marking_out[e]))
+                 for k, (e, vs) in enumerate(zip(masks[0], masks[1]))]
         table = {}
-        for subset in self._core_subsets():
+        for subset in _core_subsets(masks):
             h = carried.get(subset)
             if h is None:
-                parent = {}
-                parts = 0
-                for e in subset:
-                    o, t = ends[e]
-                    if o not in parent:
-                        parent[o] = o
-                        parts += 1
-                    if t not in parent:
-                        parent[t] = t
-                        parts += 1
-                    while parent[o] != o:
-                        o = parent[o]
-                    while parent[t] != t:
-                        t = parent[t]
-                    if o != t:
-                        parent[t] = o
-                        parts -= 1
-                if parts != 1 or not 1 <= len(subset) - len(parent) + 1 < n:
+                arcs, ends, verts = [], [], 0
+                for bit, vs, arc in cells:
+                    if subset & bit:
+                        arcs.append(arc)
+                        ends.append(vs)
+                        verts |= vs
+                if not 1 <= len(arcs) - verts.bit_count() + 1 < n:
                     continue
-                h = stallings.FactorHandle(stallings.folded_core(
-                    [(*ends[e], labels[e]) for e in subset]), n)
+                reach, seen = ends[0], 0
+                while seen != reach:
+                    seen = reach
+                    for vs in ends:
+                        if vs & reach:
+                            reach |= vs
+                if reach != verts:
+                    continue
+                h = stallings.FactorHandle(stallings.folded_core(arcs), n)
             table[subset] = h
         self._factor_table = table
         return list(table.values())
 
-    def _carried(self):
+    def _carried(self, masks):
         """Core subsets of this graph that keep a handle of the graph it
-        was folded from, as a dict subset -> handle.
+        was folded from, as a dict subset mask -> handle; masks is this
+        graph's ``_edge_masks`` table.
 
         When that graph still holds its table, this graph takes it over:
         the link and the old table are dropped, so a chain of fold events
         keeps at most two tables alive.  The fold map f is a homotopy
         equivalence that respects the markings, so it sends the factor of
         an old subset S into the factor of S' = {|x| : x in f(e), e in S},
-        a connected subgraph.  A free factor inside a free factor of equal
-        rank is all of it, so S' carries S's class when |S'| - |V(S')| + 1
-        equals S's rank.  Then S' is trimmed to its core by the fold's
-        trim, ``stallings._pruned`` on the rows of S', which keeps an edge
-        when both of its ends survive: removing a hanging tree keeps the
+        a connected subgraph.  One pass over the old edges records each
+        image's edge mask and vertex mask; S' and its vertices are the
+        OR of those over S.  A free factor inside a free factor of equal
+        rank is all of it, so S' carries S's class when its edge count
+        minus its vertex count, plus one, equals S's rank.  Then S' is
+        trimmed to its core: an edge at a vertex of valence 1 (a loop
+        counts 2) is dropped, and the test is repeated at its ends until
+        nothing is dropped.  Removing a hanging tree keeps the
         fundamental group, so the trimmed S' is a connected core subset
         with S's class, one that ``subgraph_factors`` meets.
         """
@@ -354,19 +321,38 @@ class MarkedMetricGraph:
         table, old._factor_table = old._factor_table, None
         if table is None:
             return {}
-        ends = self.edge_ends
+        edges, ends, inc, loops = masks
+        index = {e: k for k, e in enumerate(edges)}
+        images = []          # each old edge's bit, image and image's ends
+        for j, e in enumerate(sorted(old.edge_ends)):
+            m = verts = 0
+            for x in edge_map[e]:
+                k = index[abs(x)]
+                m |= 1 << k
+                verts |= ends[k]
+            images.append((1 << j, m, verts))
+        # each vertex's bit, non-loop edges and loops
+        vertices = [(1 << i, a, b)
+                    for i, (a, b) in enumerate(zip(inc, loops))]
         carried = {}
         for subset, h in table.items():
-            image = {abs(x) for e in subset for x in edge_map[e]}
-            rows = {}
-            for x in image:
-                o, t = ends[x]
-                rows.setdefault(o, {})[x] = t
-                rows.setdefault(t, {})[-x] = o
-            if len(image) - len(rows) + 1 == h.rank:
-                gone = stallings._pruned(rows, None)
-                carried[tuple(sorted(
-                    x for x in image if gone.isdisjoint(ends[x])))] = h
+            m = verts = 0
+            for bit, image, image_ends in images:
+                if subset & bit:
+                    m |= image
+                    verts |= image_ends
+            if m.bit_count() - verts.bit_count() + 1 != h.rank:
+                continue
+            while verts:
+                dropped_ends = 0
+                for bit, a, b in vertices:
+                    if verts & bit:
+                        x = m & a
+                        if x.bit_count() == 1 and not m & b:
+                            m ^= x
+                            dropped_ends |= ends[x.bit_length() - 1]
+                verts = dropped_ends
+            carried[m] = h
         return carried
 
     def subgroup_core_in_graph(self, H):
@@ -457,6 +443,68 @@ def _incidence(vertices, edge_ends):
         leaving.setdefault(o, []).append(e)
         leaving.setdefault(t, []).append(-e)
     return ends, leaving
+
+
+def _edge_masks(edge_ends):
+    """(edges, ends, inc, loops): a graph's incidence as bit sets.
+
+    Bit k of an edge mask stands for edges[k], the k-th least edge id;
+    bit i of a vertex mask for the i-th vertex met along edges.  ends[k]
+    is the vertex mask of edges[k]'s ends, and inc[i] and loops[i] the
+    masks of the non-loop edges and of the loops at vertex i.
+    """
+    edges = sorted(edge_ends)
+    index, ends = {}, []
+    for e in edges:
+        o, t = edge_ends[e]
+        ends.append(1 << index.setdefault(o, len(index))
+                    | 1 << index.setdefault(t, len(index)))
+    inc, loops = [0] * len(index), [0] * len(index)
+    for k, e in enumerate(edges):
+        o, t = edge_ends[e]
+        if o == t:
+            loops[index[o]] |= 1 << k
+        else:
+            inc[index[o]] |= 1 << k
+            inc[index[t]] |= 1 << k
+    return edges, ends, inc, loops
+
+
+def _core_subsets(masks):
+    """Every nonempty edge subset in which no vertex has valence 1 (a
+    loop counts 2), as an edge mask over the ``_edge_masks`` table masks.
+
+    A depth-first include/exclude search decides the edges from the
+    greatest down, excluding before including, so the masks come in
+    increasing order.  A vertex is closed once its least edge is
+    decided; a branch that closes a vertex of valence 1 is dropped.
+    """
+    _, _, inc, loops = masks
+    closes = [[] for _ in range(len(masks[0]))]   # vertices closed by bit k
+    for a, b in zip(inc, loops):
+        both = a | b
+        closes[(both & -both).bit_length() - 1].append((a, b))
+    subsets = []
+
+    def decide(k, chosen):
+        if k < 0:
+            if chosen:
+                subsets.append(chosen)
+            return
+        for a, b in closes[k]:
+            if (chosen & a).bit_count() == 1 and not chosen & b:
+                break
+        else:
+            decide(k - 1, chosen)
+        chosen |= 1 << k
+        for a, b in closes[k]:
+            if (chosen & a).bit_count() == 1 and not chosen & b:
+                break
+        else:
+            decide(k - 1, chosen)
+
+    decide(len(closes) - 1, 0)
+    return subsets
 
 
 def _spanning_tree(vertices, ends, leaving, root):

@@ -33,7 +33,9 @@ the tree loops of a folded graph in the edges of the graph it was
 folded from (``marked_graph.folded_marked_graph``).  The plain fold is
 kept apart because its cores are tiny and the fixed cost of each call
 sets its price: on the 47,288 subset folds of the geodesic benchmark's
-seed-1 projection (6.7 letters each) the reading fold took 0.46-0.48 s,
+seed-1 projection (6.7 letters each), measured when projection still
+folded every subset, before handles were carried across fold events
+(it now folds 16,871 there), the reading fold took 0.46-0.48 s,
 a fold that adds every letter as an edge before merging (the tests'
 reference) 0.69-0.76 s, and the word-carrying fold with empty words
 1.19-1.24 s, all with identical rows (process time, best of five in

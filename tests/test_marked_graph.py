@@ -6,7 +6,8 @@ import pytest
 
 from outerspace.words import FreeGroup, CyclicWord, Word, RankMismatchError
 from outerspace.marked_graph import (MarkedMetricGraph, rose, standard_marking,
-                                     folded_marked_graph)
+                                     folded_marked_graph, _core_subsets,
+                                     _edge_masks)
 from outerspace.stallings import core_graph
 from outerspace.randomgen import (random_marked_graph, random_cyclic_word,
                                   random_word)
@@ -290,11 +291,39 @@ def _subset_handle(G, edge_subset):
     return FactorHandle(core, G.group.rank)
 
 
+def _as_mask(G, edges):
+    """The converter between an edge subset's two forms: edge ids -> the
+    mask whose bit k stands for G's k-th least edge id."""
+    order = sorted(G.edge_ends)
+    return sum(1 << order.index(e) for e in edges)
+
+
+def _as_edges(G, mask):
+    """The converter's other direction: mask -> sorted edge-id tuple."""
+    return tuple(e for k, e in enumerate(sorted(G.edge_ends)) if mask >> k & 1)
+
+
+def _brute_core_subsets(G):
+    """Every nonempty edge mask with no vertex of valence 1 (a loop counts
+    2), by trying all 2^E masks in increasing order."""
+    found = []
+    for mask in range(1, 1 << len(G.edge_ends)):
+        valence = {}
+        for e in _as_edges(G, mask):
+            for v in G.edge_ends[e]:
+                valence[v] = valence.get(v, 0) + 1
+        if 1 not in valence.values():
+            found.append(mask)
+    return found
+
+
 def _per_subset_factors(G):
     """``subgraph_factors`` one subset at a time, kept as a reference:
-    the rank from a per-subset vertex set, then ``_subset_handle``."""
+    the brute-force core subsets, the rank from a per-subset vertex set,
+    then ``_subset_handle``."""
     handles = {}
-    for subset in G._core_subsets():
+    for mask in _brute_core_subsets(G):
+        subset = _as_edges(G, mask)
         verts = {v for e in subset for v in G.edge_ends[e]}
         if not 1 <= len(subset) - len(verts) + 1 <= G.group.rank - 1:
             continue
@@ -335,6 +364,43 @@ def test_subgraph_factors_match_per_subset_handles():
         assert [h.code for h in got] == [h.code for h in ref]
         assert [h.core.rows for h in got] == [h.core.rows for h in ref]
         assert [h.core.basepoint for h in got] == [None] * len(got)
+
+
+def _relabelled(rng, F, ends):
+    """The standard marking of a graph whose edge ids are shuffled, so
+    that bit order does not follow the graph's shape."""
+    ids = rng.sample(range(1, 3 * len(ends)), len(ends))
+    ends = dict(zip(ids, ends))
+    verts = {v for e in ends.values() for v in e}
+    lengths = {e: Fr(1, len(ends)) for e in ends}
+    return standard_marking(F, verts, ends, lengths, min(verts))
+
+
+def test_core_subsets_match_brute_force():
+    # seeded graphs at ranks 2-5: roses (loops), barbells (loops joined by
+    # bridges), thetas, random skeletons with multi-edges, and subdivided
+    # event graphs of standard geodesics; the search gives the same masks
+    # in the same order as trying every mask
+    from outerspace.folding import standard_geodesic
+    rng = random.Random(850)
+    graphs = []
+    for rank in (2, 3, 4, 5):
+        F = FreeGroup(rank)
+        rose_ends = [(0, 0)] * rank
+        barbell = [(v, v) for v in range(rank)] + [(v, v + 1)
+                                                  for v in range(rank - 1)]
+        theta = [(0, 1)] * (rank + 1)
+        graphs += [_relabelled(rng, F, ends)
+                   for ends in (rose_ends, barbell, theta)]
+        graphs += [random_marked_graph(rng, F, 2) for _ in range(3)]
+        G, Gp = (random_marked_graph(rng, F, 3) for _ in range(2))
+        graphs += [ev.graph for ev in standard_geodesic(G, Gp).path.events][:4]
+    assert any(len(set(G.edge_ends.values())) < len(G.edge_ends)
+               for G in graphs if not G.subdivided)
+    assert sum(G.subdivided for G in graphs) > 8
+    for G in graphs:
+        masks = _edge_masks(G.edge_ends)
+        assert _core_subsets(masks) == _brute_core_subsets(G)
 
 
 def test_trivial_subgroup_has_no_cover_core():
@@ -541,9 +607,9 @@ def test_fold_order_projection_folds_fewer_subsets(monkeypatch):
         # each graph handed its table to the next: only the last keeps one
         assert [G._factor_table is not None for G in graphs] == \
             [False] * (len(graphs) - 1) + [True]
-    # the later events carry more than half of all handles (939 folds
-    # for 2,272 handles)
-    assert 0 < 2 * len(folds) < handles
+    # the later events carry more than half of all handles; a carry that
+    # keeps fewer handles folds more
+    assert (len(folds), handles) == (939, 2272)
 
 
 def test_integer_lengths_match_fraction_sums():
@@ -584,6 +650,29 @@ def test_fold_carries_a_handle_across_a_hanging_tree():
     H = folded_marked_graph(R, sub, {0, 1}, cells, 0)
     assert H.validate() == []
     got = H.subgraph_factors()
-    assert H._factor_table[(3,)] is old[(3,)]
+    assert H._factor_table[_as_mask(H, (3,))] is old[_as_mask(R, (3,))]
+    fresh = MarkedMetricGraph.from_json(H.to_json()).subgraph_factors()
+    assert _projection_key(got) == _projection_key(fresh)
+
+
+def test_fold_carries_a_handle_across_a_two_edge_tree():
+    # the rose a, b, c folded onto loops 2, 3 at vertex 0 and loop 4 at
+    # vertex 1, joined by the path 5, 1 through vertex 2 (edge 5 from 2
+    # to 0, edge 1 from 1 to 2), with c -> -5 -1 4 1 5.  The image of the
+    # old subset {3} is {1, 4, 5}, rank 1 with a tree two edges deep
+    # hanging off loop 4.  Vertex 2 has valence 2 until edge 5 goes, and
+    # its bit comes before vertex 0's, so trimming needs a second pass
+    # before {4} takes the old handle itself
+    R = rose(F3, [Fr(1, 3)] * 3)
+    R.subgraph_factors()
+    old = R._factor_table
+    sub = {1: (2,), 2: (3,), 3: (-5, -1, 4, 1, 5)}
+    sub.update({-d: tuple(-x for x in reversed(p)) for d, p in sub.items()})
+    cells = {1: (1, 2, Fr(1, 5)), 2: (0, 0, Fr(1, 5)), 3: (0, 0, Fr(1, 5)),
+             4: (1, 1, Fr(1, 5)), 5: (2, 0, Fr(1, 5))}
+    H = folded_marked_graph(R, sub, {0, 1, 2}, cells, 0)
+    assert H.validate() == []
+    got = H.subgraph_factors()
+    assert H._factor_table[_as_mask(H, (4,))] is old[_as_mask(R, (3,))]
     fresh = MarkedMetricGraph.from_json(H.to_json()).subgraph_factors()
     assert _projection_key(got) == _projection_key(fresh)
